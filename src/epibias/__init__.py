@@ -31,7 +31,6 @@ from .growth_math import (
 )
 from .outbreak_sim import (
     OutbreakTrace,
-    PersonRecord,
     Scenario,
     daily_series,
     run_ensemble,
@@ -62,7 +61,6 @@ __all__ = [
     "multiple_exposure_bias",
     "bias_table",
     "Scenario",
-    "PersonRecord",
     "OutbreakTrace",
     "simulate_outbreak",
     "run_ensemble",

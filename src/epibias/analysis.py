@@ -122,15 +122,10 @@ def analyze_trace(
     pairs = tracing.sample_backward_pairs(trace, options.n_pairs, options.stride)
     backward = IntervalStats(*tracing.interval_moments(pairs), n=len(pairs))
 
-    fwd_g, fwd_s = forward_interval_arrays(trace, options.forward_margin)
-    forward = IntervalStats(
-        float(fwd_g.mean()), float(fwd_g.var(ddof=1)),
-        float(fwd_s.mean()), float(fwd_s.var(ddof=1)),
-        n=len(fwd_g),
-    )
+    forward_pairs = tracing.sample_forward_pairs(trace, options.forward_margin)
+    forward = IntervalStats(*tracing.interval_moments(forward_pairs), n=len(forward_pairs))
 
-    serials = np.array([p.serial_interval for p in pairs])
-    _, n_dropped = tracing.split_positive(serials)
+    _, n_dropped = tracing.split_positive(pairs.S)
     serial_fit = tracing.fit_gamma_to_intervals(pairs, "S")
     backward_weights = discretize_centered(
         serial_fit, discretization_horizon(serial_fit, options.weight_mass)
@@ -191,17 +186,6 @@ def analyze_trace(
     )
 
 
-def forward_interval_arrays(trace: OutbreakTrace, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized forward-ascertained (generation, serial) interval arrays."""
-    cutoff = trace.end_time - margin
-    ok_parent = (trace.t_infect <= cutoff) & (trace.t_inf_end <= trace.end_time)
-    parent = trace.infector
-    child = np.flatnonzero((parent >= 0) & ok_parent[np.maximum(parent, 0)])
-    g = trace.t_infect[child] - trace.t_infect[parent[child]]
-    s = trace.t_symptom[child] - trace.t_symptom[parent[child]]
-    return g, s
-
-
 @dataclass(frozen=True)
 class EnsembleAnalysis:
     scenario: Scenario
@@ -231,8 +215,13 @@ def analyze_ensemble(
 
 
 def summarize(values) -> dict[str, float]:
-    """Replicate summary: mean, sd, extremes, and the central 95% range."""
+    """Replicate summary: mean, sd, extremes, and the central 95% range.
+
+    With no values, ``n`` is 0 and every statistic is NaN.
+    """
     arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return {"n": 0, **dict.fromkeys(("mean", "sd", "min", "max", "q025", "q975"), math.nan)}
     return {
         "n": int(arr.size),
         "mean": float(arr.mean()),

@@ -210,18 +210,25 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         ),
     )
 
+    replicates, threads = int(run["replicates"]), int(run["threads"])
+    exposure_replicates = exp.getint("replicates")
+    for name, value in (("[run] replicates", replicates), ("[run] threads", threads),
+                        ("[exposures] replicates", exposure_replicates)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
     cfr_sec = parser["cfr"]
     return RunConfig(
         seed=seed,
-        replicates=int(run["replicates"]),
-        threads=int(run["threads"]),
+        replicates=replicates,
+        threads=threads,
         out_format=out_format,
         scenario=scenario,
         bias=bias,
         options=options,
         exposure_model=exposure_model,
         exposure_n_persons=exp.getint("n_persons"),
-        exposure_replicates=exp.getint("replicates"),
+        exposure_replicates=exposure_replicates,
         cfr_r=cfr_sec.getfloat("r"),
         cfr_death_delay_mean=cfr_sec.getfloat("death_delay_mean"),
         cfr_recovery_delay_mean=cfr_sec.getfloat("recovery_delay_mean"),

@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -88,20 +91,6 @@ class Scenario:
         return GammaParams(self.latent.shape + self.infectious.shape, self.latent.rate)
 
 
-@dataclass(frozen=True)
-class PersonRecord:
-    """One individual's event timeline within a trace."""
-
-    id: int
-    infector_id: Optional[int]
-    t_infect: float
-    t_infectious_start: float
-    t_infectious_end: float
-    t_symptom: float
-    outcome: str            # "died", "recovered", or "pending"
-    t_outcome: Optional[float]
-
-
 class OutbreakTrace:
     """Columnar record of one accepted outbreak run.
 
@@ -130,26 +119,6 @@ class OutbreakTrace:
     def __len__(self) -> int:
         return len(self.t_infect)
 
-    def person(self, i: int) -> PersonRecord:
-        pending = self.t_outcome[i] > self.end_time
-        return PersonRecord(
-            id=int(i),
-            infector_id=None if self.infector[i] < 0 else int(self.infector[i]),
-            t_infect=float(self.t_infect[i]),
-            t_infectious_start=float(self.t_inf_start[i]),
-            t_infectious_end=float(self.t_inf_end[i]),
-            t_symptom=float(self.t_symptom[i]),
-            outcome="pending" if pending else ("died" if self.died[i] else "recovered"),
-            t_outcome=None if pending else float(self.t_outcome[i]),
-        )
-
-    def iter_persons(self) -> Iterator[PersonRecord]:
-        return (self.person(i) for i in range(len(self)))
-
-    @property
-    def persons(self) -> list[PersonRecord]:
-        return list(self.iter_persons())
-
     def notified_order(self) -> np.ndarray:
         """Person ids sorted by notification time (ties broken by id)."""
         if self._notified_order is None:
@@ -165,21 +134,27 @@ class OutbreakTrace:
         return order[:n]
 
     def to_csv(self, path) -> None:
-        """One row per person; times in days with 6 decimals."""
+        """One row per person; times in days with 6 decimals.
+
+        The index case has an empty ``infector_id``.  A person whose death or
+        recovery falls after the end of the run is "pending", with an empty
+        ``t_outcome``.
+        """
+        cols = zip(self.infector.tolist(), self.t_infect.tolist(),
+                   self.t_inf_start.tolist(), self.t_inf_end.tolist(),
+                   self.t_symptom.tolist(), self.died.tolist(), self.t_outcome.tolist())
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["id", "infector_id", "t_infect", "t_inf_start",
                         "t_inf_end", "t_symptom", "outcome", "t_outcome"])
-            for p in self.iter_persons():
+            for pid, (parent, t, t0, t1, ts, died, t_out) in enumerate(cols):
+                pending = t_out > self.end_time
                 w.writerow([
-                    p.id,
-                    "" if p.infector_id is None else p.infector_id,
-                    f"{p.t_infect:.6f}",
-                    f"{p.t_infectious_start:.6f}",
-                    f"{p.t_infectious_end:.6f}",
-                    f"{p.t_symptom:.6f}",
-                    p.outcome,
-                    "" if p.t_outcome is None else f"{p.t_outcome:.6f}",
+                    pid,
+                    "" if parent < 0 else parent,
+                    f"{t:.6f}", f"{t0:.6f}", f"{t1:.6f}", f"{ts:.6f}",
+                    "pending" if pending else ("died" if died else "recovered"),
+                    "" if pending else f"{t_out:.6f}",
                 ])
 
 
@@ -311,6 +286,29 @@ def _apply(args):
     return fn(trace, rep)
 
 
+def _outcomes(scenario: Scenario, fn, threads: int) -> Iterator:
+    """``_apply`` outcomes for replicates 0, 1, 2, ... in replicate order, forever.
+
+    With more than one thread, a process pool keeps ``2 * threads`` replicates
+    submitted ahead of the one being read; closing the generator cancels the
+    queued ones and waits for the running ones.
+    """
+    reps = itertools.count()
+    if threads <= 1:
+        for rep in reps:
+            yield _apply((scenario, rep, fn))
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
+        window = deque(pool.submit(_apply, (scenario, rep, fn))
+                       for rep in itertools.islice(reps, 2 * threads))
+        while True:
+            done = window.popleft()
+            window.append(pool.submit(_apply, (scenario, next(reps), fn)))
+            yield done.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def ensemble_map(
     scenario: Scenario,
     n_accepted: int,
@@ -334,53 +332,17 @@ def ensemble_map(
     if n_accepted < 1:
         raise ValueError("n_accepted must be >= 1")
     results = []
-    attempts = 0
-    if threads <= 1:
-        rep = 0
-        while len(results) < n_accepted:
-            out = _apply((scenario, rep, fn))
-            rep += 1
+    with closing(_outcomes(scenario, fn, threads)) as outcomes:
+        for examined, out in enumerate(outcomes, 1):
             if out is not None:
                 results.append(out)
-                attempts = rep
-            _check_acceptance(rep, len(results), max_attempts)
-        return results, attempts
-
-    block = max(4, 2 * threads)
-    next_rep = 0
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        while len(results) < n_accepted:
-            reps = range(next_rep, next_rep + block)
-            next_rep += block
-            for rep, out in zip(reps, pool.map(_apply, [(scenario, r, fn) for r in reps])):
-                if out is not None and len(results) < n_accepted:
-                    results.append(out)
-                    attempts = rep + 1
-                _check_acceptance(rep + 1, len(results), max_attempts)
-    return results, attempts
-
-
-def _check_acceptance(examined: int, accepted: int, max_attempts: int) -> None:
-    if examined >= max_attempts and accepted < 0.01 * examined:
-        raise AcceptanceError(
-            f"only {accepted}/{examined} replicates reached the threshold; "
-            "the scenario is unlikely to be configured as intended"
-        )
-
-
-def iter_accepted(
-    scenario: Scenario, n_accepted: int, max_attempts: int = 10_000
-) -> Iterator[tuple[int, OutbreakTrace]]:
-    """Yield (replicate_index, trace) for the first accepted replicates."""
-    accepted = 0
-    rep = 0
-    while accepted < n_accepted:
-        trace = simulate_outbreak(scenario, rep)
-        if trace is not None:
-            accepted += 1
-            yield rep, trace
-        rep += 1
-        _check_acceptance(rep, accepted, max_attempts)
+            if examined >= max_attempts and len(results) < 0.01 * examined:
+                raise AcceptanceError(
+                    f"only {len(results)}/{examined} replicates reached the threshold; "
+                    "the scenario is unlikely to be configured as intended"
+                )
+            if len(results) == n_accepted:
+                return results, examined
 
 
 @dataclass(frozen=True)

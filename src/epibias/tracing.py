@@ -19,21 +19,40 @@ from .distributions import GammaParams, gamma_from_moments
 from .outbreak_sim import OutbreakTrace
 
 
-@dataclass(frozen=True)
-class TracedPair:
-    """One infector/infectee pair with both observed intervals.
+@dataclass(frozen=True, eq=False)
+class TracedPairs:
+    """Infector/infectee pairs as read-only columns.
 
-    Generation times are positive by construction; serial intervals may be
-    negative when the infectee shows symptoms before its infector.
+    Row i pairs ``infectee[i]`` with its ``infector[i]``; ``G`` holds their
+    generation times (infection-time differences, positive by construction)
+    and ``S`` their serial intervals (symptom-time differences, negative when
+    the infectee shows symptoms first).
     """
 
-    infectee_id: int
-    infector_id: int
-    generation_time: float
-    serial_interval: float
+    infectee: np.ndarray
+    infector: np.ndarray
+    G: np.ndarray
+    S: np.ndarray
+
+    def __post_init__(self):
+        for col in (self.infectee, self.infector, self.G, self.S):
+            col.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.infectee)
 
 
-def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> list[TracedPair]:
+def _pairs_of(trace: OutbreakTrace, infectee: np.ndarray) -> TracedPairs:
+    infector = trace.infector[infectee]
+    return TracedPairs(
+        infectee=infectee,
+        infector=infector,
+        G=trace.t_infect[infectee] - trace.t_infect[infector],
+        S=trace.t_symptom[infectee] - trace.t_symptom[infector],
+    )
+
+
+def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPairs:
     """Systematic backward sample: every ``stride``-th notified case.
 
     Walks notified persons in notification order (ties broken by person id),
@@ -51,28 +70,14 @@ def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> list[Tra
         raise ValueError(
             f"trace has {len(order)} notified persons; need {n * stride}"
         )
-    pairs = []
-    eligible = 0
-    for pid in order:
-        infector = trace.infector[pid]
-        if infector < 0:
-            continue
-        eligible += 1
-        if eligible % stride == 0:
-            pairs.append(
-                TracedPair(
-                    infectee_id=int(pid),
-                    infector_id=int(infector),
-                    generation_time=float(trace.t_infect[pid] - trace.t_infect[infector]),
-                    serial_interval=float(trace.t_symptom[pid] - trace.t_symptom[infector]),
-                )
-            )
-            if len(pairs) == n:
-                return pairs
-    raise ValueError(f"only {len(pairs)} of {n} pairs could be formed")
+    eligible = order[trace.infector[order] >= 0]
+    picked = eligible[stride - 1::stride][:n]
+    if len(picked) < n:
+        raise ValueError(f"only {len(picked)} of {n} pairs could be formed")
+    return _pairs_of(trace, picked)
 
 
-def sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> list[TracedPair]:
+def sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> TracedPairs:
     """All pairs whose infector could be observed to the end of its course.
 
     Forward ascertainment: include every offspring of infectors infected at
@@ -80,34 +85,21 @@ def sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> list[Tra
     period closed within the run), so no offspring is cut off by the
     observation window.  This recovers the unbiased generation-time law,
     unlike enumerating every realized pair up to the end of the run.
+    Pairs are ordered by infectee id.
     """
     cutoff = trace.end_time - margin
     ok_parent = (trace.t_infect <= cutoff) & (trace.t_inf_end <= trace.end_time)
-    pairs = []
-    for pid in range(len(trace)):
-        infector = trace.infector[pid]
-        if infector < 0 or not ok_parent[infector]:
-            continue
-        pairs.append(
-            TracedPair(
-                infectee_id=pid,
-                infector_id=int(infector),
-                generation_time=float(trace.t_infect[pid] - trace.t_infect[infector]),
-                serial_interval=float(trace.t_symptom[pid] - trace.t_symptom[infector]),
-            )
-        )
-    return pairs
+    parent = trace.infector
+    return _pairs_of(trace, np.flatnonzero((parent >= 0) & ok_parent[np.maximum(parent, 0)]))
 
 
-def interval_moments(pairs: list[TracedPair]) -> tuple[float, float, float, float]:
+def interval_moments(pairs: TracedPairs) -> tuple[float, float, float, float]:
     """Unbiased sample moments: (mean_G, var_G, mean_S, var_S)."""
     if len(pairs) < 2:
         raise ValueError("need at least two pairs for sample moments")
-    g = np.array([p.generation_time for p in pairs])
-    s = np.array([p.serial_interval for p in pairs])
     return (
-        float(g.mean()), float(g.var(ddof=1)),
-        float(s.mean()), float(s.var(ddof=1)),
+        float(pairs.G.mean()), float(pairs.G.var(ddof=1)),
+        float(pairs.S.mean()), float(pairs.S.var(ddof=1)),
     )
 
 
@@ -118,7 +110,7 @@ def split_positive(values: np.ndarray) -> tuple[np.ndarray, int]:
     return values[keep], int((~keep).sum())
 
 
-def fit_gamma_to_intervals(pairs: list[TracedPair], which: str = "G") -> GammaParams:
+def fit_gamma_to_intervals(pairs: TracedPairs, which: str = "G") -> GammaParams:
     """Method-of-moments Gamma fit to generation times ("G") or serials ("S").
 
     Non-positive intervals are outside the Gamma support and are dropped
@@ -127,13 +119,9 @@ def fit_gamma_to_intervals(pairs: list[TracedPair], which: str = "G") -> GammaPa
     Raises:
         ValueError: fewer than 10 usable intervals, or zero variance.
     """
-    if which == "G":
-        values = np.array([p.generation_time for p in pairs])
-    elif which == "S":
-        values = np.array([p.serial_interval for p in pairs])
-    else:
+    if which not in ("G", "S"):
         raise ValueError(f"which must be 'G' or 'S', got {which!r}")
-    used, _ = split_positive(values)
+    used, _ = split_positive(getattr(pairs, which))
     if len(used) < 10:
         raise ValueError(f"only {len(used)} usable intervals; need at least 10")
     sd = used.std(ddof=1)
@@ -142,12 +130,11 @@ def fit_gamma_to_intervals(pairs: list[TracedPair], which: str = "G") -> GammaPa
     return gamma_from_moments(float(used.mean()), float(sd))
 
 
-def pairs_to_csv(pairs: list[TracedPair], path) -> None:
+def pairs_to_csv(pairs: TracedPairs, path) -> None:
+    rows = zip(pairs.infectee.tolist(), pairs.infector.tolist(),
+               pairs.G.tolist(), pairs.S.tolist())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["infectee_id", "infector_id", "gen_time", "serial_interval"])
-        for p in pairs:
-            w.writerow([
-                p.infectee_id, p.infector_id,
-                f"{p.generation_time:.6f}", f"{p.serial_interval:.6f}",
-            ])
+        for infectee, infector, g, s in rows:
+            w.writerow([infectee, infector, f"{g:.6f}", f"{s:.6f}"])

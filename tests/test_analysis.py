@@ -12,7 +12,8 @@ from epibias.analysis import (
     summarize,
     true_weights,
 )
-from epibias.exposures import ExposureModel
+from epibias import exposures
+from epibias.exposures import ExposureModel, MomentFit, MomentFitError
 from epibias.distributions import gamma_from_moments
 
 
@@ -100,6 +101,12 @@ class TestSummarize:
         assert stats["min"] == 1.0 and stats["max"] == 100.0
         assert stats["q025"] < stats["q975"]
 
+    def test_empty_input(self):
+        stats = summarize([])
+        assert stats["n"] == 0
+        assert set(stats) == set(summarize([1.0]))
+        assert all(math.isnan(v) for k, v in stats.items() if k != "n")
+
 
 class TestExposureStudy:
     def test_structure_and_determinism(self):
@@ -113,3 +120,22 @@ class TestExposureStudy:
         assert set(block) >= {"ml", "moment", "moment_sd_pooled", "moment_inadmissible"}
         assert block["ml"]["p"]["n"] == 3
         assert 0.2 < block["ml"]["p"]["mean"] < 0.8
+
+    def test_every_moment_fit_inadmissible(self, monkeypatch):
+        # A family whose moment fits are all inadmissible still summarizes:
+        # the raw roots feed the moment columns, the admissible sd is empty.
+        raw = MomentFit(p=0.4, contact_rate=0.07, mean=11.0, variance=-3.0, residual=0.0)
+
+        def inadmissible(hist, min_histories=50):
+            raise MomentFitError("no admissible solution", raw=raw)
+
+        monkeypatch.setattr(exposures, "moment_fit", inadmissible)
+        model = ExposureModel(
+            p=0.5, contact_rate=0.0725, incubation=gamma_from_moments(11.4, 8.1)
+        )
+        block = exposure_study(model, 200, 3, master_seed=11, generators=("gamma",))["gamma"]
+        assert block["moment_inadmissible"] == block["replicates"] == 3
+        assert block["moment"]["variance"]["n"] == 3
+        assert block["moment_sd_admissible"]["n"] == 0
+        assert math.isnan(block["moment_sd_admissible"]["mean"])
+        assert block["moment_sd_pooled"] == 0.0

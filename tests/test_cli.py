@@ -63,6 +63,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path=str(path))
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "threads", 0),
+        ("run", "threads", -2),
+        ("run", "replicates", 0),
+        ("exposures", "replicates", 0),
+    ])
+    def test_counts_must_be_positive(self, tmp_path, section, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be >= 1"):
+            load_config(path=str(path))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+
     def test_invalid_scenario_value(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\ncontact_rate = -1\n")

@@ -7,6 +7,7 @@ from scipy import stats
 from _oracles import mc_incubation_discount
 from epibias.distributions import GammaParams
 from epibias.growth_estimators import CaseSeries, est_a_log_cumulative
+from epibias import outbreak_sim
 from epibias.outbreak_sim import (
     AcceptanceError,
     Scenario,
@@ -88,15 +89,25 @@ class TestSimulate:
                 simulate_outbreak(scn, rep)
 
     def test_person_view_and_csv(self, small_trace, tmp_path):
-        p = small_trace.person(0)
-        assert p.infector_id is None and p.t_infect == 0.0
-        pending = [q for q in small_trace.iter_persons() if q.outcome == "pending"]
-        assert all(q.t_outcome is None for q in pending)
+        tr = small_trace
+        pending = tr.t_outcome > tr.end_time
+        # the reference below must cover both empty-field cases
+        assert tr.infector[0] == -1 and tr.t_infect[0] == 0.0
+        assert pending.any() and not pending.all()
+        rows = ["id,infector_id,t_infect,t_inf_start,t_inf_end,t_symptom,outcome,t_outcome"]
+        for i in range(len(tr)):
+            outcome = "pending" if pending[i] else ("died" if tr.died[i] else "recovered")
+            rows.append(",".join([
+                str(i),
+                "" if tr.infector[i] < 0 else str(int(tr.infector[i])),
+                *(f"{float(col[i]):.6f}" for col in
+                  (tr.t_infect, tr.t_inf_start, tr.t_inf_end, tr.t_symptom)),
+                outcome,
+                "" if pending[i] else f"{float(tr.t_outcome[i]):.6f}",
+            ]))
         path = tmp_path / "trace.csv"
-        small_trace.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(small_trace) + 1
-        assert lines[0].startswith("id,infector_id,t_infect")
+        tr.to_csv(path)
+        assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
 
 
 @pytest.fixture(scope="module")
@@ -174,9 +185,10 @@ class TestOffspringLaw:
 
 class TestFullSizeTrace:
     def test_forward_generation_interval(self, ebola_trace):
-        from epibias.analysis import forward_interval_arrays
+        from epibias.tracing import sample_forward_pairs
 
-        g, s = forward_interval_arrays(ebola_trace, margin=60.0)
+        pairs = sample_forward_pairs(ebola_trace, margin=60.0)
+        g, s = pairs.G, pairs.S
         assert len(g) > 2000
         assert abs(g.mean() - 15.0) < 0.5
         assert abs(g.std(ddof=1) - math.sqrt(75.0)) < 0.6
@@ -272,6 +284,15 @@ class TestEnsemble:
         assert np.all(stats_.threshold_times() > 0)
         assert np.all((stats_.ratios() > 0.5) & (stats_.ratios() < 1.0))
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_thread_count_never_changes_outcome(self, monkeypatch, threads):
+        # Only replicate 99 survives, so it is accepted exactly at the
+        # acceptance floor (1 of 100); replicates the pool runs past it
+        # must not count against the floor.
+        monkeypatch.setattr(outbreak_sim, "simulate_outbreak", _only_replicate_99)
+        scn = Scenario(master_seed=5)
+        assert ensemble_map(scn, 1, _rep_of, threads=threads, max_attempts=100) == ([99], 100)
+
     def test_hopeless_scenario_raises(self):
         scn = Scenario(contact_rate=0.01, notify_threshold=100, master_seed=5)
         with pytest.raises(AcceptanceError):
@@ -280,3 +301,11 @@ class TestEnsemble:
 
 def _threshold_of(trace, rep):
     return (rep, trace.threshold_time, len(trace))
+
+
+def _only_replicate_99(scenario, rep):
+    return "trace" if rep == 99 else None
+
+
+def _rep_of(trace, rep):
+    return rep

@@ -7,7 +7,7 @@ from epibias.distributions import GammaParams, sample
 from epibias.growth_math import GrowthLink, backward_dist
 from epibias.rng import stream
 from epibias.tracing import (
-    TracedPair,
+    TracedPairs,
     fit_gamma_to_intervals,
     interval_moments,
     pairs_to_csv,
@@ -22,23 +22,53 @@ def backward_pairs(ebola_trace):
     return sample_backward_pairs(ebola_trace, n=500, stride=9)
 
 
+def _pairs(g, s):
+    """Pairs with the given intervals; infectee i+1 of infector 0."""
+    g, s = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(s, dtype=float))
+    return TracedPairs(np.arange(1, len(g) + 1), np.zeros(len(g), dtype=np.int64),
+                       g.copy(), s.copy())
+
+
 class TestBackwardSampling:
     def test_sample_size_and_links(self, ebola_trace, backward_pairs):
+        tr = ebola_trace
         assert len(backward_pairs) == 500
-        for p in backward_pairs[:50]:
-            assert p.generation_time > 0
-            assert ebola_trace.infector[p.infectee_id] == p.infector_id
+        assert np.all(backward_pairs.G > 0)
+        assert np.array_equal(tr.infector[backward_pairs.infectee], backward_pairs.infector)
+        assert np.array_equal(backward_pairs.G, tr.t_infect[backward_pairs.infectee]
+                              - tr.t_infect[backward_pairs.infector])
+        assert np.array_equal(backward_pairs.S, tr.t_symptom[backward_pairs.infectee]
+                              - tr.t_symptom[backward_pairs.infector])
 
     def test_single_pick_is_strideth_eligible(self, ebola_trace):
-        (pair,) = sample_backward_pairs(ebola_trace, n=1, stride=9)
+        pairs = sample_backward_pairs(ebola_trace, n=1, stride=9)
         order = ebola_trace.notified_order()
         eligible = [int(pid) for pid in order if ebola_trace.infector[pid] >= 0]
-        assert pair.infectee_id == eligible[8]
+        assert pairs.infectee.tolist() == [eligible[8]]
+
+    def test_matches_notification_order_walk(self, ebola_trace):
+        # Reference: walk notified cases in order, count those with an
+        # infector, keep every 9th until 500 are kept.
+        picked, eligible = [], 0
+        for pid in ebola_trace.notified_order():
+            if ebola_trace.infector[pid] < 0:
+                continue
+            eligible += 1
+            if eligible % 9 == 0:
+                picked.append(int(pid))
+                if len(picked) == 500:
+                    break
+        assert sample_backward_pairs(ebola_trace, 500, 9).infectee.tolist() == picked
 
     def test_deterministic(self, ebola_trace):
         a = sample_backward_pairs(ebola_trace, 100, 9)
         b = sample_backward_pairs(ebola_trace, 100, 9)
-        assert a == b
+        for col in ("infectee", "infector", "G", "S"):
+            assert np.array_equal(getattr(a, col), getattr(b, col))
+
+    def test_columns_read_only(self, backward_pairs):
+        with pytest.raises(ValueError):
+            backward_pairs.G[0] = 0.0
 
     def test_insufficient_persons_rejected(self, small_trace):
         with pytest.raises(ValueError):
@@ -55,8 +85,20 @@ class TestBackwardSampling:
 class TestForwardSampling:
     def test_unbiased_generation_times(self, ebola_trace):
         pairs = sample_forward_pairs(ebola_trace, margin=60.0)
-        g = np.array([p.generation_time for p in pairs])
-        assert abs(g.mean() - 15.0) < 0.5
+        assert abs(pairs.G.mean() - 15.0) < 0.5
+
+    def test_every_offspring_of_observed_infectors(self, ebola_trace):
+        # Reference: the infectees, in id order, of infectors infected 60+
+        # days before the end whose infectious period closed in the run.
+        tr = ebola_trace
+        cutoff = tr.end_time - 60.0
+        expected = [pid for pid in range(len(tr))
+                    if tr.infector[pid] >= 0
+                    and tr.t_infect[tr.infector[pid]] <= cutoff
+                    and tr.t_inf_end[tr.infector[pid]] <= tr.end_time]
+        pairs = sample_forward_pairs(tr, margin=60.0)
+        assert pairs.infectee.tolist() == expected
+        assert np.array_equal(pairs.infector, tr.infector[pairs.infectee])
 
     def test_serial_variance_exceeds_generation_variance(self, ebola_trace):
         # The symptom-time wobble adds variance to serial intervals (+4 here).
@@ -67,8 +109,7 @@ class TestForwardSampling:
 
 class TestIntervalMoments:
     def test_constant_pairs(self):
-        pairs = [TracedPair(i, 0, 5.0, 4.0) for i in range(1, 6)]
-        mg, vg, ms, vs = interval_moments(pairs)
+        mg, vg, ms, vs = interval_moments(_pairs([5.0] * 5, 4.0))
         assert (mg, vg, ms, vs) == (5.0, 0.0, 4.0, 0.0)
 
     def test_theory_target(self):
@@ -77,26 +118,23 @@ class TestIntervalMoments:
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):
-            interval_moments([TracedPair(1, 0, 5.0, 4.0)])
+            interval_moments(_pairs([5.0], 4.0))
 
 
 class TestGammaFit:
     def test_recovers_known_distribution(self):
         draws = sample(GammaParams(3.0, 0.2), stream(21, 0), size=100_000)
-        pairs = [TracedPair(i, 0, float(g), float(g)) for i, g in enumerate(draws)]
-        fit = fit_gamma_to_intervals(pairs, "G")
+        fit = fit_gamma_to_intervals(_pairs(draws, draws), "G")
         assert abs(fit.shape - 3.0) < 0.06
         assert abs(fit.rate - 0.2) < 0.004
 
     def test_constant_data_rejected(self):
-        pairs = [TracedPair(i, 0, 5.0, 5.0) for i in range(20)]
         with pytest.raises(ValueError):
-            fit_gamma_to_intervals(pairs, "G")
+            fit_gamma_to_intervals(_pairs([5.0] * 20, 5.0), "G")
 
     def test_too_few_usable_rejected(self):
-        pairs = [TracedPair(i, 0, 5.0 + i, -1.0) for i in range(20)]
         with pytest.raises(ValueError):
-            fit_gamma_to_intervals(pairs, "S")
+            fit_gamma_to_intervals(_pairs(5.0 + np.arange(20), -1.0), "S")
 
     def test_backward_fit_near_theory(self, ebola_trace):
         fit = fit_gamma_to_intervals(sample_backward_pairs(ebola_trace, 500, 9), "G")
@@ -105,7 +143,7 @@ class TestGammaFit:
 
     def test_which_validated(self):
         with pytest.raises(ValueError):
-            fit_gamma_to_intervals([TracedPair(1, 0, 5.0, 4.0)] * 20, "X")
+            fit_gamma_to_intervals(_pairs([5.0] * 20, 4.0), "X")
 
 
 class TestHelpers:
@@ -117,10 +155,11 @@ class TestHelpers:
         assert np.all(used > 0)
 
     def test_csv_export(self, tmp_path):
-        pairs = [TracedPair(1, 0, 5.0, 4.5), TracedPair(2, 1, 6.25, -0.5)]
+        pairs = TracedPairs(np.array([1, 2]), np.array([0, 1]),
+                            np.array([5.0, 6.25]), np.array([4.5, -0.5]))
         path = tmp_path / "pairs.csv"
         pairs_to_csv(pairs, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "infectee_id,infector_id,gen_time,serial_interval"
         assert len(lines) == 3
-        assert lines[2].split(",")[3] == "-0.500000"
+        assert lines[2] == "2,1,6.250000,-0.500000"
