@@ -6,7 +6,8 @@ already been observed.  That fraction is the discounted mass
 pi = E[exp(-r*D)] of the notification-to-outcome delay D, which makes the
 naive estimator deaths/notified biased low by the factor pi and makes the
 resolved-cases estimator deaths/(deaths+recoveries) biased whenever the
-death and recovery delays differ.
+death and recovery delays differ.  For Gamma delays every fraction has a
+closed form (finite horizons through the incomplete gamma function).
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
+from scipy.special import factorial, gammainc, poch
 
-from .distributions import GammaParams, cdf, gamma_from_moments, laplace
+from .distributions import GammaParams, gamma_from_moments, laplace
 
 
 class DelayKind(enum.Enum):
@@ -63,30 +65,39 @@ def pi_infinity(r: float, delay: DelaySpec) -> float:
     return laplace(delay.dist, r)
 
 
+_SERIES_BELOW = 0.05  # |r|*T below which pi_finite sums its series
+
+
 def pi_finite(T: float, r: float, delay: DelaySpec) -> float:
     """Observed fraction of delayed events at finite horizon T.
 
-    Quadrature of r * exp(-r*u) * CDF_delay(u) over u in [0, T], with the
-    exponential case-weight normalized to integrate to one over the window
-    (the normalizer 1 - exp(-r*T) is negligible once r*T is large, and makes
-    the r -> 0 limit the plain time average of the CDF).  Non-decreasing in
-    T, with limit :func:`pi_infinity`.
+    The delay CDF F averaged under the case weight r*exp(-r*u) on [0, T],
+    normalized to integrate to one.  For a Gamma(k, lambda) delay, with
+    P = scipy.special.gammainc, integration by parts gives
+    [(lambda/(lambda+r))**k * P(k, (lambda+r)T) - exp(-rT) * P(k, lambda*T)]
+    / (1 - exp(-rT)).  Those terms cancel when |r|*T < 0.05, which instead
+    uses P(k, lambda*T) - S/D, with S = sum_{j=1..8} (-r)**(j-1) * M_j / j!
+    over the partial moments M_j = (k)_j / lambda**j * P(k+j, lambda*T) and
+    D = (1 - exp(-rT))/r, or T at r = 0 (the window average of F); the
+    truncation error is below (|r|*T)**8/9! < 1e-16.  Non-decreasing in T,
+    with limit :func:`pi_infinity`.  Raises ValueError for T < 0 or
+    r <= -lambda, where the tilt (lambda/(lambda+r))**k diverges.
     """
     if T < 0:
         raise ValueError(f"horizon must be non-negative, got {T}")
+    tilt = laplace(delay.dist, r)
     if T == 0:
         return 0.0
-    if r == 0.0:
-        val, _ = integrate.quad(
-            lambda u: cdf(delay.dist, u), 0.0, T,
-            epsabs=1e-12, epsrel=1e-12, limit=200,
-        )
-        return float(val / T)
-    val, _ = integrate.quad(
-        lambda u: r * math.exp(-r * u) * cdf(delay.dist, u),
-        0.0, T, epsabs=1e-12, epsrel=1e-12, limit=200,
-    )
-    return float(val / -math.expm1(-r * T))
+    k, lam = delay.dist.shape, delay.dist.rate
+    observed = gammainc(k, lam * T)
+    if abs(r) * T >= _SERIES_BELOW:
+        by_parts = tilt * gammainc(k, (lam + r) * T) - math.exp(-r * T) * observed
+        return float(by_parts / -math.expm1(-r * T))
+    j = np.arange(1, 9)
+    partial_moments = poch(k, j) / lam**j * gammainc(k + j, lam * T)
+    S = np.sum((-r) ** (j - 1) * partial_moments / factorial(j))
+    D = -math.expm1(-r * T) / r if r != 0.0 else T
+    return float(observed - S / D)
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,6 @@ class GammaParams:
         """Coefficient of variation, 1/sqrt(shape)."""
         return 1.0 / np.sqrt(self.shape)
 
-    def frozen(self):
-        """scipy frozen distribution with the same parameters."""
-        return stats.gamma(a=self.shape, scale=1.0 / self.rate)
-
 
 @dataclass(frozen=True)
 class DiscreteDelay:

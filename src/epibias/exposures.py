@@ -15,13 +15,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 from scipy import optimize
 from scipy.special import expit, logit
 
-from .distributions import GammaParams, gamma_from_moments, laplace, log_pdf
+from .distributions import GammaParams, gamma_from_moments, log_pdf
 from .rng import stream
 
 
@@ -36,9 +36,9 @@ class ConvergenceError(RuntimeError):
 class MomentFitError(RuntimeError):
     """Moment system has no admissible solution.
 
-    Carries the equation residuals and, when the system was solvable but the
-    root inadmissible (e.g. a negative variance), the raw algebraic root in
-    ``raw`` so replicate studies can aggregate it.
+    When the root exists but is inadmissible (e.g. a negative variance) it
+    rides along in ``raw``, with its equation residuals in ``residuals``, so
+    replicate studies can aggregate it; both are None when there is no root.
     """
 
     def __init__(self, message, residuals=None, raw=None):
@@ -139,9 +139,6 @@ class Histories:
             symptom_time=float(self.symptom_times[i]),
         )
 
-    def __iter__(self) -> Iterator[ExposureHistory]:
-        return (self.history(i) for i in range(len(self)))
-
     def first_to_symptom(self) -> np.ndarray:
         """Time from first exposure to symptoms for every person."""
         return self.symptom_times - self.exposures[self.offsets[:-1]]
@@ -223,8 +220,6 @@ def conditional_log_likelihood(
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    if isinstance(histories, Iterable) and not isinstance(histories, Histories):
-        histories = Histories.from_records(histories)
     counts = histories.counts
     starts = histories.offsets[:-1]
     delta = np.repeat(histories.symptom_times, counts) - histories.exposures
@@ -258,10 +253,6 @@ class MlFit:
     n_evaluations: int
     message: str
 
-    @property
-    def params(self) -> GammaParams:
-        return gamma_from_moments(self.mean, self.sd)
-
 
 _LOGIT_CAP = 16.0  # p within 1e-7 of the boundary counts as boundary
 
@@ -277,8 +268,6 @@ def ml_fit(histories: Histories, min_histories: int = 50) -> MlFit:
     Raises:
         ConvergenceError: if no start converges; carries the best fit found.
     """
-    if isinstance(histories, Iterable) and not isinstance(histories, Histories):
-        histories = Histories.from_records(histories)
     if len(histories) < min_histories:
         raise ValueError(f"need at least {min_histories} histories, got {len(histories)}")
 
@@ -373,67 +362,48 @@ def moment_system(params, moments) -> np.ndarray:
 def moment_fit(histories: Histories, min_histories: int = 50) -> MomentFit:
     """Distribution-free moment estimator of (p, contact rate, E(T), Var(T)).
 
-    Matches the sample mean/variance of the exposure counts and of the
-    first-contact-to-symptom times against their model expressions and
-    solves the four-equation system numerically (the system is exactly
-    identified, so the root is unique).
-
-    Raises:
-        MomentFitError: when the root is inadmissible -- the variance
-            equation can demand Var(T) <= 0 in small samples -- or the
-            solver cannot reduce the residuals.  The raw root, when one
-            exists, rides along on the exception.
+    :func:`invert_moment_system` (whose MomentFitError it raises) at the
+    sample mean/variance of the exposure counts and first-contact-to-symptom
+    times.
     """
-    if isinstance(histories, Iterable) and not isinstance(histories, Histories):
-        histories = Histories.from_records(histories)
     if len(histories) < min_histories:
         raise ValueError(f"need at least {min_histories} histories, got {len(histories)}")
-    moments = sample_moments(histories)
+    return invert_moment_system(sample_moments(histories))
+
+
+def invert_moment_system(moments) -> MomentFit:
+    """Root (p, mu, mean, variance) of :func:`moment_system`, in closed form.
+
+    The system is exactly identified.  With a = (1-p)/p:
+
+        mu = (EC - 1)/ES,  a = (mu**2 * VarS - VarC + EC - 1)/2,
+        p = 1/(1 + a),  mean = ES - a/mu,  variance = VarS - a*(a + 2)/mu**2.
+
+    Raises:
+        MomentFitError: without ``raw`` when the system has no root with
+            p > 0 and mu > 0 (mu <= 0 or 1 + a <= 0); with the root in
+            ``raw`` when it is inadmissible, i.e. p > 1 or a variance
+            <= 0, which the variance equation can demand in small samples.
+    """
     EC, VarC, ES, VarS = moments
-
-    def residuals(x):
-        p, mu = x[0], x[1]
-        if p <= 0 or mu <= 0:
-            return np.full(4, 1e12)
-        out = moment_system(x, moments)
-        return np.where(np.isfinite(out), out, 1e12)
-
-    mu0 = max(EC - 1.0, 0.05) / ES
-    starts = [
-        np.array([0.5, mu0, 0.7 * ES, max(0.5 * VarS, 1.0)]),
-        np.array([0.3, 0.8 * mu0, 0.5 * ES, max(0.2 * VarS, 1.0)]),
-        np.array([0.8, 1.2 * mu0, 0.9 * ES, max(VarS, 1.0)]),
-    ]
-    best_x, best_res = None, np.inf
-    for x0 in starts:
-        sol = optimize.root(residuals, x0, method="hybr", tol=1e-12)
-        res = float(np.max(np.abs(residuals(sol.x))))
-        if res < best_res:
-            best_x, best_res = sol.x, res
-        if best_res < 1e-10:
-            break
-    if best_res > 1e-8:
-        lsq = optimize.least_squares(
-            residuals, starts[0], xtol=1e-15, ftol=1e-15, gtol=1e-15
-        )
-        res = float(np.max(np.abs(lsq.fun)))
-        if res < best_res:
-            best_x, best_res = lsq.x, res
-    if best_res > 1e-8:
+    mu = (EC - 1.0) / ES
+    a = (mu * mu * VarS - VarC + EC - 1.0) / 2.0
+    if not (mu > 0.0 and 1.0 + a > 0.0):
         raise MomentFitError(
-            "the moment equations could not be solved",
-            residuals=residuals(best_x),
+            "the moment equations have no root with p > 0 and a positive "
+            f"contact rate (mu = {mu:.4g}, 1 + a = {1.0 + a:.4g})"
         )
-    p, mu, m, v = best_x
+    p, m, v = 1.0 / (1.0 + a), ES - a / mu, VarS - a * (a + 2.0) / mu**2
+    residuals = moment_system((p, mu, m, v), moments)
     fit = MomentFit(
         p=float(p), contact_rate=float(mu), mean=float(m), variance=float(v),
-        residual=best_res,
+        residual=float(np.max(np.abs(residuals))),
     )
-    if not (0.0 < p <= 1.0 and mu > 0.0 and v > 0.0):
+    if not (p <= 1.0 and v > 0.0):
         raise MomentFitError(
             "no admissible solution (needs p in (0, 1], a positive contact "
             "rate, and a positive incubation variance)",
-            residuals=residuals(best_x),
+            residuals=residuals,
             raw=fit,
         )
     return fit
@@ -454,8 +424,10 @@ def latest_exposure_fit(histories: Histories) -> GammaParams:
 def calibrate_contact_rate(p: float, single_fraction: float, incubation: GammaParams) -> float:
     """Contact rate mu solving p * E[exp(-mu*T)] = P(single exposure).
 
-    The left side decreases from p to 0 as mu grows, so a root exists and is
-    unique whenever 0 < single_fraction < p.
+    For T ~ Gamma(k, lambda) the left side is p * (lambda/(lambda + mu))**k,
+    which decreases from p to 0 as mu grows, so the unique root
+    mu = lambda * ((p/single_fraction)**(1/k) - 1) exists whenever
+    0 < single_fraction < p.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
@@ -463,16 +435,7 @@ def calibrate_contact_rate(p: float, single_fraction: float, incubation: GammaPa
         raise ValueError(
             f"single-exposure fraction must lie in (0, p={p}), got {single_fraction}"
         )
-
-    def f(mu):
-        return p * laplace(incubation, mu) - single_fraction
-
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ValueError("no contact rate matches the single-exposure fraction")
-    return float(optimize.brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
+    return incubation.rate * math.expm1(math.log(p / single_fraction) / incubation.shape)
 
 
 def single_exposure_shift(

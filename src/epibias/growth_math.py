@@ -117,10 +117,10 @@ def solve_r_numeric(
         raise ValueError(f"R0 must be positive, got {R0}")
 
     def residual(r: float) -> float:
-        val, _ = integrate.quad(
-            lambda t: math.exp(-r * t) * gen_pdf(t), 0.0, math.inf,
-            epsabs=1e-12, epsrel=1e-12, limit=200,
-        )
+        # Split at t = 1 so a density singular at 0 converges without roundoff.
+        val = sum(integrate.quad(lambda t: math.exp(-r * t) * gen_pdf(t), lo, hi,
+                                 epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                  for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
         return R0 * val - 1.0
 
     if lower is None:

@@ -125,14 +125,6 @@ class OutbreakTrace:
             self._notified_order = np.argsort(self.t_symptom, kind="stable")
         return self._notified_order
 
-    def notified_ids(self, through: Optional[float] = None) -> np.ndarray:
-        """Ids of persons notified at or before ``through`` (default: end of run)."""
-        if through is None:
-            through = self.end_time
-        order = self.notified_order()
-        n = int(np.searchsorted(self.t_symptom[order], through, side="right"))
-        return order[:n]
-
     def to_csv(self, path) -> None:
         """One row per person; times in days with 6 decimals.
 

@@ -6,6 +6,8 @@ inversions analytically, and expectations by brute-force Monte Carlo, so a
 bug in a formula cannot hide behind itself.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate, stats
 
@@ -55,8 +57,6 @@ def invert_exposure_moments(EC, VarC, ES, VarS):
 
 def gamma_pdf_fn(shape, rate):
     """Fast scalar Gamma density for quadrature-heavy solver tests."""
-    import math
-
     log_norm = shape * math.log(rate) - math.lgamma(shape)
 
     def f(t):
@@ -65,6 +65,25 @@ def gamma_pdf_fn(shape, rate):
         return math.exp(log_norm + (shape - 1.0) * math.log(t) - rate * t)
 
     return f
+
+
+def quad_pi_finite(shape, rate, T, r):
+    """Observed fraction of Gamma-delayed outcomes at horizon T, by quadrature.
+
+    A case notified at a time drawn with density proportional to exp(r*t)
+    on [0, T] has its outcome, a delay u later, by T with probability
+    expm1(r*(T-u))/expm1(r*T), or (T-u)/T at r = 0; the fraction is that
+    weight integrated against the delay density.  Only a relative tolerance
+    is set, so tiny fractions are resolved as finely as large ones.
+    """
+    f = gamma_pdf_fn(shape, rate)
+    den = math.expm1(r * T) if r != 0.0 else T
+
+    def integrand(u):
+        return f(u) * (math.expm1(r * (T - u)) if r != 0.0 else T - u) / den
+
+    val, _ = integrate.quad(integrand, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=200)
+    return val
 
 
 def mc_incubation_discount(rng, r, lat_shape, lat_rate, u_lo, u_hi, n=1_000_000):

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from epibias.outbreak_sim import Scenario, simulate_outbreak
 
 MASTER_SEED = 20140801
+
+# Property tests draw the same examples on every run, keep no example
+# database, and have no per-example time limit.
+settings.register_profile("epibias", derandomize=True, database=None, deadline=None)
+settings.load_profile("epibias")
 
 
 @pytest.fixture(scope="session")

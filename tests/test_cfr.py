@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import integrate
 
-from _oracles import quad_laplace
+from _oracles import quad_laplace, quad_pi_finite
 from epibias.cfr import (
     CfrCounts,
     DelayKind,
@@ -15,7 +17,7 @@ from epibias.cfr import (
     pi_infinity,
     resolved_cfr_bias,
 )
-from epibias.distributions import GammaParams, cdf
+from epibias.distributions import GammaParams, cdf, gamma_from_moments
 from epibias.outbreak_sim import Scenario
 from epibias.rng import stream
 
@@ -75,6 +77,70 @@ class TestPiFinite:
         expected = integrate.quad(lambda u: cdf(DEATH.dist, u), 0, 500)[0] / 500.0
         assert math.isclose(val, expected, rel_tol=1e-10)
         assert val > 0.98
+
+
+# Delay shapes from heavy-tailed (0.44, the default death delay) to nearly
+# fixed (20); every delay has mean 9 days.
+GRID_SHAPES = [0.44, 1.0, 1.29, 4.0, 20.0]
+GRID_R = [0.0, 1e-10, -1e-10, 1e-7, -1e-7, 1e-4, -1e-4, 0.0387, -0.0387, 0.3, -0.3]
+GRID_T = [0.1, 1.0, 9.0, 217.0, 1000.0]
+
+
+def mean_9_delay(shape):
+    return DelaySpec(GammaParams(shape, shape / 9.0), DelayKind.TO_DEATH)
+
+
+class TestPiFiniteClosedForm:
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_matches_quadrature_oracle(self, shape):
+        delay = mean_9_delay(shape)
+        checked = 0
+        for r in GRID_R:
+            if r <= -0.5 * delay.dist.rate:
+                continue
+            for T in GRID_T:
+                oracle = quad_pi_finite(shape, delay.dist.rate, T, r)
+                val = pi_finite(T, r, delay)
+                assert abs(val / oracle - 1.0) < 1e-11, (shape, r, T, val, oracle)
+                checked += 1
+        assert checked >= 40
+
+    def test_rejects_divergent_growth_rate(self):
+        with pytest.raises(ValueError):
+            pi_finite(10.0, -DEATH.dist.rate, DEATH)
+
+    @given(
+        shape=st.sampled_from(GRID_SHAPES), mean=st.floats(1.0, 30.0),
+        r=st.floats(-0.3, 0.3), T1=st.floats(0.1, 1000.0), T2=st.floats(0.1, 1000.0),
+    )
+    def test_monotone_in_horizon_and_bounded_by_limit(self, shape, mean, r, T1, T2):
+        delay = DelaySpec(gamma_from_moments(mean, mean / math.sqrt(shape)), DelayKind.TO_DEATH)
+        assume(r > -0.5 * delay.dist.rate)
+        lo, hi = pi_finite(min(T1, T2), r, delay), pi_finite(max(T1, T2), r, delay)
+        assert 0.0 <= lo <= hi * (1.0 + 1e-12)
+        assert hi <= pi_infinity(r, delay) * (1.0 + 1e-12)
+
+    @given(
+        shape=st.sampled_from(GRID_SHAPES), T=st.floats(0.1, 1000.0),
+        log10_rT=st.floats(-12.0, -1.4), sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_continuous_as_growth_vanishes(self, shape, T, log10_rT, sign):
+        # d pi / d r = -Cov(U, F(U)) for the notification time U on [0, T],
+        # so |pi(T, r) - pi(T, 0)| <= |r| * T / 4.
+        delay = mean_9_delay(shape)
+        r = sign * 10.0**log10_rT / T
+        assume(r > -0.5 * delay.dist.rate)
+        at_zero = pi_finite(T, 0.0, delay)
+        assert abs(pi_finite(T, r, delay) - at_zero) <= abs(r) * T / 4.0 + 1e-13 * at_zero
+
+    @given(shape=st.sampled_from(GRID_SHAPES), T=st.floats(0.1, 1000.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_continuous_across_series_switch(self, shape, T, sign):
+        delay = mean_9_delay(shape)
+        r_lo, r_hi = sign * 0.05 * (1.0 - 1e-9) / T, sign * 0.05 * (1.0 + 1e-9) / T
+        assume(min(r_lo, r_hi) > -0.5 * delay.dist.rate)
+        lo, hi = pi_finite(T, r_lo, delay), pi_finite(T, r_hi, delay)
+        assert abs(hi - lo) <= abs(r_hi - r_lo) * T / 4.0 + 1e-12 * max(lo, hi)
 
 
 class TestCorrectedNaive:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from _oracles import invert_exposure_moments, quad_tilted_mean
@@ -16,6 +18,7 @@ from epibias.exposures import (
     conditional_log_likelihood,
     earliest_exposure_fit,
     generate_histories,
+    invert_moment_system,
     latest_exposure_fit,
     ml_fit,
     moment_fit,
@@ -33,8 +36,12 @@ MODEL = ExposureModel(
 
 
 def model_population_moments(model):
-    p, mu = model.p, model.contact_rate
-    m, v = model.incubation.mean(), model.incubation.variance()
+    return population_moments(
+        model.p, model.contact_rate, model.incubation.mean(), model.incubation.variance()
+    )
+
+
+def population_moments(p, mu, m, v):
     a = (1.0 - p) / p
     EC = 1.0 / p + mu * m
     VarC = a / p + mu * m + mu * mu * v
@@ -252,6 +259,42 @@ class TestMomentFit:
         assert abs(fit.p - 0.5) < 0.04
         assert abs(fit.mean - 11.4) < 1.0
         assert abs(fit.sd - 8.1) < 1.5
+
+    # p stops short of 1: there a = 0 and rounding decides whether p <= 1.
+    @given(p=st.floats(0.1, 0.999), mu=st.floats(0.02, 1.0), mean=st.floats(1.0, 30.0),
+           cv=st.floats(0.3, 2.0))
+    def test_inversion_round_trip(self, p, mu, mean, cv):
+        variance = (cv * mean) ** 2
+        moments = population_moments(p, mu, mean, variance)
+        fit = invert_moment_system(moments)
+        _, _, ES, VarS = moments
+        assert math.isclose(fit.p, p, rel_tol=1e-12)
+        assert math.isclose(fit.contact_rate, mu, rel_tol=1e-12)
+        # mean and variance are differences of terms as large as ES and VarS
+        assert math.isclose(fit.mean, mean, rel_tol=1e-12, abs_tol=1e-13 * ES)
+        assert math.isclose(fit.variance, variance, rel_tol=1e-12, abs_tol=1e-13 * VarS)
+        assert fit.residual < 1e-12 * max(moments)
+
+    @pytest.mark.parametrize("moments", [
+        (0.9, 0.5, 10.0, 20.0),   # EC < 1: contact rate mu <= 0
+        (2.0, 4.0, 10.0, 10.0),   # 1 + a < 0: p would be negative
+    ])
+    def test_no_root_with_positive_p_and_rate(self, moments):
+        with pytest.raises(MomentFitError) as err:
+            invert_moment_system(moments)
+        assert err.value.raw is None
+
+    @pytest.mark.parametrize("moments, field", [
+        ((2.0, 2.0, 10.0, 10.0), "p"),           # -1 < a < 0: p > 1
+        ((2.0, 0.5, 10.0, 100.0), "variance"),   # variance equation demands Var(T) < 0
+    ])
+    def test_inadmissible_root_rides_along(self, moments, field):
+        with pytest.raises(MomentFitError) as err:
+            invert_moment_system(moments)
+        raw = err.value.raw
+        assert raw.p > 1.0 if field == "p" else raw.variance < 0.0
+        assert np.max(np.abs(err.value.residuals)) < 1e-12 * max(moments)
+        assert raw.residual == np.max(np.abs(err.value.residuals))
 
     def test_inadmissible_moments_raise(self):
         hist = generate_histories(MODEL, 200, "gamma", seed=stream(42, 0))

@@ -1,8 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
 
+from _oracles import gamma_pdf_fn
 from epibias.distributions import GammaParams, gamma_from_moments, pdf
 from epibias.growth_math import (
     BiasScenario,
@@ -53,6 +58,14 @@ class TestSolveR0:
         with pytest.raises(ValueError):
             solve_R0(-0.25, GammaParams(1.0, 0.2))
 
+    @given(shape=st.floats(0.3, 10.0), rate=st.floats(0.01, 2.0), R0=st.floats(0.2, 5.0),
+           r_over_rate=st.floats(-0.9, 3.0))
+    def test_solvers_are_inverses(self, shape, rate, R0, r_over_rate):
+        g = GammaParams(shape, rate)
+        assert math.isclose(solve_R0(solve_r(R0, g), g), R0, rel_tol=1e-12)
+        r = r_over_rate * rate
+        assert abs(solve_r(solve_R0(r, g), g) - r) <= 1e-12 * (rate + abs(r))
+
     def test_roundtrip_grid(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
@@ -80,9 +93,16 @@ class TestSolveRNumeric:
         with pytest.raises(ValueError):
             solve_r_numeric(0.5, lambda t: pdf(GEN, t))
 
-    def test_grid_agreement(self):
-        from _oracles import gamma_pdf_fn
+    def test_singular_density_converges_quietly(self):
+        # Shape < 1: the density is infinite at t = 0 (one of criterion 2's
+        # random triples); the quadrature must converge without a warning.
+        g = GammaParams(0.512, 1.315)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            r = solve_r_numeric(1.817, gamma_pdf_fn(g.shape, g.rate))
+        assert abs(r - solve_r(1.817, g)) < 1e-12
 
+    def test_grid_agreement(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
             g = GammaParams(rng.uniform(0.4, 8.0), rng.uniform(0.05, 1.5))
