@@ -43,10 +43,10 @@ class AnalysisOptions:
     stride: int = 9
     window: int = 42
     horizon: int = 42
-    forward_margin: float = 60.0
-    weight_mass: float = 0.9999
-    exp_phase_days: int = 200
-    true_cfr_r: Optional[float] = None  # use the trace's own r-hat when None
+
+
+# Days of each trace's infection series kept for the exponential-phase curve.
+EXP_PHASE_DAYS = 200
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,7 @@ class TraceAnalysis:
     predictions: dict[str, ge.PredictionScore]
     cfr_raw: float
     cfr_corrected: float
+    cfr_clipped: bool
     infection_daily: Optional[np.ndarray] = field(repr=False, default=None)
 
 
@@ -122,14 +123,12 @@ def analyze_trace(
     pairs = tracing.sample_backward_pairs(trace, options.n_pairs, options.stride)
     backward = IntervalStats(*tracing.interval_moments(pairs), n=len(pairs))
 
-    forward_pairs = tracing.sample_forward_pairs(trace, options.forward_margin)
+    forward_pairs = tracing.sample_forward_pairs(trace)
     forward = IntervalStats(*tracing.interval_moments(forward_pairs), n=len(forward_pairs))
 
     _, n_dropped = tracing.split_positive(pairs.S)
     serial_fit = tracing.fit_gamma_to_intervals(pairs, "S")
-    backward_weights = discretize_centered(
-        serial_fit, discretization_horizon(serial_fit, options.weight_mass)
-    )
+    backward_weights = discretize_centered(serial_fit, discretization_horizon(serial_fit))
 
     series, t0, k_complete = notification_series(trace)
     r_estimates = {
@@ -140,7 +139,7 @@ def analyze_trace(
         "d": ge.est_d_branching(series, options.window),
     }
     R0_backward = ge.est_e_renewal_R0(series, backward_weights)
-    R0_true = ge.est_e_renewal_R0(series, true_weights(trace.scenario, options.weight_mass))
+    R0_true = ge.est_e_renewal_R0(series, true_weights(trace.scenario))
 
     actual = cumulative_notified_at(trace, t0 + k_complete + options.horizon)
     predictions = {}
@@ -159,15 +158,14 @@ def analyze_trace(
         D_obs=d_obs,
         R_obs=summary.resolved - d_obs,
         T=trace.threshold_time,
-        r=options.true_cfr_r if options.true_cfr_r is not None else r_estimates["a"],
+        r=r_estimates["a"],
     )
     death_delay = cfr.notification_delay(trace.scenario, cfr.DelayKind.TO_DEATH)
     corrected = cfr.corrected_naive_cfr(counts, death_delay)
 
     infection_daily = None
-    if trace.end_time >= options.exp_phase_days:
-        inf_counts = daily_series(trace, "infection")
-        infection_daily = inf_counts[: options.exp_phase_days].copy()
+    if trace.end_time >= EXP_PHASE_DAYS:
+        infection_daily = daily_series(trace, "infection")[:EXP_PHASE_DAYS].copy()
 
     return TraceAnalysis(
         replicate_index=replicate_index,
@@ -182,6 +180,7 @@ def analyze_trace(
         predictions=predictions,
         cfr_raw=counts.D_obs / counts.K,
         cfr_corrected=corrected.estimate,
+        cfr_clipped=corrected.clipped,
         infection_daily=infection_daily,
     )
 
@@ -253,7 +252,9 @@ def exposure_study(
     inadmissible replicates would tilt every moment column upward -- while
     the per-replicate sd is only defined (and summarized) on the admissible
     ones.  ``sd_pooled`` is the square root of the mean variance estimate,
-    the study-level point estimate of the incubation sd.
+    the study-level point estimate of the incubation sd.  A replicate whose
+    likelihood fit does not converge is counted in ``ml_nonconverged`` and
+    left out of the ml summaries; its moment fit still runs.
     """
     from . import exposures
     from .rng import stream
@@ -263,15 +264,20 @@ def exposure_study(
         ml = {"p": [], "mean": [], "sd": []}
         mom = {"p": [], "mean": [], "variance": [], "contact_rate": []}
         sd_admissible = []
+        ml_nonconverged = 0
         inadmissible = 0
         unsolved = 0
         for rep in range(replicates):
             rng = stream(master_seed, 1_000_000 * (gi + 1) + rep)
             hist = exposures.generate_histories(model, n_persons, family, seed=rng)
-            fit = exposures.ml_fit(hist)
-            ml["p"].append(fit.p)
-            ml["mean"].append(fit.mean)
-            ml["sd"].append(fit.sd)
+            try:
+                fit = exposures.ml_fit(hist)
+            except exposures.ConvergenceError:
+                ml_nonconverged += 1
+            else:
+                ml["p"].append(fit.p)
+                ml["mean"].append(fit.mean)
+                ml["sd"].append(fit.sd)
             try:
                 mfit = exposures.moment_fit(hist)
                 sd_admissible.append(mfit.sd)
@@ -288,6 +294,7 @@ def exposure_study(
         mean_variance = float(np.mean(mom["variance"])) if mom["variance"] else float("nan")
         out[family] = {
             "ml": {k: summarize(v) for k, v in ml.items()},
+            "ml_nonconverged": ml_nonconverged,
             "moment": {k: summarize(v) for k, v in mom.items()},
             "moment_sd_pooled": math.sqrt(max(mean_variance, 0.0)),
             "moment_sd_admissible": summarize(sd_admissible),
@@ -353,4 +360,6 @@ def ensemble_report(analysis: EnsembleAnalysis) -> dict:
         "prediction_ratios": predictions,
         "cfr_raw": summarize(analysis.values(lambda t: t.cfr_raw)),
         "cfr_corrected": summarize(analysis.values(lambda t: t.cfr_corrected)),
+        "cfr_clipped": int(analysis.values(lambda t: t.cfr_clipped).sum()),
+        "serial_fit_dropped": summarize(analysis.values(lambda t: t.serial_fit_dropped)),
     }

@@ -81,7 +81,9 @@ def pi_finite(T: float, r: float, delay: DelaySpec) -> float:
     D = (1 - exp(-rT))/r, or T at r = 0 (the window average of F); the
     truncation error is below (|r|*T)**8/9! < 1e-16.  Non-decreasing in T,
     with limit :func:`pi_infinity`.  Raises ValueError for T < 0 or
-    r <= -lambda, where the tilt (lambda/(lambda+r))**k diverges.
+    r <= -lambda, where the tilt (lambda/(lambda+r))**k diverges.  For
+    r < 0 the by-parts numerator and denominator are multiplied by exp(rT),
+    so exp(-rT) cannot overflow.
     """
     if T < 0:
         raise ValueError(f"horizon must be non-negative, got {T}")
@@ -91,8 +93,10 @@ def pi_finite(T: float, r: float, delay: DelaySpec) -> float:
     k, lam = delay.dist.shape, delay.dist.rate
     observed = gammainc(k, lam * T)
     if abs(r) * T >= _SERIES_BELOW:
-        by_parts = tilt * gammainc(k, (lam + r) * T) - math.exp(-r * T) * observed
-        return float(by_parts / -math.expm1(-r * T))
+        shifted = tilt * gammainc(k, (lam + r) * T)
+        if r > 0:
+            return float((shifted - math.exp(-r * T) * observed) / -math.expm1(-r * T))
+        return float((shifted * math.exp(r * T) - observed) / math.expm1(r * T))
     j = np.arange(1, 9)
     partial_moments = poch(k, j) / lam**j * gammainc(k + j, lam * T)
     S = np.sum((-r) ** (j - 1) * partial_moments / factorial(j))

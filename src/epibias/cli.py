@@ -14,13 +14,21 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__, analysis, cfr as cfr_mod, growth_math
 from .config import ConfigError, DEFAULT_CONFIG, RunConfig, load_config
 from .exposures import ConvergenceError, MomentFitError
-from .outbreak_sim import AcceptanceError, SimulationLimitError
+from .outbreak_sim import (
+    AcceptanceError,
+    EnsembleStats,
+    SimulationLimitError,
+    ensemble_map,
+    summarize_trace,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,10 +83,36 @@ def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
     print(f"bias-table: wrote {len(rows)} rows to {outdir}")
 
 
-def cmd_simulate(config: RunConfig, outdir: Path, write_traces: bool = False) -> None:
-    from .outbreak_sim import run_ensemble, simulate_outbreak
+def _summarize_and_write(trace, replicate_index: int, staging: Path):
+    """Summarize one trace and write its CSV into ``staging``, in the worker."""
+    trace.to_csv(staging / f"trace_{replicate_index:04d}.csv")
+    return summarize_trace(trace, replicate_index)
 
-    stats = run_ensemble(config.scenario, config.replicates, threads=config.threads)
+
+def cmd_simulate(config: RunConfig, outdir: Path, write_traces: bool = False) -> None:
+    # Each trace is written where it is simulated, into a staging directory:
+    # the pool simulates replicates past the accepted set, and only the
+    # accepted replicates' files are moved into traces/.
+    fn = summarize_trace
+    staging = outdir / "traces.partial"
+    if write_traces:
+        shutil.rmtree(staging, ignore_errors=True)
+        staging.mkdir()
+        fn = partial(_summarize_and_write, staging=staging)
+    try:
+        summaries, attempts = ensemble_map(
+            config.scenario, config.replicates, fn, threads=config.threads
+        )
+        if write_traces:
+            trace_dir = outdir / "traces"
+            trace_dir.mkdir(exist_ok=True)
+            for summary in summaries:
+                name = f"trace_{summary.replicate_index:04d}.csv"
+                (staging / name).replace(trace_dir / name)
+    finally:
+        if write_traces:
+            shutil.rmtree(staging, ignore_errors=True)
+    stats = EnsembleStats(config.scenario, len(summaries), attempts, summaries)
     payload = {
         "meta": config.metadata(),
         "n_accepted": stats.n_accepted,
@@ -98,12 +132,6 @@ def cmd_simulate(config: RunConfig, outdir: Path, write_traces: bool = False) ->
         "unnotified": analysis.summarize([s.unnotified for s in stats.summaries]),
     }
     _write_json(outdir / "ensemble_summary.json", payload)
-    if write_traces:
-        trace_dir = outdir / "traces"
-        trace_dir.mkdir(exist_ok=True)
-        for summary in stats.summaries:
-            trace = simulate_outbreak(config.scenario, summary.replicate_index)
-            trace.to_csv(trace_dir / f"trace_{summary.replicate_index:04d}.csv")
     print(
         f"simulate: {stats.n_accepted} accepted of {stats.n_attempts} attempts; "
         f"summary in {outdir}"

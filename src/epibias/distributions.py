@@ -6,7 +6,8 @@ mean shape/rate and variance shape/rate**2.  Besides construction and the
 usual density/CDF/moments, the module provides the Laplace transform
 E[exp(-r*T)] (the workhorse behind every growth-rate and delayed-observation
 formula), random sampling, and discretization to daily probabilities for
-renewal-equation computations.
+renewal-equation computations.  Gamma functions are scipy.special calls in
+scipy.stats.gamma's order of operations (x = t / scale), so values match it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc, gammaincinv, gammaln, xlogy
 
 
 @dataclass(frozen=True)
@@ -91,29 +92,33 @@ def gamma_from_moments(mean: float, sd: float) -> GammaParams:
 
 
 def pdf(params: GammaParams, t):
-    """Gamma density at t (days); t must be non-negative."""
+    """Gamma density at t (days); t must be finite and non-negative."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("density requested at negative time")
-    out = stats.gamma.pdf(t, a=params.shape, scale=1.0 / params.rate)
+    scale = 1.0 / params.rate
+    x = t / scale
+    out = np.exp(xlogy(params.shape - 1.0, x) - x - gammaln(params.shape)) / scale
     return out if out.ndim else float(out)
 
 
 def log_pdf(params: GammaParams, t):
-    """Log of the Gamma density at t; -inf outside the support."""
+    """Log of the Gamma density at t; t must be finite and non-negative."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("density requested at negative time")
-    out = stats.gamma.logpdf(t, a=params.shape, scale=1.0 / params.rate)
+    scale = 1.0 / params.rate
+    x = t / scale
+    out = xlogy(params.shape - 1.0, x) - x - gammaln(params.shape) - np.log(scale)
     return out if out.ndim else float(out)
 
 
 def cdf(params: GammaParams, t):
-    """Gamma CDF at t (days); t must be non-negative."""
+    """Gamma CDF at t (days); t must be finite and non-negative."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("CDF requested at negative time")
-    out = stats.gamma.cdf(t, a=params.shape, scale=1.0 / params.rate)
+    out = gammainc(params.shape, t / (1.0 / params.rate))
     return out if out.ndim else float(out)
 
 
@@ -177,15 +182,15 @@ def discretize_centered(params: GammaParams, horizon: int) -> DiscreteDelay:
             f"horizon {horizon} keeps only {cum0[horizon]:.6f} of the mass; extend it"
         )
     # partial first moments: integral of t*f(t) over (a, b] via the shape+1 CDF
-    cum1 = params.mean() * stats.gamma.cdf(grid, a=params.shape + 1.0, scale=1.0 / params.rate)
+    cum1 = params.mean() * gammainc(params.shape + 1.0, grid / (1.0 / params.rate))
     k = np.arange(1, horizon + 1, dtype=float)
     rising = cum1[1:-1] - cum1[:-2] - (k - 1.0) * (cum0[1:-1] - cum0[:-2])
     falling = (k + 1.0) * (cum0[2:] - cum0[1:-1]) - (cum1[2:] - cum1[1:-1])
-    probs = rising + falling
+    probs = np.maximum(rising + falling, 0.0)  # rounding can leave far-tail masses below 0
     return DiscreteDelay(probs=probs / probs.sum(), horizon=horizon)
 
 
 def discretization_horizon(params: GammaParams, mass: float = 0.9999, cap: int = 500) -> int:
     """Smallest whole-day horizon keeping at least ``mass`` of the distribution."""
-    h = int(np.ceil(stats.gamma.ppf(mass, a=params.shape, scale=1.0 / params.rate)))
+    h = int(np.ceil(gammaincinv(params.shape, mass) * (1.0 / params.rate)))
     return max(1, min(h, cap))

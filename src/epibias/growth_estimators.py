@@ -130,17 +130,12 @@ def est_d_branching(series: CaseSeries, window: int = 42) -> float:
     return float(np.log(num / den))
 
 
-def renewal_expected(series_daily: np.ndarray, weights: DiscreteDelay, t: int) -> float:
-    """Expected count on day t (1-based) given days 1..t-1 under the renewal model.
+def renewal_pressure(daily: np.ndarray, weights: DiscreteDelay) -> np.ndarray:
+    """Lambda(t) = sum_s p(s) * I(t-s) for t = 2..K+1, given ``daily`` = I(1..K).
 
-    Sum over lags s of p(s) * I(t-s); lags reaching before day 1 contribute
-    nothing (their mass is simply absent, no renormalization).
+    Lags reaching before day 1 contribute nothing (no renormalization).
     """
-    s_max = min(weights.horizon, t - 1)
-    if s_max < 1:
-        return 0.0
-    lags = np.arange(1, s_max + 1)
-    return float(weights.probs[:s_max] @ series_daily[t - 1 - lags])
+    return np.convolve(daily, weights.probs)[: len(daily)]
 
 
 def est_e_renewal_R0(series: CaseSeries, weights: DiscreteDelay) -> float:
@@ -149,9 +144,8 @@ def est_e_renewal_R0(series: CaseSeries, weights: DiscreteDelay) -> float:
     With expected incidence R0 * Lambda(t), Lambda(t) = sum_s p(s)*I(t-s),
     the estimator is sum I(t) / sum Lambda(t) over days with Lambda(t) > 0.
     """
-    daily = series.daily.astype(float)
-    lam = np.array([renewal_expected(daily, weights, t) for t in range(2, len(daily) + 1)])
-    obs = daily[1:]
+    lam = renewal_pressure(series.daily, weights)[:-1]
+    obs = series.daily[1:]
     valid = lam > 0
     if not valid.any():
         raise ValueError("renewal weights give zero expectation on every day")
@@ -185,9 +179,8 @@ def predict_forward(
         if weights is None:
             raise ValueError("method 'e' needs renewal weights")
         R0_hat = est_e_renewal_R0(series, weights)
-        daily = series.daily.astype(float)
-        extended = np.concatenate([daily, np.zeros(horizon)])
-        for t in range(len(daily) + 1, len(daily) + horizon + 1):
-            extended[t - 1] = R0_hat * renewal_expected(extended, weights, t)
-        return cum_last + float(extended[len(daily):].sum())
+        extended = np.concatenate([series.daily, np.zeros(horizon)])
+        for t in range(len(series), len(extended)):
+            extended[t] = R0_hat * renewal_pressure(extended[:t], weights)[-1]
+        return cum_last + float(extended[len(series):].sum())
     raise ValueError(f"unknown method {method!r}")

@@ -2,14 +2,16 @@
 
 These deliberately avoid the library's closed forms: Laplace transforms and
 delayed-observation fractions are computed by adaptive quadrature, moment
-inversions analytically, and expectations by brute-force Monte Carlo, so a
-bug in a formula cannot hide behind itself.
+inversions analytically, renewal sums one day at a time, and expectations
+by brute-force Monte Carlo, so a bug in a formula cannot hide behind itself.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate, stats
+
+from epibias.distributions import DiscreteDelay
 
 
 def quad_laplace(shape, rate, r, tol=1e-12):
@@ -84,6 +86,19 @@ def quad_pi_finite(shape, rate, T, r):
 
     val, _ = integrate.quad(integrand, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=200)
     return val
+
+
+def renewal_expected(series_daily: np.ndarray, weights: DiscreteDelay, t: int) -> float:
+    """Expected count on day t (1-based) given days 1..t-1 under the renewal model.
+
+    Sum over lags s of p(s) * I(t-s); lags reaching before day 1 contribute
+    nothing (their mass is simply absent, no renormalization).
+    """
+    s_max = min(weights.horizon, t - 1)
+    if s_max < 1:
+        return 0.0
+    lags = np.arange(1, s_max + 1)
+    return float(weights.probs[:s_max] @ series_daily[t - 1 - lags])
 
 
 def mc_incubation_discount(rng, r, lat_shape, lat_rate, u_lo, u_hi, n=1_000_000):

@@ -121,6 +121,28 @@ class TestExposureStudy:
         assert block["ml"]["p"]["n"] == 3
         assert 0.2 < block["ml"]["p"]["mean"] < 0.8
 
+    def test_nonconverged_ml_fit_is_counted(self, monkeypatch):
+        # One replicate's likelihood fit fails; the study completes without
+        # it, and that replicate's moment fit still runs.
+        ml_fit = exposures.ml_fit
+        calls = []
+
+        def fails_once(hist, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise exposures.ConvergenceError("no start converged", best=None)
+            return ml_fit(hist, *args, **kwargs)
+
+        monkeypatch.setattr(exposures, "ml_fit", fails_once)
+        model = ExposureModel(
+            p=0.5, contact_rate=0.0725, incubation=gamma_from_moments(11.4, 8.1)
+        )
+        block = exposure_study(model, 200, 3, master_seed=11, generators=("gamma",))["gamma"]
+        assert block["ml_nonconverged"] == 1
+        assert all(block["ml"][k]["n"] == 2 for k in ("p", "mean", "sd"))
+        moment_fits = block["moment"]["p"]["n"] + block["moment_unsolved"]
+        assert moment_fits == block["replicates"] == 3
+
     def test_every_moment_fit_inadmissible(self, monkeypatch):
         # A family whose moment fits are all inadmissible still summarizes:
         # the raw roots feed the moment columns, the admissible sd is empty.

@@ -105,6 +105,17 @@ class TestPiFiniteClosedForm:
                 checked += 1
         assert checked >= 40
 
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_falling_incidence_stays_a_fraction(self, shape):
+        # Down to r = -0.9 lambda over horizons where exp(-r*T) overflows.
+        delay = mean_9_delay(shape)
+        for r in (-0.9 * delay.dist.rate, -0.5 * delay.dist.rate, -0.1 * delay.dist.rate, -0.01):
+            for T in GRID_T + [2000.0, 3000.0]:
+                val = pi_finite(T, r, delay)
+                assert 0.0 <= val <= 1.0, (shape, r, T, val)
+                oracle = quad_pi_finite(shape, delay.dist.rate, T, r)
+                assert abs(val / oracle - 1.0) < 1e-11, (shape, r, T, val, oracle)
+
     def test_rejects_divergent_growth_rate(self):
         with pytest.raises(ValueError):
             pi_finite(10.0, -DEATH.dist.rate, DEATH)

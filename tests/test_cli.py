@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import epibias
+from epibias import outbreak_sim
 from epibias.cli import main
 from epibias.config import ConfigError, DEFAULT_CONFIG, load_config
 
@@ -129,6 +135,34 @@ class TestCliCommands:
         traces = sorted((tmp_path / "traces").glob("trace_*.csv"))
         assert len(traces) == 2
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_simulate_writes_each_accepted_trace_once(
+        self, tmp_path, small_config, monkeypatch, threads
+    ):
+        calls = []
+        simulate = outbreak_sim.simulate_outbreak
+
+        def counted(scenario, rep):
+            calls.append(rep)
+            return simulate(scenario, rep)
+
+        monkeypatch.setattr(outbreak_sim, "simulate_outbreak", counted)
+        assert main([
+            "simulate", "--config", str(small_config), "--out", str(tmp_path),
+            "--write-traces", "--threads", str(threads),
+        ]) == 0
+        payload = json.loads((tmp_path / "ensemble_summary.json").read_text())
+        if threads == 1:
+            assert len(calls) == payload["n_attempts"]
+        assert not (tmp_path / "traces.partial").exists()
+        written = sorted((tmp_path / "traces").iterdir())
+        assert len(written) == payload["n_accepted"]
+        scenario = load_config(path=str(small_config)).scenario
+        for path in written:
+            rep = int(path.stem.removeprefix("trace_"))
+            simulate(scenario, rep).to_csv(tmp_path / "reference.csv")
+            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_estimate_small(self, tmp_path, small_config):
         assert main([
             "estimate", "--config", str(small_config), "--out", str(tmp_path),
@@ -136,6 +170,8 @@ class TestCliCommands:
         payload = json.loads((tmp_path / "estimates.json").read_text())
         assert set(payload["growth_estimates"]) >= {"a", "b", "c", "d"}
         assert payload["renewal_R0_backward_weights"]["n"] == 2
+        assert payload["serial_fit_dropped"]["n"] == 2
+        assert payload["cfr_clipped"] in (0, 1, 2)
         assert "meta" in payload
 
     def test_exposures_small(self, tmp_path, small_config):
@@ -155,3 +191,15 @@ class TestCliCommands:
         cfg.write_text("[scenario]\ncontact_rate = 0.01\nnotify_threshold = 100\n"
                        "[run]\nreplicates = 1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.special is the package's one Gamma implementation; scipy.stats
+    # stays a test-only reference (and costs about half the import time).
+    paths = [str(Path(epibias.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys, epibias, epibias.config, epibias.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

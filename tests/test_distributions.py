@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammainc
 
 from _oracles import quad_laplace
 from epibias.distributions import (
@@ -13,6 +16,7 @@ from epibias.distributions import (
     discretize,
     gamma_from_moments,
     laplace,
+    log_pdf,
     pdf,
     sample,
 )
@@ -94,6 +98,32 @@ class TestDensity:
         assert vals[-1] < 1.0 and cdf(g, 1e4) > 1 - 1e-12
 
 
+# Shapes below, at and above 1 (density infinite, finite and zero at t = 0).
+SHAPES = st.one_of(st.just(1.0), st.floats(0.1, 0.99), st.floats(1.01, 50.0))
+RATES = st.floats(0.02, 5.0)
+
+
+class TestAgainstScipyStats:
+    """The scipy.special formulas against scipy.stats.gamma, kept as the reference."""
+
+    @given(shape=SHAPES, rate=RATES, t=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=20))
+    def test_density_and_cdf(self, shape, rate, t):
+        g = GammaParams(shape, rate)
+        t = np.array([0.0] + t)
+        ref = dict(a=shape, scale=1.0 / rate)
+        np.testing.assert_array_max_ulp(pdf(g, t), stats.gamma.pdf(t, **ref), maxulp=2)
+        np.testing.assert_array_max_ulp(log_pdf(g, t), stats.gamma.logpdf(t, **ref), maxulp=2)
+        np.testing.assert_array_max_ulp(cdf(g, t), stats.gamma.cdf(t, **ref), maxulp=2)
+        for fn in (pdf, log_pdf, cdf):
+            assert type(fn(g, float(t[-1]))) is float
+
+    @given(shape=SHAPES, rate=RATES, mass=st.floats(0.5, 1.0 - 1e-12))
+    def test_horizon(self, shape, rate, mass):
+        g = GammaParams(shape, rate)
+        q = stats.gamma.ppf(mass, a=shape, scale=1.0 / rate)
+        assert discretization_horizon(g, mass) == max(1, min(int(np.ceil(q)), 500))
+
+
 class TestLaplace:
     def test_study_value(self):
         # At the growth rate induced by R0 = 1.7 the transform equals 1/1.7.
@@ -120,6 +150,14 @@ class TestLaplace:
             r = rng.uniform(-0.5 * rate, 2.0)
             val = laplace(GammaParams(shape, rate), r)
             assert abs(val - quad_laplace(shape, rate, r)) < 1e-8 * max(1.0, val)
+
+    @given(log_shape=st.floats(-2.0, 3.0), log_rate=st.floats(-3.0, 1.0),
+           r_over_rate=st.floats(-0.9, 3.0))
+    def test_matches_quadrature_oracle(self, log_shape, log_rate, r_over_rate):
+        shape, rate = math.exp(log_shape), math.exp(log_rate)
+        r = r_over_rate * rate
+        val = laplace(GammaParams(shape, rate), r)
+        assert abs(val / quad_laplace(shape, rate, r) - 1.0) < 1e-8
 
     def test_strictly_decreasing_in_r(self):
         for g in [GammaParams(3.0, 0.2), GammaParams(0.5, 1.0), GammaParams(8.0, 0.9)]:
@@ -201,6 +239,20 @@ class TestDiscretizeCentered:
         d = discretize_centered(g, 80)
         discounted = float(np.exp(-r * np.arange(1, 81)) @ d.probs)
         assert abs(discounted - laplace(g, r)) < 2e-4
+
+    @given(shape=st.floats(0.3, 20.0), mean=st.floats(1.0, 40.0))
+    def test_mean_preserved_up_to_dropped_lag_zero(self, shape, mean):
+        # The tent binning keeps E[G] over lags 0, 1, 2, ...; dropping lag 0
+        # (mass p0 = P(k, lambda) - E[G] * P(k+1, lambda)) and renormalizing
+        # divides the mean by 1 - p0.  The horizon reaches 1e-12 of the tail
+        # (up to ~3,200 days here), where the masses are differences of CDF
+        # values near 1; their rounding moves the mean by up to ~2e-9.
+        from epibias.distributions import discretize_centered
+
+        g = GammaParams(shape, shape / mean)
+        d = discretize_centered(g, discretization_horizon(g, 1.0 - 1e-12, cap=100_000))
+        p0 = gammainc(shape, g.rate) - g.mean() * gammainc(shape + 1.0, g.rate)
+        assert abs(d.mean() * (1.0 - p0) / g.mean() - 1.0) < 1e-8
 
     def test_truncating_horizon_rejected(self):
         from epibias.distributions import discretize_centered

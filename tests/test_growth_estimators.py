@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from epibias.distributions import GammaParams, discretize, discretize_centered
+from _oracles import renewal_expected
+from epibias.distributions import (
+    GammaParams,
+    discretization_horizon,
+    discretize,
+    discretize_centered,
+    gamma_from_moments,
+)
 from epibias.growth_estimators import (
     CaseSeries,
     PredictionScore,
@@ -13,7 +22,7 @@ from epibias.growth_estimators import (
     est_d_branching,
     est_e_renewal_R0,
     predict_forward,
-    renewal_expected,
+    renewal_pressure,
 )
 
 
@@ -102,7 +111,36 @@ def renewal_setup():
     return CaseSeries(daily), weights, R0
 
 
+class TestRenewalPressure:
+    @given(
+        daily=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=200),
+        mean=st.floats(1.0, 40.0), cv=st.floats(0.2, 1.5),
+    )
+    def test_matches_per_day_sum(self, daily, mean, cv):
+        g = gamma_from_moments(mean, cv * mean)
+        weights = discretize_centered(g, discretization_horizon(g))
+        daily = np.array(daily)
+        expected = [renewal_expected(daily, weights, t) for t in range(2, len(daily) + 2)]
+        np.testing.assert_allclose(renewal_pressure(daily, weights), expected, rtol=1e-12, atol=0)
+
+    def test_single_day_and_horizon_past_the_series(self, renewal_setup):
+        _, weights, _ = renewal_setup
+        assert weights.horizon == 80
+        assert renewal_pressure(np.array([5.0]), weights).tolist() == [5.0 * weights.probs[0]]
+        daily = np.arange(1.0, 31.0)
+        expected = [renewal_expected(daily, weights, t) for t in range(2, 32)]
+        np.testing.assert_allclose(renewal_pressure(daily, weights), expected, rtol=1e-12, atol=0)
+
+
 class TestRenewalEstimator:
+    def test_matches_per_day_estimator(self):
+        weights = discretize_centered(GammaParams(3.0, 0.2), 80)
+        series = rounded_exponential_series(0.0387, 120, base=5.0)
+        daily = series.daily
+        lam = np.array([renewal_expected(daily, weights, t) for t in range(2, len(daily) + 1)])
+        expected = daily[1:][lam > 0].sum() / lam[lam > 0].sum()
+        assert math.isclose(est_e_renewal_R0(series, weights), expected, rel_tol=1e-12)
+
     def test_self_consistency(self, renewal_setup):
         series, weights, R0 = renewal_setup
         assert abs(est_e_renewal_R0(series, weights) - R0) < 1e-9
@@ -143,7 +181,7 @@ class TestPrediction:
         extended = np.concatenate([daily, np.zeros(5)])
         for t in range(len(daily) + 1, len(daily) + 6):
             extended[t - 1] = R0 * renewal_expected(extended, weights, t)
-        assert math.isclose(predicted, series.cumulative[-1] + extended[-5:].sum(), rel_tol=1e-6)
+        assert math.isclose(predicted, series.cumulative[-1] + extended[-5:].sum(), rel_tol=1e-12)
 
     def test_method_e_needs_weights(self, renewal_setup):
         series, _, _ = renewal_setup
