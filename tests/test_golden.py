@@ -1,0 +1,54 @@
+"""Byte-level output checks against the digests pinned in ``golden.json``.
+
+The pinned digests are compared only on the numpy/scipy/machine they were
+recorded on (see ``golden.py``).  Reruns and thread counts must agree
+everywhere.
+"""
+
+import json
+
+import pytest
+
+from golden import THREADS, load_golden, platform_key, run_digests
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Digests and output directory per run: each thread count, and a rerun at 1."""
+    out = {}
+    for name, threads in [("1", 1), ("2", 2), ("1-rerun", 1)]:
+        workdir = tmp_path_factory.mktemp(f"golden-{name}")
+        out[name] = (run_digests(workdir, threads), workdir / "out")
+    return out
+
+
+def _without_meta(path):
+    # The config hash in "meta" covers [run] threads, so it is the one
+    # field allowed to differ between thread counts.
+    if path.suffix != ".json":
+        return path.read_bytes()
+    payload = json.loads(path.read_text())
+    payload.pop("meta", None)
+    return payload
+
+
+def test_rerun_is_byte_identical(runs):
+    assert runs["1"][0] == runs["1-rerun"][0]
+
+
+def test_thread_counts_agree(runs):
+    (one, dir_one), (two, dir_two) = runs["1"], runs["2"]
+    assert sorted(one) == sorted(two)
+    for name in one:
+        assert _without_meta(dir_one / name) == _without_meta(dir_two / name), name
+
+
+def test_digests_match_pinned(runs):
+    golden = load_golden()
+    if golden["key"] != platform_key():
+        pytest.skip(
+            f"pinned digests were not compared: they were recorded on "
+            f"{golden['key']}, this is {platform_key()}"
+        )
+    for threads in THREADS:
+        assert runs[str(threads)][0] == golden["digests"][str(threads)], f"threads={threads}"
