@@ -12,16 +12,16 @@ keep-only-single-exposure shortcut.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 from scipy import optimize
-from scipy.special import expit, logit
+from scipy.special import digamma, expit, gammaln, logit
 
-from .distributions import GammaParams, gamma_from_moments, log_pdf
+from .distributions import GammaParams, gamma_from_moments
 from .rng import stream
 
 
@@ -48,23 +48,6 @@ class MomentFitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExposureHistory:
-    """One traced case: exposure times and the symptom-onset time."""
-
-    exposures: tuple[float, ...]
-    symptom_time: float
-
-    def __post_init__(self):
-        if len(self.exposures) < 1:
-            raise ValueError("a history needs at least one exposure")
-        e = np.asarray(self.exposures, dtype=float)
-        if np.any(np.diff(e) < 0):
-            raise ValueError("exposure times must be non-decreasing")
-        if not self.symptom_time > e[-1]:
-            raise ValueError("symptoms must follow the last exposure")
-
-
-@dataclass(frozen=True)
 class ExposureModel:
     """Generating process: Poisson(contact_rate) contacts, infection prob p."""
 
@@ -77,10 +60,6 @@ class ExposureModel:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if self.contact_rate <= 0:
             raise ValueError(f"contact_rate must be positive, got {self.contact_rate}")
-
-    def expected_contacts(self) -> float:
-        """E(C) = 1/p + contact_rate * E(incubation)."""
-        return 1.0 / self.p + self.contact_rate * self.incubation.mean()
 
 
 @dataclass(frozen=True)
@@ -103,57 +82,71 @@ class LogNormalParams:
     def sd(self) -> float:
         return math.sqrt((math.exp(self.sigma**2) - 1.0)) * self.mean()
 
-    def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        pos = t > 0
-        z = (np.log(t[pos]) - self.mu) / self.sigma
-        out[pos] = np.exp(-0.5 * z * z) / (t[pos] * self.sigma * math.sqrt(2 * math.pi))
-        return out if out.ndim else float(out)
-
     def sample(self, rng: np.random.Generator, size=None):
         return rng.lognormal(self.mu, self.sigma, size=size)
 
 
 class Histories:
-    """Columnar store of exposure histories (flat times + offsets)."""
+    """Columnar store of exposure histories (flat times + offsets).
+
+    Person j's exposures are ``exposures[offsets[j]:offsets[j + 1]]``, in
+    non-decreasing order, and its onset time is ``symptom_times[j]``.  The
+    three arrays are read-only, so the parameter-free layout the likelihood
+    needs is computed once, on first use, and stays valid.
+    """
 
     def __init__(self, offsets: np.ndarray, exposures: np.ndarray, symptom_times: np.ndarray):
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.exposures = np.asarray(exposures, dtype=float)
-        self.symptom_times = np.asarray(symptom_times, dtype=float)
+        self.offsets = _read_only(np.array(offsets, dtype=np.int64))
+        self.exposures = _read_only(np.array(exposures, dtype=float))
+        self.symptom_times = _read_only(np.array(symptom_times, dtype=float))
         if len(self.offsets) != len(self.symptom_times) + 1:
             raise ValueError("offsets must have one more entry than persons")
 
     def __len__(self) -> int:
         return len(self.symptom_times)
 
-    @property
+    @cached_property
     def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        """Number of exposures per person."""
+        return _read_only(np.diff(self.offsets))
 
-    def history(self, i: int) -> ExposureHistory:
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return ExposureHistory(
-            exposures=tuple(self.exposures[lo:hi]),
-            symptom_time=float(self.symptom_times[i]),
-        )
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Index of each person's first exposure in ``exposures``."""
+        return self.offsets[:-1]
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        """i - 1 for the i-th exposure of its person."""
+        return _read_only(np.arange(len(self.exposures)) - np.repeat(self.starts, self.counts))
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Exposure-to-onset time s - e_i of every exposure.
+
+        Raises:
+            ValueError: if an exposure does not precede its person's onset.
+        """
+        delta = np.repeat(self.symptom_times, self.counts) - self.exposures
+        if np.any(delta <= 0):
+            raise ValueError("every exposure must precede the symptom time")
+        return _read_only(delta)
+
+    @cached_property
+    def log_delta(self) -> np.ndarray:
+        return _read_only(np.log(self.delta))
 
     def first_to_symptom(self) -> np.ndarray:
         """Time from first exposure to symptoms for every person."""
-        return self.symptom_times - self.exposures[self.offsets[:-1]]
+        return self.symptom_times - self.exposures[self.starts]
 
     def last_to_symptom(self) -> np.ndarray:
         return self.symptom_times - self.exposures[self.offsets[1:] - 1]
 
-    @classmethod
-    def from_records(cls, records: Iterable[ExposureHistory]) -> "Histories":
-        records = list(records)
-        counts = np.array([len(r.exposures) for r in records], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        flat = np.concatenate([np.asarray(r.exposures, dtype=float) for r in records])
-        sympt = np.array([r.symptom_time for r in records])
-        return cls(offsets, flat, sympt)
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def generate_histories(
@@ -189,19 +182,24 @@ def generate_histories(
 
     counts = I + M
     offsets = np.concatenate([[0], np.cumsum(counts)])
+    first = offsets[:-1]
     flat = np.empty(int(offsets[-1]))
-    for i in range(n):
-        seg = flat[offsets[i]:offsets[i + 1]]
-        k_pre = I[i]
-        seg[0] = 0.0
-        if k_pre >= 2:
-            if k_pre > 2:
-                # Given the infecting contact's arrival time, the earlier
-                # arrivals are ordered uniforms on (0, W).
-                seg[1:k_pre - 1] = W[i] * np.sort(rng.random(k_pre - 2))
-            seg[k_pre - 1] = W[i]
-        if M[i]:
-            seg[k_pre:] = W[i] + np.sort(T[i] * rng.random(M[i]))
+    flat[first + I - 1] = W  # the infecting contact
+    flat[first] = 0.0        # the first contact
+
+    # The other contacts come in two runs per person, drawn in this order:
+    # the I - 2 arrivals before the infecting one, which given its arrival
+    # time W are ordered uniforms on (0, W); then the M arrivals during
+    # incubation, ordered uniforms on (W, W + T).  One draw covers every
+    # run, and one sort orders each run within itself.
+    run_sizes = np.column_stack([np.maximum(I - 2, 0), M]).ravel()
+    run = np.repeat(np.arange(2 * n), run_sizes)  # the run of each draw
+    scaled = np.column_stack([W, T]).ravel()[run] * rng.random(len(run))
+    scaled = scaled[np.lexsort((scaled, run))]
+    shift = np.column_stack([np.zeros(n), W]).ravel()[run]
+    # a run's first slot in flat, less its first index among the draws
+    to_flat = np.column_stack([first + 1, first + I]).ravel() - (np.cumsum(run_sizes) - run_sizes)
+    flat[to_flat[run] + np.arange(len(run))] = shift + scaled
     return Histories(offsets, flat, sympt)
 
 
@@ -210,37 +208,60 @@ def conditional_log_likelihood(
     p: float,
     g_params: GammaParams,
     normalized: bool = False,
-) -> float:
+    gradient: bool = False,
+) -> float | tuple[float, np.ndarray]:
     """Log-likelihood of onset times given exposure times.
 
     Sums log( sum_i p*(1-p)**(i-1) * g(s - e_i) ) over histories.  With
     ``normalized`` the inner sum is divided by 1 - (1-p)**k, conditioning on
     the infection having come from one of the k listed exposures (useful for
     sensitivity runs; the default matches the plain likelihood).
+
+    With ``gradient`` the return value is ``(ll, grad)``, grad being the
+    gradient of the plain log-likelihood in (logit p, log mean, log sd) of
+    the incubation Gamma (k = mean**2/sd**2, rate lam = mean/sd**2).  With
+    q_i the responsibility of exposure i (its share of its person's sum):
+    d log w_i/d logit p = (1-p) - (i-1)*p; and with A = log lam - digamma(k)
+    + log delta, B = k/lam - delta, d log g/d log mean = 2k*A + lam*B and
+    d log g/d log sd = -2k*A - 2*lam*B; each summed with weights q_i.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    counts = histories.counts
-    starts = histories.offsets[:-1]
-    delta = np.repeat(histories.symptom_times, counts) - histories.exposures
-    if np.any(delta <= 0):
-        raise ValueError("every exposure must precede the symptom time")
-    pos = np.arange(len(delta)) - np.repeat(starts, counts)  # i - 1 per person
+    if gradient and normalized:
+        raise ValueError("the gradient is of the plain likelihood only")
+    counts, starts, pos = histories.counts, histories.starts, histories.position
+    delta, log_delta = histories.delta, histories.log_delta
+    k, lam = g_params.shape, g_params.rate
+    log_lam = math.log(lam)
+    log_g = (k - 1.0) * log_delta - lam * delta + (k * log_lam - gammaln(k))
     if p < 1.0:
         weight = math.log(p) + pos * math.log1p(-p)
     else:
         weight = np.where(pos == 0, 0.0, -np.inf)
-    terms = weight + log_pdf(g_params, delta)
+    terms = weight + log_g
 
     seg_max = np.maximum.reduceat(terms, starts)
     safe_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    sums = np.add.reduceat(np.exp(terms - np.repeat(safe_max, counts)), starts)
+    scaled = np.exp(terms - np.repeat(safe_max, counts))
+    sums = np.add.reduceat(scaled, starts)
     ll = np.where(np.isfinite(seg_max), safe_max + np.log(sums), -np.inf)
     if normalized:
         if p < 1.0:
             ll = ll - np.log1p(-np.exp(counts * math.log1p(-p)))
         # p == 1: the normalizer is 1 for every k.
-    return float(ll.sum())
+    if not gradient:
+        return float(ll.sum())
+
+    q = scaled / np.repeat(sums, counts)
+    n = len(histories)  # the q of each person sum to 1
+    q_A = n * (log_lam - digamma(k)) + q @ log_delta
+    q_B = n * k / lam - q @ delta
+    grad = np.array([
+        n * (1.0 - p) - p * (q @ pos),
+        2.0 * k * q_A + lam * q_B,
+        -2.0 * k * q_A - 2.0 * lam * q_B,
+    ])
+    return float(ll.sum()), grad
 
 
 @dataclass(frozen=True)
@@ -261,9 +282,10 @@ def ml_fit(histories: Histories, min_histories: int = 50) -> MlFit:
     """Maximum-likelihood fit of (p, incubation mean, incubation sd).
 
     Searches in (logit p, log mean, log sd) coordinates with a bounded
-    quasi-Newton optimizer from three deterministic data-driven starts, and
-    keeps the best optimum.  A p estimate at the upper search bound is
-    reported as the boundary value 1.
+    quasi-Newton optimizer on the analytic gradient of
+    :func:`conditional_log_likelihood`, from three deterministic data-driven
+    starts, and keeps the best optimum.  A p estimate at the upper search
+    bound is reported as the boundary value 1.
 
     Raises:
         ConvergenceError: if no start converges; carries the best fit found.
@@ -274,12 +296,15 @@ def ml_fit(histories: Histories, min_histories: int = 50) -> MlFit:
     def objective(x):
         p = expit(x[0])
         try:
-            ll = conditional_log_likelihood(
-                histories, p, gamma_from_moments(math.exp(x[1]), math.exp(x[2]))
+            ll, grad = conditional_log_likelihood(
+                histories, p, gamma_from_moments(math.exp(x[1]), math.exp(x[2])),
+                gradient=True,
             )
         except (ValueError, OverflowError):
-            return 1e12
-        return -ll if np.isfinite(ll) else 1e12
+            return 1e12, np.zeros(3)
+        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+            return 1e12, np.zeros(3)
+        return -ll, -grad
 
     lo = histories.last_to_symptom()
     hi = histories.first_to_symptom()
@@ -298,7 +323,7 @@ def ml_fit(histories: Histories, min_histories: int = 50) -> MlFit:
     message = ""
     for x0 in starts:
         res = optimize.minimize(
-            objective, x0, method="L-BFGS-B", bounds=bounds,
+            objective, x0, method="L-BFGS-B", jac=True, bounds=bounds,
             options={"maxiter": 500},
         )
         evaluations += res.nfev
@@ -409,35 +434,6 @@ def invert_moment_system(moments) -> MomentFit:
     return fit
 
 
-def earliest_exposure_fit(histories: Histories) -> GammaParams:
-    """Reference heuristic: pretend the earliest exposure infected (biased long)."""
-    d = histories.first_to_symptom()
-    return gamma_from_moments(float(d.mean()), float(d.std(ddof=1)))
-
-
-def latest_exposure_fit(histories: Histories) -> GammaParams:
-    """Reference heuristic: pretend the latest exposure infected (biased short)."""
-    d = histories.last_to_symptom()
-    return gamma_from_moments(float(d.mean()), float(d.std(ddof=1)))
-
-
-def calibrate_contact_rate(p: float, single_fraction: float, incubation: GammaParams) -> float:
-    """Contact rate mu solving p * E[exp(-mu*T)] = P(single exposure).
-
-    For T ~ Gamma(k, lambda) the left side is p * (lambda/(lambda + mu))**k,
-    which decreases from p to 0 as mu grows, so the unique root
-    mu = lambda * ((p/single_fraction)**(1/k) - 1) exists whenever
-    0 < single_fraction < p.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    if not 0.0 < single_fraction < p:
-        raise ValueError(
-            f"single-exposure fraction must lie in (0, p={p}), got {single_fraction}"
-        )
-    return incubation.rate * math.expm1(math.log(p / single_fraction) / incubation.shape)
-
-
 def single_exposure_shift(
     model: ExposureModel, gen: GammaParams
 ) -> tuple[float, GammaParams]:
@@ -459,36 +455,3 @@ def single_exposure_shift(
         raise ValueError("shift exceeds the generation-time mean")
     return float(conditional_mean), gamma_from_moments(new_mean, gen.sd())
 
-
-def write_histories(histories: Histories, summary_path, long_path) -> None:
-    """Two-file CSV export: per-person summary plus long-format exposures."""
-    with open(summary_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["person_id", "k", "symptom_time"])
-        counts = histories.counts
-        for i in range(len(histories)):
-            w.writerow([i, int(counts[i]), f"{histories.symptom_times[i]:.6f}"])
-    with open(long_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["person_id", "exposure_time"])
-        counts = histories.counts
-        for i in range(len(histories)):
-            lo, hi = histories.offsets[i], histories.offsets[i + 1]
-            for e in histories.exposures[lo:hi]:
-                w.writerow([i, f"{e:.6f}"])
-
-
-def read_histories(summary_path, long_path) -> Histories:
-    with open(summary_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    sympt = np.array([float(r["symptom_time"]) for r in rows])
-    counts = np.array([int(r["k"]) for r in rows], dtype=np.int64)
-    exposures = [[] for _ in rows]
-    with open(long_path, newline="") as fh:
-        for r in csv.DictReader(fh):
-            exposures[int(r["person_id"])].append(float(r["exposure_time"]))
-    lens = np.array([len(e) for e in exposures], dtype=np.int64)
-    if not np.array_equal(lens, counts):
-        raise ValueError("exposure counts disagree between the two files")
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return Histories(offsets, np.concatenate([np.array(e) for e in exposures]), sympt)

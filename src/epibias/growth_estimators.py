@@ -180,7 +180,12 @@ def predict_forward(
             raise ValueError("method 'e' needs renewal weights")
         R0_hat = est_e_renewal_R0(series, weights)
         extended = np.concatenate([series.daily, np.zeros(horizon)])
+        L = len(weights.probs)
         for t in range(len(series), len(extended)):
-            extended[t] = R0_hat * renewal_pressure(extended[:t], weights)[-1]
+            # Only the last L days reach day t.  Their "valid" convolution is
+            # the one dot product renewal_pressure(extended[:t])[-1] takes,
+            # in the same operand order, so the result matches it bit for bit.
+            recent = extended[max(0, t - L):t]
+            extended[t] = R0_hat * np.convolve(recent, weights.probs, "valid")[0]
         return cum_last + float(extended[len(series):].sum())
     raise ValueError(f"unknown method {method!r}")

@@ -2,31 +2,35 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import expit
 
-from _oracles import invert_exposure_moments, quad_tilted_mean
+from _oracles import (
+    ExposureHistory,
+    calibrate_contact_rate,
+    histories_from_records,
+    history,
+    invert_exposure_moments,
+    loop_generate_histories,
+    quad_tilted_mean,
+)
+from epibias import exposures
 from epibias.distributions import GammaParams, gamma_from_moments, laplace
 from epibias.exposures import (
-    ExposureHistory,
     ExposureModel,
     Histories,
     LogNormalParams,
     MomentFitError,
-    calibrate_contact_rate,
     conditional_log_likelihood,
-    earliest_exposure_fit,
     generate_histories,
     invert_moment_system,
-    latest_exposure_fit,
     ml_fit,
     moment_fit,
     moment_system,
-    read_histories,
     sample_moments,
     single_exposure_shift,
-    write_histories,
 )
 from epibias.rng import stream
 
@@ -64,12 +68,21 @@ class TestHistoryTypes:
             ExposureHistory((0.0,), 4.0),
             ExposureHistory((0.0, 1.5, 2.0), 9.0),
         ]
-        hist = Histories.from_records(records)
+        hist = histories_from_records(records)
         assert len(hist) == 2
         assert list(hist.counts) == [1, 3]
-        assert hist.history(1) == records[1]
+        assert history(hist, 1) == records[1]
         assert list(hist.first_to_symptom()) == [4.0, 9.0]
         assert list(hist.last_to_symptom()) == [4.0, 7.0]
+
+    def test_arrays_are_read_only(self):
+        offsets, times, onsets = np.array([0, 1, 3]), np.array([0.0, 0.0, 1.5]), np.array([4.0, 9.0])
+        hist = Histories(offsets, times, onsets)
+        offsets[1] = 2  # the store keeps its own copy of the caller's arrays
+        assert list(hist.counts) == [1, 2]
+        for name in ("offsets", "exposures", "symptom_times", "counts", "delta", "log_delta"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(hist, name)[0] = 1.0
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +113,8 @@ class TestGenerator:
             assert abs(x.var(ddof=1) - target) < 3 * se
 
     def test_expected_contacts_value(self):
-        assert abs(MODEL.expected_contacts() - 2.83) < 0.01
+        EC, _, _, _ = model_population_moments(MODEL)
+        assert abs(EC - 2.83) < 0.01
 
     def test_single_exposure_fraction(self, big_sample):
         frac = float((big_sample.counts == 1).mean())
@@ -131,6 +145,23 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_histories(MODEL, 10, "weibull", seed=0)
 
+    @pytest.mark.parametrize("family", ["gamma", "lognormal"])
+    @pytest.mark.parametrize("model", [
+        MODEL,
+        ExposureModel(p=0.05, contact_rate=2.0, incubation=MODEL.incubation),
+        ExposureModel(p=1.0, contact_rate=0.0725, incubation=MODEL.incubation),
+    ])
+    def test_bit_identical_to_loop_oracle(self, model, family):
+        for rep in range(5):
+            rng, oracle_rng = stream(45, rep), stream(45, rep)
+            hist = generate_histories(model, 300, family, seed=rng)
+            ref = loop_generate_histories(model, 300, family, seed=oracle_rng)
+            assert np.array_equal(hist.offsets, ref.offsets)
+            assert np.array_equal(hist.exposures, ref.exposures)
+            assert np.array_equal(hist.symptom_times, ref.symptom_times)
+            # both consumed the same stretch of the stream
+            assert rng.random() == oracle_rng.random()
+
 
 class TestLogNormal:
     def test_moment_matching(self):
@@ -138,22 +169,32 @@ class TestLogNormal:
         assert math.isclose(ln.mean(), 11.4, rel_tol=1e-12)
         assert math.isclose(ln.sd(), 8.1, rel_tol=1e-12)
 
-    def test_density_integrates(self):
-        from scipy import integrate
-
-        ln = LogNormalParams.from_moments(11.4, 8.1)
-        val, _ = integrate.quad(ln.pdf, 0, np.inf, limit=200)
-        assert abs(val - 1.0) < 1e-8
-
     def test_sampler_moments(self):
         ln = LogNormalParams.from_moments(5.0, 2.0)
         draws = ln.sample(stream(35, 0), 400_000)
         assert abs(draws.mean() - 5.0) < 0.02
 
 
+def _single_exposure_only(hist):
+    keep = hist.counts == 1
+    return Histories(
+        np.arange(keep.sum() + 1), hist.exposures[hist.starts[keep]], hist.symptom_times[keep]
+    )
+
+
+GRADIENT_SETS = {
+    "default": generate_histories(MODEL, 60, "gamma", seed=stream(46, 0)),
+    "crowded": generate_histories(
+        ExposureModel(p=0.05, contact_rate=2.0, incubation=MODEL.incubation), 20, "gamma",
+        seed=stream(46, 1),
+    ),
+    "single": _single_exposure_only(generate_histories(MODEL, 200, "gamma", seed=stream(46, 2))),
+}
+
+
 class TestLikelihood:
     def test_single_exposure(self):
-        hist = Histories.from_records([ExposureHistory((0.0,), 6.0)])
+        hist = histories_from_records([ExposureHistory((0.0,), 6.0)])
         g = gamma_from_moments(11.4, 8.1)
         expected = math.log(0.4) + math.log(
             stats.gamma.pdf(6.0, a=g.shape, scale=1.0 / g.rate)
@@ -163,14 +204,14 @@ class TestLikelihood:
         )
 
     def test_certain_infection_limit(self):
-        hist = Histories.from_records([ExposureHistory((0.0, 2.0, 3.0), 7.0)])
+        hist = histories_from_records([ExposureHistory((0.0, 2.0, 3.0), 7.0)])
         g = gamma_from_moments(11.4, 8.1)
         expected = math.log(stats.gamma.pdf(7.0, a=g.shape, scale=1.0 / g.rate))
         assert math.isclose(conditional_log_likelihood(hist, 1.0, g), expected, rel_tol=1e-12)
 
     def test_two_exposure_hand_value(self):
         # exponential incubation: log(0.5*exp(-(s-e1)) + 0.25*exp(-(s-e2)))
-        hist = Histories.from_records([ExposureHistory((0.0, 1.0), 3.0)])
+        hist = histories_from_records([ExposureHistory((0.0, 1.0), 3.0)])
         g = GammaParams(1.0, 1.0)
         expected = math.log(0.5 * math.exp(-3.0) + 0.25 * math.exp(-2.0))
         assert math.isclose(conditional_log_likelihood(hist, 0.5, g), expected, rel_tol=1e-12)
@@ -184,17 +225,51 @@ class TestLikelihood:
             conditional_log_likelihood(hist, 0.5, gamma_from_moments(11.4, 8.1))
 
     def test_invalid_p_rejected(self):
-        hist = Histories.from_records([ExposureHistory((0.0,), 6.0)])
+        hist = histories_from_records([ExposureHistory((0.0,), 6.0)])
         with pytest.raises(ValueError):
             conditional_log_likelihood(hist, 0.0, gamma_from_moments(11.4, 8.1))
 
     def test_normalized_variant_single_exposure(self):
         # with k = 1 the normalizer removes the p factor entirely
-        hist = Histories.from_records([ExposureHistory((0.0,), 6.0)])
+        hist = histories_from_records([ExposureHistory((0.0,), 6.0)])
         g = gamma_from_moments(11.4, 8.1)
         val = conditional_log_likelihood(hist, 0.3, g, normalized=True)
         expected = math.log(stats.gamma.pdf(6.0, a=g.shape, scale=1.0 / g.rate))
         assert math.isclose(val, expected, rel_tol=1e-12)
+
+    @given(
+        data=st.sampled_from(sorted(GRADIENT_SETS)),
+        logit_p=st.floats(-16.0, 16.0),
+        log_mean=st.floats(0.0, math.log(60.0)),
+        log_cv=st.floats(math.log(0.1), math.log(4.0)),
+    )
+    @example(data="default", logit_p=16.0, log_mean=math.log(11.4), log_cv=-0.34)
+    @example(data="crowded", logit_p=-16.0, log_mean=math.log(11.4), log_cv=-0.34)
+    @example(data="single", logit_p=16.0, log_mean=math.log(11.4), log_cv=math.log(2.0))
+    def test_gradient_matches_central_differences(self, data, logit_p, log_mean, log_cv):
+        # logit p spans the fit's cap of +-16 (p within 1.2e-7 of 0 or 1);
+        # cv > 1 is a Gamma shape below 1.
+        hist = GRADIENT_SETS[data]
+
+        def ll(x, **kw):
+            g = gamma_from_moments(math.exp(x[1]), math.exp(x[2]))
+            return conditional_log_likelihood(hist, expit(x[0]), g, **kw)
+
+        x = np.array([logit_p, log_mean, log_mean + log_cv])
+        value, grad = ll(x, gradient=True)
+        assert value == ll(x)
+        for j, h in enumerate((1e-3, 1e-4, 1e-4)):
+            e = np.zeros(3)
+            e[j] = h
+            # five-point stencil: truncation error O(h**4)
+            fd = (8 * (ll(x + e) - ll(x - e)) - (ll(x + 2 * e) - ll(x - 2 * e))) / (12 * h)
+            assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j]) + 1e-10 * abs(value), j
+
+    def test_gradient_of_normalized_likelihood_rejected(self):
+        # ml_fit maximizes the plain likelihood; only its gradient exists
+        hist = GRADIENT_SETS["default"]
+        with pytest.raises(ValueError):
+            conditional_log_likelihood(hist, 0.5, MODEL.incubation, normalized=True, gradient=True)
 
 
 class TestMlFit:
@@ -214,8 +289,8 @@ class TestMlFit:
         model = ExposureModel(p=1.0, contact_rate=0.0725, incubation=MODEL.incubation)
         hist = generate_histories(model, 800, "gamma", seed=stream(37, 0))
         keep = hist.counts == 1
-        singles = Histories.from_records(
-            [hist.history(i) for i in np.flatnonzero(keep)]
+        singles = histories_from_records(
+            [history(hist, i) for i in np.flatnonzero(keep)]
         )
         fit = ml_fit(singles)
         assert fit.p > 0.999
@@ -223,6 +298,24 @@ class TestMlFit:
         durations = singles.first_to_symptom()
         shape, _, scale = stats.gamma.fit(durations, floc=0)
         assert abs(fit.mean - shape * scale) / (shape * scale) < 0.01
+
+    def test_every_evaluation_is_counted(self, monkeypatch):
+        # Each optimizer step evaluates the likelihood and its gradient in
+        # one call through the module-level name, so wrapping that name
+        # counts them all; the gradient keeps the count near 40 (~164 with
+        # finite differences).
+        hist = generate_histories(MODEL, 500, "gamma", seed=stream(47, 0))
+        calls = []
+        likelihood = exposures.conditional_log_likelihood
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return likelihood(*args, **kwargs)
+
+        monkeypatch.setattr(exposures, "conditional_log_likelihood", counted)
+        fit = ml_fit(hist)
+        assert fit.converged
+        assert len(calls) == fit.n_evaluations <= 50
 
     def test_needs_enough_histories(self):
         hist = generate_histories(MODEL, 10, "gamma", seed=stream(38, 0))
@@ -354,17 +447,8 @@ class TestSingleExposureShift:
 
 class TestHeuristics:
     def test_direction_of_bias(self):
+        # pretending the earliest (latest) exposure infected biases the
+        # incubation mean long (short)
         hist = generate_histories(MODEL, 50_000, "gamma", seed=stream(43, 0))
-        assert earliest_exposure_fit(hist).mean() > 11.4
-        assert latest_exposure_fit(hist).mean() < 11.4
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        hist = generate_histories(MODEL, 50, "gamma", seed=stream(44, 0))
-        summary, long = tmp_path / "histories.csv", tmp_path / "exposures.csv"
-        write_histories(hist, summary, long)
-        back = read_histories(summary, long)
-        assert np.array_equal(back.offsets, hist.offsets)
-        assert np.allclose(back.exposures, hist.exposures, atol=1e-6)
-        assert np.allclose(back.symptom_times, hist.symptom_times, atol=1e-6)
+        assert hist.first_to_symptom().mean() > 11.4
+        assert hist.last_to_symptom().mean() < 11.4
