@@ -3,13 +3,12 @@ exponential-growth phase of an epidemic: backward-observed generation
 times, serial-interval substitution, multiple potential infectors, and
 delayed death/recovery observations."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .distributions import (
     DiscreteDelay,
     GammaParams,
     cdf,
-    discretize,
     gamma_from_moments,
     laplace,
     pdf,
@@ -33,7 +32,6 @@ from .outbreak_sim import (
     OutbreakTrace,
     Scenario,
     daily_series,
-    run_ensemble,
     simulate_outbreak,
     snapshot_ratios,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "cdf",
     "laplace",
     "sample",
-    "discretize",
     "GrowthLink",
     "BiasReport",
     "BiasScenario",
@@ -63,7 +60,6 @@ __all__ = [
     "Scenario",
     "OutbreakTrace",
     "simulate_outbreak",
-    "run_ensemble",
     "snapshot_ratios",
     "daily_series",
 ]

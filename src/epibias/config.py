@@ -115,11 +115,17 @@ class RunConfig:
 
 
 def _canonical(parser: configparser.ConfigParser) -> str:
+    """Sorted text of every setting that can change an output.
+
+    The worker count is left out: results are identical under any number of
+    workers, so reports must be byte-identical too.
+    """
     buf = io.StringIO()
     for section in sorted(parser.sections()):
         buf.write(f"[{section}]\n")
         for key in sorted(parser[section]):
-            buf.write(f"{key} = {parser[section][key]}\n")
+            if (section, key) != ("run", "threads"):
+                buf.write(f"{key} = {parser[section][key]}\n")
     return buf.getvalue()
 
 

@@ -31,13 +31,6 @@ class GammaParams:
         if not (self.rate > 0 and np.isfinite(self.rate)):
             raise ValueError(f"rate must be positive, got {self.rate}")
 
-    @classmethod
-    def from_shape_scale(cls, shape: float, scale: float) -> "GammaParams":
-        """Alternate constructor; converts scale to rate immediately."""
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        return cls(shape, 1.0 / scale)
-
     def mean(self) -> float:
         return self.shape / self.rate
 
@@ -141,36 +134,17 @@ def sample(params: GammaParams, rng: np.random.Generator, size=None):
     return rng.gamma(params.shape, 1.0 / params.rate, size=size)
 
 
-def discretize(params: GammaParams, horizon: int) -> DiscreteDelay:
-    """Daily probabilities p(s) = CDF(s) - CDF(s-1), s = 1..horizon, renormalized.
-
-    Rejects horizons that truncate more than 0.1% of the probability mass,
-    so the renormalization is always a small correction.
-    """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    grid = np.arange(0, horizon + 1, dtype=float)
-    cum = cdf(params, grid)
-    total = cum[-1]
-    if total < 0.999:
-        raise ValueError(
-            f"horizon {horizon} keeps only {total:.6f} of the mass; extend it"
-        )
-    probs = np.diff(cum)
-    return DiscreteDelay(probs=probs / probs.sum(), horizon=horizon)
-
-
 def discretize_centered(params: GammaParams, horizon: int) -> DiscreteDelay:
     """Day-lag probabilities for differences of day-binned event times.
 
     When both endpoints of a delay T are recorded as calendar days, the
     observed day lag is floor(T) or floor(T)+1 with weights set by the
     fractional part, i.e. the tent-kernel binning
-    p(k) = integral of (1 - |t - k|)+ * f(t).  Unlike :func:`discretize`
-    this preserves the mean instead of shifting it up by half a day, which
-    matters for renewal-equation weights.  Lag-0 mass (same-day pairs) is
-    dropped and the weights renormalized.
+    p(k) = integral of (1 - |t - k|)+ * f(t).  Unlike plain interval binning
+    (the mass of (k - 1, k] on day k) this preserves the mean instead of
+    shifting it up by half a day, which matters for renewal-equation
+    weights.  Lag-0 mass (same-day pairs) is dropped and the weights
+    renormalized.
     """
     horizon = int(horizon)
     if horizon < 1:

@@ -1,4 +1,4 @@
-"""Event-driven branching-process simulator of an Ebola-like outbreak.
+"""Generation-wise branching-process simulator of an Ebola-like outbreak.
 
 Each infected individual runs a stochastic SEIR course: a Gamma latent
 period, a Gamma infectious period during which new infections occur as a
@@ -10,13 +10,15 @@ a branching process, with every infectee keeping a link to its infector.
 
 A run is retained when it reaches the notification threshold; it then
 continues for a fixed follow-up window so that forward predictions can be
-scored against the realized continuation.
+scored against the realized continuation.  Runs are drawn in array batches,
+one per generation of pending infections (see :func:`simulate_outbreak`).
+Since version 0.2.0 this replaces a per-person event queue, so the random
+stream, and every simulated trace, differ from earlier versions.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import itertools
 import math
 from collections import deque
@@ -150,13 +152,31 @@ class OutbreakTrace:
                 ])
 
 
+# Days the expansion horizon advances by while the threshold is not yet reached.
+HORIZON_STEP = 10.0
+
+
 def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[OutbreakTrace]:
     """Simulate one outbreak; returns None if it dies out before the threshold.
 
+    The run is expanded generation-wise: every pending infection at or
+    before a horizon H is drawn in one batch, and its children later than H
+    stay pending.  H advances by ``HORIZON_STEP`` days until at least
+    ``notify_threshold`` symptom times lie at or before it, or the run dies
+    out with at least that many persons.  Every person not yet drawn is then
+    infected after H, hence notified after H, so the threshold time is
+    exactly the threshold-th smallest symptom time drawn.  The run is then
+    expanded up to ``end_time = threshold_time + followup``, infections
+    after ``end_time`` are dropped, and persons are renumbered by infection
+    time.
+
     Draws come from the stream keyed by (scenario.master_seed,
-    replicate_index), and infections are processed in chronological order,
-    so a given (scenario, replicate) pair always produces a bit-identical
-    trace.
+    replicate_index), so a given (scenario, replicate) pair always produces
+    a bit-identical trace, under any worker count.
+
+    Raises:
+        SimulationLimitError: if a batch would take the run past
+            ``scenario.person_cap`` persons; checked before the batch is drawn.
     """
     rng = stream(scenario.master_seed, replicate_index)
     lat_shape, lat_scale = scenario.latent.shape, 1.0 / scenario.latent.rate
@@ -169,100 +189,72 @@ def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[Outb
     threshold = scenario.notify_threshold
     cap = scenario.person_cap
 
-    gamma = rng.gamma
-    uniform = rng.uniform
-    poisson = rng.poisson
-    random = rng.random
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    heap = [(0.0, 0, -1)]          # (infection time, tie-break seq, infector id)
-    seq = 1
-    t_infect_l: list[float] = []
-    infector_l: list[int] = []
-    t0_l: list[float] = []
-    t1_l: list[float] = []
-    t_symptom_l: list[float] = []
-    died_l: list[bool] = []
-    t_outcome_l: list[float] = []
-
-    top = []                       # max-heap (negated) of smallest symptom times
-    threshold_time = None
-    end_time = math.inf
+    pending_t = np.zeros(1)                      # infection times not yet drawn
+    pending_parent = np.full(1, -1, dtype=np.int64)
+    batches = []                                 # one column tuple per drawn batch
     n = 0
-    while heap:
-        t, _, parent = heappop(heap)
-        if t > end_time:
-            break
-        pid = n
-        n += 1
-        if n > cap:
-            raise SimulationLimitError(
-                f"person cap {cap} exceeded at replicate {replicate_index}"
+
+    def expand(limit: float) -> None:
+        """Draw every pending infection at or before ``limit``, batch by batch."""
+        nonlocal pending_t, pending_parent, n
+        while True:
+            now = pending_t <= limit
+            m = int(np.count_nonzero(now))
+            if m == 0:
+                return
+            if n + m > cap:
+                raise SimulationLimitError(
+                    f"person cap {cap} exceeded at replicate {replicate_index}"
+                )
+            t, parent = pending_t[now], pending_parent[now]
+            ell = rng.gamma(lat_shape, lat_scale, m)
+            dur = rng.gamma(inf_shape, inf_scale, m)
+            t0 = t + ell
+            t1 = t0 + dur
+            t_symptom = t + rng.uniform(u_lo, u_hi, m) * ell
+            k = rng.poisson(contact_rate * dur)
+            v = rng.random(m + int(k.sum()))
+            died = v[:m] < p_death
+            n_died = int(np.count_nonzero(died))
+            t_out = t1.copy()
+            t_out[died] += rng.gamma(die_shape, die_scale, n_died)
+            t_out[~died] += rng.gamma(rec_shape, rec_scale, m - n_died)
+            batches.append((t, parent, t0, t1, t_symptom, died, t_out))
+            children = np.repeat(t0, k) + np.repeat(dur, k) * v[m:]
+            pending_t = np.concatenate((pending_t[~now], children))
+            pending_parent = np.concatenate(
+                (pending_parent[~now], np.repeat(np.arange(n, n + m), k))
             )
-        ell = gamma(lat_shape, lat_scale)
-        dur = gamma(inf_shape, inf_scale)
-        t0 = t + ell
-        t1 = t0 + dur
-        t_symptom = t + uniform(u_lo, u_hi) * ell
-        k = poisson(contact_rate * dur)
-        if k:
-            for t_child in t0 + dur * random(k):
-                if t_child <= end_time:
-                    heappush(heap, (t_child, seq, pid))
-                    seq += 1
-        if random() < p_death:
-            died = True
-            t_out = t1 + gamma(die_shape, die_scale)
-        else:
-            died = False
-            t_out = t1 + gamma(rec_shape, rec_scale)
+            n += m
 
-        t_infect_l.append(t)
-        infector_l.append(parent)
-        t0_l.append(t0)
-        t1_l.append(t1)
-        t_symptom_l.append(t_symptom)
-        died_l.append(died)
-        t_outcome_l.append(t_out)
+    horizon = 0.0
+    while True:
+        horizon += HORIZON_STEP
+        expand(horizon)
+        if n < threshold:
+            if len(pending_t) == 0:
+                return None
+            continue
+        t_symptom = np.concatenate([b[4] for b in batches])
+        if len(pending_t) == 0 or np.count_nonzero(t_symptom <= horizon) >= threshold:
+            break
+    threshold_time = float(np.partition(t_symptom, threshold - 1)[threshold - 1])
+    end_time = threshold_time + scenario.followup
+    expand(end_time)
 
-        if threshold_time is None:
-            if len(top) < threshold:
-                heappush(top, -t_symptom)
-            elif t_symptom < -top[0]:
-                heapq.heapreplace(top, -t_symptom)
-            # The threshold moment is final once every unprocessed infection
-            # (hence every future notification) lies beyond the current
-            # threshold-th smallest symptom time.
-            if len(top) == threshold and (not heap or heap[0][0] >= -top[0]):
-                threshold_time = -top[0]
-                end_time = threshold_time + scenario.followup
-
-    if threshold_time is None:
-        return None
-
-    t_infect = np.array(t_infect_l)
-    keep = t_infect <= end_time
-    if not keep.all():
-        # Possible only if infections jumped past the follow-up window while
-        # the threshold was still provisional; renumber the survivors.
-        idx = np.flatnonzero(keep)
-        remap = -np.ones(n, dtype=np.int64)
-        remap[idx] = np.arange(len(idx))
-        infector = np.array(infector_l, dtype=np.int64)[idx]
-        infector = np.where(infector >= 0, remap[infector], -1)
-        return OutbreakTrace(
-            scenario, threshold_time, end_time,
-            t_infect[idx], infector,
-            np.array(t0_l)[idx], np.array(t1_l)[idx],
-            np.array(t_symptom_l)[idx], np.array(died_l, dtype=bool)[idx],
-            np.array(t_outcome_l)[idx],
-        )
+    t_infect, infector, t0, t1, t_symptom, died, t_out = (
+        np.concatenate(col) for col in zip(*batches)
+    )
+    keep = np.flatnonzero(t_infect <= end_time)
+    # Infection times are continuous draws and never tie, so the default
+    # (faster) sort gives the same order a stable sort would.
+    order = keep[np.argsort(t_infect[keep])]
+    new_id = np.full(n + 1, -1, dtype=np.int64)   # new_id[-1] keeps the index case's -1
+    new_id[order] = np.arange(len(order))
     return OutbreakTrace(
         scenario, threshold_time, end_time,
-        t_infect, np.array(infector_l, dtype=np.int64),
-        np.array(t0_l), np.array(t1_l),
-        np.array(t_symptom_l), np.array(died_l, dtype=bool),
-        np.array(t_outcome_l),
+        t_infect[order], new_id[infector[order]],
+        t0[order], t1[order], t_symptom[order], died[order], t_out[order],
     )
 
 
@@ -449,13 +441,3 @@ class EnsembleStats:
     def ratios(self) -> np.ndarray:
         return np.array([s.notified_over_infected for s in self.summaries])
 
-
-def run_ensemble(scenario: Scenario, n_accepted: int, threads: int = 1) -> EnsembleStats:
-    """Simulate until ``n_accepted`` runs reach the threshold; keep summaries."""
-    summaries, attempts = ensemble_map(scenario, n_accepted, summarize_trace, threads=threads)
-    return EnsembleStats(
-        scenario=scenario,
-        n_accepted=n_accepted,
-        n_attempts=attempts,
-        summaries=summaries,
-    )

@@ -10,7 +10,6 @@ the contraction can be measured and compared against the closed forms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,13 +127,3 @@ def fit_gamma_to_intervals(pairs: TracedPairs, which: str = "G") -> GammaParams:
     if sd == 0:
         raise ValueError("intervals are constant; Gamma fit is degenerate")
     return gamma_from_moments(float(used.mean()), float(sd))
-
-
-def pairs_to_csv(pairs: TracedPairs, path) -> None:
-    rows = zip(pairs.infectee.tolist(), pairs.infector.tolist(),
-               pairs.G.tolist(), pairs.S.tolist())
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["infectee_id", "infector_id", "gen_time", "serial_interval"])
-        for infectee, infector, g, s in rows:
-            w.writerow([infectee, infector, f"{g:.6f}", f"{s:.6f}"])

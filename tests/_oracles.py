@@ -3,20 +3,24 @@
 These deliberately avoid the library's closed forms: Laplace transforms and
 delayed-observation fractions are computed by adaptive quadrature, moment
 inversions analytically, renewal sums one day at a time, exposure histories
-one person at a time, and expectations by brute-force Monte Carlo, so a bug
-in a formula cannot hide behind itself.  The exposure-history records and
-their builders are test fixtures: the library itself is columnar only.
+one person at a time, outbreaks one infection at a time from an event queue,
+and expectations by brute-force Monte Carlo, so a bug in a formula cannot
+hide behind itself.  The exposure-history records and their builders, and
+the plain interval binning ``discretize``, are test fixtures: the library
+itself is columnar only and bins delays with ``discretize_centered``.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 from scipy import integrate, stats
 
-from epibias.distributions import DiscreteDelay, GammaParams
+from epibias.distributions import DiscreteDelay, GammaParams, cdf
 from epibias.exposures import ExposureModel, Histories, LogNormalParams
+from epibias.outbreak_sim import OutbreakTrace, Scenario, SimulationLimitError
 from epibias.rng import stream
 
 
@@ -212,3 +216,142 @@ def loop_generate_histories(
         if M[i]:
             seg[k_pre:] = W[i] + np.sort(T[i] * rng.random(M[i]))
     return Histories(offsets, flat, sympt)
+
+
+def discretize(params: GammaParams, horizon: int) -> DiscreteDelay:
+    """Daily probabilities p(s) = CDF(s) - CDF(s-1), s = 1..horizon, renormalized.
+
+    Renewal-estimator fixtures use these weights (the library's pipeline
+    uses the mean-preserving ``discretize_centered``).
+
+    Rejects horizons that truncate more than 0.1% of the probability mass,
+    so the renormalization is always a small correction.
+    """
+    horizon = int(horizon)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    grid = np.arange(0, horizon + 1, dtype=float)
+    cum = cdf(params, grid)
+    total = cum[-1]
+    if total < 0.999:
+        raise ValueError(
+            f"horizon {horizon} keeps only {total:.6f} of the mass; extend it"
+        )
+    probs = np.diff(cum)
+    return DiscreteDelay(probs=probs / probs.sum(), horizon=horizon)
+
+
+def heap_simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[OutbreakTrace]:
+    """``simulate_outbreak`` one infection at a time, from an event queue.
+
+    The library's simulator up to version 0.1.0, kept as its law oracle.  It
+    draws the same process from the same (seed, replicate) stream, but in
+    another order, so the two agree in law, not draw for draw.  Returns None
+    if the run dies out before the threshold.
+    """
+    rng = stream(scenario.master_seed, replicate_index)
+    lat_shape, lat_scale = scenario.latent.shape, 1.0 / scenario.latent.rate
+    inf_shape, inf_scale = scenario.infectious.shape, 1.0 / scenario.infectious.rate
+    die_shape, die_scale = scenario.to_death.shape, 1.0 / scenario.to_death.rate
+    rec_shape, rec_scale = scenario.to_recovery.shape, 1.0 / scenario.to_recovery.rate
+    u_lo, u_hi = scenario.incubation_factor_range
+    contact_rate = scenario.contact_rate
+    p_death = scenario.p_death
+    threshold = scenario.notify_threshold
+    cap = scenario.person_cap
+
+    gamma = rng.gamma
+    uniform = rng.uniform
+    poisson = rng.poisson
+    random = rng.random
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    heap = [(0.0, 0, -1)]          # (infection time, tie-break seq, infector id)
+    seq = 1
+    t_infect_l: list[float] = []
+    infector_l: list[int] = []
+    t0_l: list[float] = []
+    t1_l: list[float] = []
+    t_symptom_l: list[float] = []
+    died_l: list[bool] = []
+    t_outcome_l: list[float] = []
+
+    top = []                       # max-heap (negated) of smallest symptom times
+    threshold_time = None
+    end_time = math.inf
+    n = 0
+    while heap:
+        t, _, parent = heappop(heap)
+        if t > end_time:
+            break
+        pid = n
+        n += 1
+        if n > cap:
+            raise SimulationLimitError(
+                f"person cap {cap} exceeded at replicate {replicate_index}"
+            )
+        ell = gamma(lat_shape, lat_scale)
+        dur = gamma(inf_shape, inf_scale)
+        t0 = t + ell
+        t1 = t0 + dur
+        t_symptom = t + uniform(u_lo, u_hi) * ell
+        k = poisson(contact_rate * dur)
+        if k:
+            for t_child in t0 + dur * random(k):
+                if t_child <= end_time:
+                    heappush(heap, (t_child, seq, pid))
+                    seq += 1
+        if random() < p_death:
+            died = True
+            t_out = t1 + gamma(die_shape, die_scale)
+        else:
+            died = False
+            t_out = t1 + gamma(rec_shape, rec_scale)
+
+        t_infect_l.append(t)
+        infector_l.append(parent)
+        t0_l.append(t0)
+        t1_l.append(t1)
+        t_symptom_l.append(t_symptom)
+        died_l.append(died)
+        t_outcome_l.append(t_out)
+
+        if threshold_time is None:
+            if len(top) < threshold:
+                heappush(top, -t_symptom)
+            elif t_symptom < -top[0]:
+                heapq.heapreplace(top, -t_symptom)
+            # The threshold moment is final once every unprocessed infection
+            # (hence every future notification) lies beyond the current
+            # threshold-th smallest symptom time.
+            if len(top) == threshold and (not heap or heap[0][0] >= -top[0]):
+                threshold_time = -top[0]
+                end_time = threshold_time + scenario.followup
+
+    if threshold_time is None:
+        return None
+
+    t_infect = np.array(t_infect_l)
+    keep = t_infect <= end_time
+    if not keep.all():
+        # Possible only if infections jumped past the follow-up window while
+        # the threshold was still provisional; renumber the survivors.
+        idx = np.flatnonzero(keep)
+        remap = -np.ones(n, dtype=np.int64)
+        remap[idx] = np.arange(len(idx))
+        infector = np.array(infector_l, dtype=np.int64)[idx]
+        infector = np.where(infector >= 0, remap[infector], -1)
+        return OutbreakTrace(
+            scenario, threshold_time, end_time,
+            t_infect[idx], infector,
+            np.array(t0_l)[idx], np.array(t1_l)[idx],
+            np.array(t_symptom_l)[idx], np.array(died_l, dtype=bool)[idx],
+            np.array(t_outcome_l)[idx],
+        )
+    return OutbreakTrace(
+        scenario, threshold_time, end_time,
+        t_infect, np.array(infector_l, dtype=np.int64),
+        np.array(t0_l), np.array(t1_l),
+        np.array(t_symptom_l), np.array(died_l, dtype=bool),
+        np.array(t_outcome_l),
+    )

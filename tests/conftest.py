@@ -34,7 +34,7 @@ def small_trace(small_scenario):
 
 @pytest.fixture(scope="session")
 def ebola_trace(ebola_scenario):
-    """First accepted full-size run; shared because it takes ~1 s to build."""
+    """First accepted full-size run (~33,000 persons), shared by every module."""
     rep = 0
     while True:
         trace = simulate_outbreak(ebola_scenario, rep)

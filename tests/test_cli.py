@@ -59,6 +59,14 @@ class TestConfig:
             != load_config(path=str(small_config)).config_hash
         )
 
+    def test_hash_ignores_worker_count(self, small_config):
+        one = load_config(path=str(small_config), threads=1)
+        two = load_config(path=str(small_config), threads=2)
+        assert one.threads == 1 and two.threads == 2
+        assert one.config_hash == two.config_hash
+        assert two.config_hash != load_config(threads=2).config_hash
+        assert two.config_hash != load_config(path=str(small_config), seed=7, threads=2).config_hash
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config(path="/nonexistent/config.ini")

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammainc
 
-from _oracles import quad_laplace
+from _oracles import discretize, quad_laplace
 from epibias.distributions import (
     DiscreteDelay,
     GammaParams,
     cdf,
     discretization_horizon,
-    discretize,
     gamma_from_moments,
     laplace,
     log_pdf,
@@ -35,11 +34,6 @@ class TestGammaParams:
     def test_rejects_nonpositive(self, shape, rate):
         with pytest.raises(ValueError):
             GammaParams(shape, rate)
-
-    def test_shape_scale_constructor(self):
-        g = GammaParams.from_shape_scale(2.0, 5.0)
-        assert g.rate == 0.2
-        assert g.mean() == 10.0
 
 
 class TestFromMoments:
@@ -191,6 +185,8 @@ class TestSample:
 
 
 class TestDiscretize:
+    """The plain interval binning the renewal fixtures build their weights with."""
+
     def test_sums_to_one(self):
         d = discretize(GammaParams(3.0, 0.2), 60)
         assert abs(d.probs.sum() - 1.0) < 1e-12

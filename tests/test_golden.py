@@ -5,8 +5,6 @@ recorded on (see ``golden.py``).  Reruns and thread counts must agree
 everywhere.
 """
 
-import json
-
 import pytest
 
 from golden import THREADS, load_golden, platform_key, run_digests
@@ -22,16 +20,6 @@ def runs(tmp_path_factory):
     return out
 
 
-def _without_meta(path):
-    # The config hash in "meta" covers [run] threads, so it is the one
-    # field allowed to differ between thread counts.
-    if path.suffix != ".json":
-        return path.read_bytes()
-    payload = json.loads(path.read_text())
-    payload.pop("meta", None)
-    return payload
-
-
 def test_rerun_is_byte_identical(runs):
     assert runs["1"][0] == runs["1-rerun"][0]
 
@@ -40,7 +28,7 @@ def test_thread_counts_agree(runs):
     (one, dir_one), (two, dir_two) = runs["1"], runs["2"]
     assert sorted(one) == sorted(two)
     for name in one:
-        assert _without_meta(dir_one / name) == _without_meta(dir_two / name), name
+        assert (dir_one / name).read_bytes() == (dir_two / name).read_bytes(), name
 
 
 def test_digests_match_pinned(runs):

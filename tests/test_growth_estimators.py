@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import renewal_expected
+from _oracles import discretize, renewal_expected
 from epibias.distributions import (
     GammaParams,
     discretization_horizon,
-    discretize,
     discretize_centered,
     gamma_from_moments,
 )

@@ -1,22 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import mc_incubation_discount
+from _oracles import heap_simulate_outbreak, mc_incubation_discount
 from epibias.distributions import GammaParams
 from epibias.growth_estimators import CaseSeries, est_a_log_cumulative
 from epibias import outbreak_sim
 from epibias.outbreak_sim import (
     AcceptanceError,
+    EnsembleStats,
     Scenario,
     SimulationLimitError,
     daily_series,
     ensemble_map,
-    run_ensemble,
     simulate_outbreak,
     snapshot_ratios,
+    summarize_trace,
 )
 from epibias.rng import stream
 
@@ -58,12 +60,7 @@ class TestSimulate:
             assert a.threshold_time == b.threshold_time
 
     def test_genealogy_is_sound(self, small_trace):
-        tr = small_trace
-        child = np.flatnonzero(tr.infector >= 0)
-        parents = tr.infector[child]
-        assert np.all(tr.t_infect[child] >= tr.t_inf_start[parents])
-        assert np.all(tr.t_infect[child] <= tr.t_inf_end[parents])
-        assert tr.infector[0] == -1 and tr.t_infect[0] == 0.0
+        _assert_sound_genealogy(small_trace)
 
     def test_ordered_by_infection_time(self, small_trace):
         assert np.all(np.diff(small_trace.t_infect) >= 0)
@@ -87,6 +84,63 @@ class TestSimulate:
         with pytest.raises(SimulationLimitError):
             for rep in range(20):
                 simulate_outbreak(scn, rep)
+
+    def test_person_cap_raises_before_the_crossing_batch_is_drawn(self, monkeypatch):
+        # Every batch makes one uniform draw of its size; record those sizes.
+        batches = []
+
+        class Recording:
+            def __init__(self, rng):
+                self._rng = rng
+                batches.clear()
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def uniform(self, low, high, size):
+                batches.append(size)
+                return self._rng.uniform(low, high, size)
+
+        monkeypatch.setattr(outbreak_sim, "stream", lambda seed, rep: Recording(stream(seed, rep)))
+        cap = 5000
+        scn = Scenario(contact_rate=1.0, notify_threshold=1_000_000, person_cap=cap, master_seed=3)
+        with pytest.raises(SimulationLimitError, match="replicate"):
+            for rep in range(20):   # R0 = 5: almost every run grows without bound
+                simulate_outbreak(scn, rep)
+        assert cap // 5 < sum(batches) <= cap
+
+    def test_single_case_runs_reach_a_threshold_of_one(self):
+        # With no transmission every run dies out with one person, which is
+        # the threshold, so it is accepted at that person's symptom time,
+        # also when that time lies past the first horizon.
+        scn = Scenario(contact_rate=0.0, notify_threshold=1, followup=5.0, master_seed=11)
+        traces = [simulate_outbreak(scn, rep) for rep in range(20)]
+        assert all(len(tr) == 1 for tr in traces)
+        assert all(tr.threshold_time == tr.t_symptom[0] for tr in traces)
+        assert all(tr.end_time == tr.threshold_time + 5.0 for tr in traces)
+        assert any(tr.t_symptom[0] > outbreak_sim.HORIZON_STEP for tr in traces)
+
+    def test_run_that_dies_out_after_the_threshold(self):
+        # R0 = 0.5 and a 400-day follow-up: accepted runs are complete, every
+        # infectious period ending inside the run.
+        scn = Scenario(contact_rate=0.1, notify_threshold=4, followup=400.0, master_seed=12)
+        traces = [tr for tr in (simulate_outbreak(scn, rep) for rep in range(300)) if tr]
+        assert len(traces) >= 5
+        for tr in traces:
+            assert tr.t_inf_end.max() < tr.end_time
+            assert tr.threshold_time == np.sort(tr.t_symptom)[3]
+            assert int((tr.t_symptom <= tr.threshold_time).sum()) == 4
+            _assert_sound_genealogy(tr)
+
+    def test_followup_shorter_than_horizon_step(self, small_scenario):
+        scn = dataclasses.replace(small_scenario, followup=2.0)
+        assert scn.followup < outbreak_sim.HORIZON_STEP
+        results, _ = ensemble_map(scn, 5, lambda tr, rep: tr)
+        for tr in results:
+            assert tr.end_time == tr.threshold_time + 2.0
+            assert tr.t_infect.max() <= tr.end_time
+            assert int((tr.t_symptom <= tr.threshold_time).sum()) == scn.notify_threshold
+            _assert_sound_genealogy(tr)
 
     def test_person_view_and_csv(self, small_trace, tmp_path):
         tr = small_trace
@@ -181,6 +235,71 @@ class TestOffspringLaw:
             expected = 0.34 * d[sel].mean()
             se = n[sel].std(ddof=1) / math.sqrt(sel.sum())
             assert abs(n[sel].mean() - expected) < 4 * max(se, 1e-3)
+
+
+# Two-sample checks of the simulator against the event-queue oracle: each is
+# a test at level LAW_ALPHA, so a correct simulator fails one of the six
+# with probability at most 6 * LAW_ALPHA = 0.6%.
+LAW_TRACES = 200     # accepted traces per simulator
+LAW_ALPHA = 0.001
+
+
+def _law_sample(simulate, scenario):
+    """Per-trace (threshold time, persons, notified/infected at the threshold,
+    mean generation interval after early completed parents), their pooled
+    offspring counts, and the attempts made.
+
+    Early completed parents were infected 60+ days before the end of the run
+    and were no longer infectious at its end, so all their children are in it.
+    """
+    per_trace, offspring = [], []
+    rep = 0
+    while len(per_trace) < LAW_TRACES:
+        tr = simulate(scenario, rep)
+        rep += 1
+        if tr is None:
+            continue
+        early = (tr.t_inf_end <= tr.end_time) & (tr.t_infect <= tr.end_time - 60.0)
+        child = 1 + np.flatnonzero(early[tr.infector[1:]])
+        generation = tr.t_infect[child] - tr.t_infect[tr.infector[child]]
+        per_trace.append((tr.threshold_time, len(tr),
+                          snapshot_ratios(tr).notified_over_infected, generation.mean()))
+        offspring.append(np.bincount(tr.infector[1:], minlength=len(tr))[early])
+    return np.array(per_trace), np.concatenate(offspring), rep
+
+
+@pytest.fixture(scope="module")
+def law_samples(small_scenario):
+    # The oracle runs at another master seed: at equal seeds both simulators
+    # start with the same draws, and the samples would not be independent.
+    oracle = dataclasses.replace(small_scenario, master_seed=small_scenario.master_seed + 1)
+    return (_law_sample(simulate_outbreak, small_scenario),
+            _law_sample(heap_simulate_outbreak, oracle))
+
+
+class TestAgainstHeapOracle:
+    @pytest.mark.parametrize("col,name", [
+        (0, "threshold time"), (1, "persons"), (2, "notified/infected at the threshold"),
+        (3, "mean generation interval"),
+    ])
+    def test_per_trace_law(self, law_samples, col, name):
+        (new, _, _), (old, _, _) = law_samples
+        result = stats.ks_2samp(new[:, col], old[:, col])
+        assert result.pvalue > LAW_ALPHA, (name, result)
+
+    def test_early_offspring_law(self, law_samples):
+        (_, new, _), (_, old, _) = law_samples
+        assert min(len(new), len(old)) >= 10_000
+        kmax = 12      # pooled tail: every cell expects well over 5 parents
+        table = np.array([np.bincount(np.minimum(x, kmax), minlength=kmax + 1)
+                          for x in (new, old)])
+        result = stats.chi2_contingency(table)
+        assert result.pvalue > LAW_ALPHA, result
+
+    def test_acceptance_rate(self, law_samples):
+        (_, _, new), (_, _, old) = law_samples
+        table = [[LAW_TRACES, new - LAW_TRACES], [LAW_TRACES, old - LAW_TRACES]]
+        assert stats.fisher_exact(table).pvalue > LAW_ALPHA, (new, old)
 
 
 class TestFullSizeTrace:
@@ -278,8 +397,9 @@ class TestEnsemble:
         assert serial == parallel
         assert at_s == at_p
 
-    def test_run_ensemble_summaries(self, small_scenario):
-        stats_ = run_ensemble(small_scenario, 4)
+    def test_ensemble_stats_summaries(self, small_scenario):
+        summaries, attempts = ensemble_map(small_scenario, 4, summarize_trace)
+        stats_ = EnsembleStats(small_scenario, len(summaries), attempts, summaries)
         assert stats_.n_accepted == 4 and len(stats_.summaries) == 4
         assert np.all(stats_.threshold_times() > 0)
         assert np.all((stats_.ratios() > 0.5) & (stats_.ratios() < 1.0))
@@ -297,6 +417,18 @@ class TestEnsemble:
         scn = Scenario(contact_rate=0.01, notify_threshold=100, master_seed=5)
         with pytest.raises(AcceptanceError):
             ensemble_map(scn, 1, lambda tr, rep: rep, max_attempts=300)
+
+
+def _assert_sound_genealogy(tr):
+    """One index case at time 0; every other infector is an earlier person
+    of the trace, infectious at the moment of the infection."""
+    assert tr.infector[0] == -1 and tr.t_infect[0] == 0.0
+    assert np.all(np.diff(tr.t_infect) >= 0)
+    child = np.arange(1, len(tr))
+    parents = tr.infector[1:]
+    assert np.all((parents >= 0) & (parents < child))
+    assert np.all(tr.t_infect[child] >= tr.t_inf_start[parents])
+    assert np.all(tr.t_infect[child] <= tr.t_inf_end[parents])
 
 
 def _threshold_of(trace, rep):

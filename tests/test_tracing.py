@@ -10,7 +10,6 @@ from epibias.tracing import (
     TracedPairs,
     fit_gamma_to_intervals,
     interval_moments,
-    pairs_to_csv,
     sample_backward_pairs,
     sample_forward_pairs,
     split_positive,
@@ -153,13 +152,3 @@ class TestHelpers:
         assert len(used) + dropped == len(values)
         assert dropped == 2
         assert np.all(used > 0)
-
-    def test_csv_export(self, tmp_path):
-        pairs = TracedPairs(np.array([1, 2]), np.array([0, 1]),
-                            np.array([5.0, 6.25]), np.array([4.5, -0.5]))
-        path = tmp_path / "pairs.csv"
-        pairs_to_csv(pairs, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "infectee_id,infector_id,gen_time,serial_interval"
-        assert len(lines) == 3
-        assert lines[2] == "2,1,6.250000,-0.500000"
