@@ -12,6 +12,7 @@ can be mapped across processes.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -112,56 +113,85 @@ def true_weights(scenario: Scenario, mass: float = 0.9999) -> DiscreteDelay:
     return discretize_centered(gen, discretization_horizon(gen, mass))
 
 
+class AnalysisError(RuntimeError):
+    """A trace that one stage of the per-trace pipeline cannot analyze.
+
+    Raised in place of the stage's ``ValueError``, which depends on the
+    simulated data rather than on the configuration; the message names the
+    stage and the replicate.
+    """
+
+
+@contextmanager
+def _stage(name: str, replicate_index: int):
+    try:
+        yield
+    except ValueError as exc:
+        raise AnalysisError(
+            f"analysis stage '{name}' failed at replicate {replicate_index}: {exc}"
+        ) from exc
+
+
 def analyze_trace(
     trace: OutbreakTrace,
     replicate_index: int,
     options: AnalysisOptions = AnalysisOptions(),
 ) -> TraceAnalysis:
-    """Run the full per-trace pipeline on one accepted run."""
-    summary = summarize_trace(trace, replicate_index)
+    """Run the full per-trace pipeline on one accepted run.
 
-    pairs = tracing.sample_backward_pairs(trace, options.n_pairs, options.stride)
-    backward = IntervalStats(*tracing.interval_moments(pairs), n=len(pairs))
+    Raises:
+        AnalysisError: if a stage rejects the trace, e.g. too few notified
+            persons for the backward sample or too few complete days.
+    """
+    with _stage("snapshot", replicate_index):
+        summary = summarize_trace(trace, replicate_index)
 
-    forward_pairs = tracing.sample_forward_pairs(trace)
-    forward = IntervalStats(*tracing.interval_moments(forward_pairs), n=len(forward_pairs))
+    with _stage("contact tracing", replicate_index):
+        pairs = tracing.sample_backward_pairs(trace, options.n_pairs, options.stride)
+        backward = IntervalStats(*tracing.interval_moments(pairs), n=len(pairs))
+        forward_pairs = tracing.sample_forward_pairs(trace)
+        forward = IntervalStats(*tracing.interval_moments(forward_pairs), n=len(forward_pairs))
+        _, n_dropped = tracing.split_positive(pairs.S)
+        serial_fit = tracing.fit_gamma_to_intervals(pairs, "S")
+        backward_weights = discretize_centered(serial_fit, discretization_horizon(serial_fit))
 
-    _, n_dropped = tracing.split_positive(pairs.S)
-    serial_fit = tracing.fit_gamma_to_intervals(pairs, "S")
-    backward_weights = discretize_centered(serial_fit, discretization_horizon(serial_fit))
+    with _stage("growth fits", replicate_index):
+        series, t0, k_complete = notification_series(trace)
+        r_estimates = {
+            "a": ge.est_a_log_cumulative(series, options.window),
+            "b": ge.est_b_log_daily(series, options.window),
+            "c": ge.est_c_mean_ratio(series, options.window),
+            "c_plain_ratio": ge.est_c_mean_ratio(series, options.window, log_ratio=False),
+            "d": ge.est_d_branching(series, options.window),
+        }
 
-    series, t0, k_complete = notification_series(trace)
-    r_estimates = {
-        "a": ge.est_a_log_cumulative(series, options.window),
-        "b": ge.est_b_log_daily(series, options.window),
-        "c": ge.est_c_mean_ratio(series, options.window),
-        "c_plain_ratio": ge.est_c_mean_ratio(series, options.window, log_ratio=False),
-        "d": ge.est_d_branching(series, options.window),
-    }
-    R0_backward = ge.est_e_renewal_R0(series, backward_weights)
-    R0_true = ge.est_e_renewal_R0(series, true_weights(trace.scenario))
+    with _stage("renewal", replicate_index):
+        R0_backward = ge.est_e_renewal_R0(series, backward_weights)
+        R0_true = ge.est_e_renewal_R0(series, true_weights(trace.scenario))
 
-    actual = cumulative_notified_at(trace, t0 + k_complete + options.horizon)
-    predictions = {}
-    for method in ("a", "b", "c", "d", "e"):
-        predicted = ge.predict_forward(
-            series, method, horizon=options.horizon,
-            weights=backward_weights if method == "e" else None,
-            window=options.window,
+    with _stage("prediction", replicate_index):
+        actual = cumulative_notified_at(trace, t0 + k_complete + options.horizon)
+        predictions = {}
+        for method in ("a", "b", "c", "d", "e"):
+            predicted = ge.predict_forward(
+                series, method, horizon=options.horizon,
+                weights=backward_weights if method == "e" else None,
+                window=options.window,
+            )
+            predictions[method] = ge.PredictionScore(predicted=predicted, actual=actual)
+
+    with _stage("cfr", replicate_index):
+        notified = trace.t_symptom <= trace.threshold_time
+        d_obs = int((notified & trace.died & (trace.t_outcome <= trace.threshold_time)).sum())
+        counts = cfr.CfrCounts(
+            K=summary.total_infected - summary.unnotified,
+            D_obs=d_obs,
+            R_obs=summary.resolved - d_obs,
+            T=trace.threshold_time,
+            r=r_estimates["a"],
         )
-        predictions[method] = ge.PredictionScore(predicted=predicted, actual=actual)
-
-    notified = trace.t_symptom <= trace.threshold_time
-    d_obs = int((notified & trace.died & (trace.t_outcome <= trace.threshold_time)).sum())
-    counts = cfr.CfrCounts(
-        K=summary.total_infected - summary.unnotified,
-        D_obs=d_obs,
-        R_obs=summary.resolved - d_obs,
-        T=trace.threshold_time,
-        r=r_estimates["a"],
-    )
-    death_delay = cfr.notification_delay(trace.scenario, cfr.DelayKind.TO_DEATH)
-    corrected = cfr.corrected_naive_cfr(counts, death_delay)
+        death_delay = cfr.notification_delay(trace.scenario, cfr.DelayKind.TO_DEATH)
+        corrected = cfr.corrected_naive_cfr(counts, death_delay)
 
     infection_daily = None
     if trace.end_time >= EXP_PHASE_DAYS:
@@ -221,14 +251,15 @@ def summarize(values) -> dict[str, float]:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return {"n": 0, **dict.fromkeys(("mean", "sd", "min", "max", "q025", "q975"), math.nan)}
+    q025, q975 = np.quantile(arr, [0.025, 0.975])
     return {
         "n": int(arr.size),
         "mean": float(arr.mean()),
         "sd": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
         "min": float(arr.min()),
         "max": float(arr.max()),
-        "q025": float(np.quantile(arr, 0.025)),
-        "q975": float(np.quantile(arr, 0.975)),
+        "q025": float(q025),
+        "q975": float(q975),
     }
 
 

@@ -18,7 +18,6 @@ stream, and every simulated trace, differ from earlier versions.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from collections import deque
@@ -122,9 +121,18 @@ class OutbreakTrace:
         return len(self.t_infect)
 
     def notified_order(self) -> np.ndarray:
-        """Person ids sorted by notification time (ties broken by id)."""
+        """Person ids sorted by notification time (ties broken by id).
+
+        Sorted with numpy's default (faster, unstable) argsort: without tied
+        times the order is unique, so it equals the stable one.  Only when
+        two adjacent sorted times are equal is the stable sort run.
+        """
         if self._notified_order is None:
-            self._notified_order = np.argsort(self.t_symptom, kind="stable")
+            order = np.argsort(self.t_symptom)
+            ts = self.t_symptom[order]
+            if np.any(ts[1:] == ts[:-1]):
+                order = np.argsort(self.t_symptom, kind="stable")
+            self._notified_order = order
         return self._notified_order
 
     def to_csv(self, path) -> None:
@@ -134,22 +142,22 @@ class OutbreakTrace:
         recovery falls after the end of the run is "pending", with an empty
         ``t_outcome``.
         """
-        cols = zip(self.infector.tolist(), self.t_infect.tolist(),
-                   self.t_inf_start.tolist(), self.t_inf_end.tolist(),
-                   self.t_symptom.tolist(), self.died.tolist(), self.t_outcome.tolist())
+        pending = (self.t_outcome > self.end_time).tolist()
+        times = [[f"{x:.6f}" for x in col.tolist()] for col in
+                 (self.t_infect, self.t_inf_start, self.t_inf_end, self.t_symptom)]
+        rows = zip(
+            map(str, range(len(self))),
+            ["" if p < 0 else str(p) for p in self.infector.tolist()],
+            *times,
+            ["pending" if p else ("died" if d else "recovered")
+             for p, d in zip(pending, self.died.tolist())],
+            ["" if p else f"{x:.6f}" for p, x in zip(pending, self.t_outcome.tolist())],
+        )
+        # csv.writer's format: no field needs quoting, rows end in "\r\n"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "infector_id", "t_infect", "t_inf_start",
-                        "t_inf_end", "t_symptom", "outcome", "t_outcome"])
-            for pid, (parent, t, t0, t1, ts, died, t_out) in enumerate(cols):
-                pending = t_out > self.end_time
-                w.writerow([
-                    pid,
-                    "" if parent < 0 else parent,
-                    f"{t:.6f}", f"{t0:.6f}", f"{t1:.6f}", f"{ts:.6f}",
-                    "pending" if pending else ("died" if died else "recovered"),
-                    "" if pending else f"{t_out:.6f}",
-                ])
+            fh.write("id,infector_id,t_infect,t_inf_start,t_inf_end,t_symptom,"
+                     "outcome,t_outcome\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 # Days the expansion horizon advances by while the threshold is not yet reached.
@@ -195,18 +203,24 @@ def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[Outb
     n = 0
 
     def expand(limit: float) -> None:
-        """Draw every pending infection at or before ``limit``, batch by batch."""
+        """Draw every pending infection at or before ``limit``, batch by batch.
+
+        Only the first batch is taken from ``pending``: every other pending
+        infection is later than ``limit``, and so is every child it will
+        have, so each later batch is just the previous batch's children at
+        or before ``limit``.  Children later than ``limit`` are collected
+        and ``pending`` is rebuilt once at the end, in the order that
+        re-scanning it after every batch would have left it.
+        """
         nonlocal pending_t, pending_parent, n
-        while True:
-            now = pending_t <= limit
-            m = int(np.count_nonzero(now))
-            if m == 0:
-                return
+        now = pending_t <= limit
+        t, parent = pending_t[now], pending_parent[now]
+        later_t, later_parent = [pending_t[~now]], [pending_parent[~now]]
+        while m := len(t):
             if n + m > cap:
                 raise SimulationLimitError(
                     f"person cap {cap} exceeded at replicate {replicate_index}"
                 )
-            t, parent = pending_t[now], pending_parent[now]
             ell = rng.gamma(lat_shape, lat_scale, m)
             dur = rng.gamma(inf_shape, inf_scale, m)
             t0 = t + ell
@@ -216,16 +230,19 @@ def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[Outb
             v = rng.random(m + int(k.sum()))
             died = v[:m] < p_death
             n_died = int(np.count_nonzero(died))
-            t_out = t1.copy()
-            t_out[died] += rng.gamma(die_shape, die_scale, n_died)
-            t_out[~died] += rng.gamma(rec_shape, rec_scale, m - n_died)
-            batches.append((t, parent, t0, t1, t_symptom, died, t_out))
-            children = np.repeat(t0, k) + np.repeat(dur, k) * v[m:]
-            pending_t = np.concatenate((pending_t[~now], children))
-            pending_parent = np.concatenate(
-                (pending_parent[~now], np.repeat(np.arange(n, n + m), k))
-            )
+            delay = np.empty(m)
+            delay[died] = rng.gamma(die_shape, die_scale, n_died)
+            delay[~died] = rng.gamma(rec_shape, rec_scale, m - n_died)
+            batches.append((t, parent, t0, t1, t_symptom, died, t1 + delay))
+            src = np.repeat(np.arange(m), k)
+            children, child_parent = t0[src] + dur[src] * v[m:], src + n
+            soon = children <= limit
+            t, parent = children[soon], child_parent[soon]
+            later_t.append(children[~soon])
+            later_parent.append(child_parent[~soon])
             n += m
+        pending_t = np.concatenate(later_t)
+        pending_parent = np.concatenate(later_parent)
 
     horizon = 0.0
     while True:

@@ -23,7 +23,16 @@ seeds, and reports the distribution of each of the four tests' p-values.
 Under a correct simulator each p-value is uniform, so a test at level 0.01
 fails about 1% of seeds.
 
-About 2 minutes on one core for 1000 traces and 100 law seeds.
+Part 3 runs ``--exposure-replicates`` replicates per generator family of
+the exposure study (criterion 7) on the replicate streams that follow the
+suite's 200, and reports the same pass probability, power and joint pass
+probability over resamples of the suite's 200 replicates per family.  Here
+the shift is applied to the checked statistic itself (for the moment
+fit's pooled sd, the square root of the mean variance estimate), which for
+a mean is the same as shifting every replicate's value.
+
+About 2 minutes on one core for 1000 traces and 100 law seeds, and 20 s
+for 1000 exposure replicates per family.
 """
 
 import argparse
@@ -33,12 +42,13 @@ import time
 import numpy as np
 from scipy import stats
 
+from epibias import exposures
 from epibias.analysis import analyze_trace
 from epibias.config import load_config
 from epibias.growth_math import solve_r
 from epibias.outbreak_sim import Scenario, ensemble_map, simulate_outbreak
 from epibias.rng import stream
-from test_acceptance import N_TRACES
+from test_acceptance import N_EXPOSURE_REPLICATES, N_TRACES
 
 SHIFT = 0.03          # planted shift, as a fraction of the statistic's audit mean
 CHUNK = 1000          # resamples evaluated at once
@@ -279,6 +289,116 @@ def audit_ensemble(n_traces: int, n_resamples: int) -> None:
         for crit, p in joint.items()))
 
 
+# -- part 3: exposure-study bands (criterion 7) ----------------------------
+
+FAMILIES = ("gamma", "lognormal")
+
+
+def exposure_pool(config, n_replicates: int):
+    """Per-replicate fits of each family, on streams past the suite's replicates.
+
+    Follows ``analysis.exposure_study``: a replicate whose likelihood fit
+    does not converge has NaN ml values, and one whose moment fit is
+    inadmissible keeps its raw root (NaN only when unsolved).
+    """
+    model, n_persons = config.exposure_model, config.exposure_n_persons
+    pool, counts = {}, {}
+    for gi, family in enumerate(FAMILIES):
+        cols = {key: np.full(n_replicates, np.nan)
+                for key in ("ml_p", "ml_mean", "ml_sd", "mom_p", "mom_mean", "mom_var")}
+        counts[family] = {"ml_nonconverged": 0, "moment_inadmissible": 0, "moment_unsolved": 0}
+        for i in range(n_replicates):
+            rep = N_EXPOSURE_REPLICATES + i
+            rng = stream(config.seed, 1_000_000 * (gi + 1) + rep)
+            hist = exposures.generate_histories(model, n_persons, family, seed=rng)
+            try:
+                fit = exposures.ml_fit(hist)
+                cols["ml_p"][i], cols["ml_mean"][i], cols["ml_sd"][i] = fit.p, fit.mean, fit.sd
+            except exposures.ConvergenceError:
+                counts[family]["ml_nonconverged"] += 1
+            try:
+                mfit = exposures.moment_fit(hist)
+            except exposures.MomentFitError as err:
+                mfit = err.raw
+                counts[family]["moment_unsolved" if mfit is None else "moment_inadmissible"] += 1
+            if mfit is not None:
+                cols["mom_p"][i], cols["mom_mean"][i], cols["mom_var"][i] = (
+                    mfit.p, mfit.mean, mfit.variance)
+        pool[family] = cols
+    return pool, counts
+
+
+def exposure_subchecks():
+    """(label, family, statistic per resample, check on the statistic)."""
+    def mean_of(key):
+        return lambda s: np.nanmean(s[key], axis=1)
+
+    def within(centre, half):
+        return lambda x: np.abs(x - centre) < half
+
+    def pooled_sd(s):
+        return np.sqrt(np.maximum(np.nanmean(s["mom_var"], axis=1), 0.0))
+
+    checks = [
+        ("ML-gamma p mean in 0.5+-0.01", "gamma", mean_of("ml_p"), within(0.5, 0.01)),
+        ("ML-gamma mean in 11.4+-0.2", "gamma", mean_of("ml_mean"), within(11.4, 0.2)),
+        ("ML-gamma sd mean in 8.1+-0.2", "gamma", mean_of("ml_sd"), within(8.1, 0.2)),
+        ("ML-lognormal sd mean < 7", "lognormal", mean_of("ml_sd"), lambda x: x < 7.0),
+    ]
+    for family in FAMILIES:
+        checks += [
+            (f"Mom-{family} p mean in 0.5+-0.02", family, mean_of("mom_p"), within(0.5, 0.02)),
+            (f"Mom-{family} mean in 11.4+-0.4", family, mean_of("mom_mean"),
+             within(11.4, 0.4)),
+            (f"Mom-{family} pooled sd in 8.1+-0.6", family, pooled_sd, within(8.1, 0.6)),
+        ]
+    return checks
+
+
+def audit_exposure_bands(pool, n_resamples, seed=2):
+    checks = exposure_subchecks()
+    whole = {family: {key: col[None, :] for key, col in cols.items()}
+             for family, cols in pool.items()}
+    centre = {label: float(stat(whole[family])[0]) for label, family, stat, _ in checks}
+    rng = np.random.default_rng(seed)
+    passes = {label: [] for label, *_ in checks}
+    fails_shifted = {(label, sign): [] for label, *_ in checks for sign in (-1, 1)}
+    for start in range(0, n_resamples, CHUNK):
+        size = min(CHUNK, n_resamples - start)
+        sample = {}
+        for family, cols in pool.items():
+            idx = rng.integers(0, len(cols["ml_p"]), size=(size, N_EXPOSURE_REPLICATES))
+            sample[family] = {key: col[idx] for key, col in cols.items()}
+        for label, family, stat, check in checks:
+            x = stat(sample[family])
+            passes[label].append(check(x))
+            for sign in (-1, 1):
+                fails_shifted[(label, sign)].append(~check(x + sign * SHIFT * abs(centre[label])))
+    passes = {label: np.concatenate(v) for label, v in passes.items()}
+    rows = [(label, centre[label], passes[label].mean(),
+             np.concatenate(fails_shifted[(label, -1)]).mean(),
+             np.concatenate(fails_shifted[(label, 1)]).mean()) for label, *_ in checks]
+    return rows, np.all(list(passes.values()), axis=0).mean()
+
+
+def audit_exposures(n_replicates: int, n_resamples: int) -> None:
+    config = load_config()
+    t0 = time.perf_counter()
+    pool, counts = exposure_pool(config, n_replicates)
+    first = N_EXPOSURE_REPLICATES
+    print(f"\nexposure pool: {n_replicates} replicates per family, replicates "
+          f"{first}-{first + n_replicates - 1} of seed {config.seed} "
+          f"({time.perf_counter() - t0:.0f} s); {counts}")
+    rows, joint = audit_exposure_bands(pool, n_resamples)
+    print(f"\n{n_resamples} resamples of {N_EXPOSURE_REPLICATES} replicates per family; "
+          f"power = P(fail) after shifting the statistic by -/+{SHIFT:.0%} of its audit value\n")
+    print("| criterion | sub-check | audit value | pass | power -3% | power +3% |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    for label, centre, p_pass, p_down, p_up in rows:
+        print(f"| 7 | {label} | {centre:.5g} | {p_pass:.4f} | {p_down:.4f} | {p_up:.4f} |")
+    print(f"\njoint pass probability: criterion 7 {joint:.4f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--traces", type=int, default=1000,
@@ -286,6 +406,8 @@ def main():
     parser.add_argument("--resamples", type=int, default=20_000)
     parser.add_argument("--law-seeds", type=int, default=100,
                         help="master seeds for the offspring-law fixture (0 skips part 2)")
+    parser.add_argument("--exposure-replicates", type=int, default=1000,
+                        help="exposure-study replicates per family (0 skips part 3)")
     args = parser.parse_args()
 
     if args.traces:
@@ -304,6 +426,9 @@ def main():
         print("| --- | --- | --- | --- | --- |")
         for name, n, fail, q, ks in law:
             print(f"| {name} | {n} | {fail:.3f} | {q[0]:.3f} / {q[1]:.3f} / {q[2]:.3f} | {ks:.3f} |")
+
+    if args.exposure_replicates:
+        audit_exposures(args.exposure_replicates, args.resamples)
 
 
 if __name__ == "__main__":

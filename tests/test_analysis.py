@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epibias.analysis import (
+    AnalysisError,
     AnalysisOptions,
     analyze_trace,
     cumulative_notified_at,
@@ -15,6 +16,7 @@ from epibias.analysis import (
 from epibias import exposures
 from epibias.exposures import ExposureModel, MomentFit, MomentFitError
 from epibias.distributions import gamma_from_moments
+from epibias.rng import stream
 
 
 class TestNotificationSeries:
@@ -76,6 +78,11 @@ class TestAnalyzeTrace:
             assert analysis.infection_daily is not None
             assert len(analysis.infection_daily) == 200
 
+    def test_data_error_names_stage_and_replicate(self, small_trace):
+        # a threshold of 300 cannot give the default 500 pairs at stride 9
+        with pytest.raises(AnalysisError, match="'contact tracing' failed at replicate 7"):
+            analyze_trace(small_trace, 7)
+
 
 class TestEnsembleReport:
     def test_report_keys_and_benchmark(self, ebola_scenario, analysis):
@@ -100,6 +107,12 @@ class TestSummarize:
         assert math.isclose(stats["mean"], 50.5)
         assert stats["min"] == 1.0 and stats["max"] == 100.0
         assert stats["q025"] < stats["q975"]
+
+    def test_quantiles_are_numpy_quantiles(self):
+        x = stream(5, 0).normal(size=37)
+        stats = summarize(x)
+        assert stats["q025"] == np.quantile(x, 0.025)
+        assert stats["q975"] == np.quantile(x, 0.975)
 
     def test_empty_input(self):
         stats = summarize([])

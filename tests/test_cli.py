@@ -194,6 +194,20 @@ class TestCliCommands:
         assert main(["bias-table", "--config", "/no/such/file.ini",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("old, new, code, words", [
+        # a threshold of 150 cannot give 500 backward pairs at stride 9: the
+        # simulated trace, not the config's parsing, fails the analysis
+        ("sample_pairs = 30\nstride = 3", "sample_pairs = 500\nstride = 9", 3,
+         ["runtime error", "stage 'contact tracing'", "replicate 0", "need 4500"]),
+        ("[scenario]\n", "[scenario]\np_death = 1.5\n", 2, ["config error", "p_death"]),
+    ], ids=["analysis-error", "config-value-error"])
+    def test_error_exit_codes(self, tmp_path, capsys, old, new, code, words):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_RUN_CONFIG.replace(old, new))
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert all(w in err for w in words), err
+
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "hopeless.ini"
         cfg.write_text("[scenario]\ncontact_rate = 0.01\nnotify_threshold = 100\n"

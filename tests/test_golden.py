@@ -7,7 +7,7 @@ everywhere.
 
 import pytest
 
-from golden import THREADS, load_golden, platform_key, run_digests
+from golden import THREADS, load_golden, platform_key, run_digests, trace_digests
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +31,21 @@ def test_thread_counts_agree(runs):
         assert (dir_one / name).read_bytes() == (dir_two / name).read_bytes(), name
 
 
-def test_digests_match_pinned(runs):
+def _pinned() -> dict:
     golden = load_golden()
     if golden["key"] != platform_key():
         pytest.skip(
             f"pinned digests were not compared: they were recorded on "
             f"{golden['key']}, this is {platform_key()}"
         )
+    return golden
+
+
+def test_digests_match_pinned(runs):
+    golden = _pinned()
     for threads in THREADS:
         assert runs[str(threads)][0] == golden["digests"][str(threads)], f"threads={threads}"
+
+
+def test_default_trace_digests_match_pinned():
+    assert trace_digests() == _pinned()["traces"]

@@ -12,6 +12,7 @@ from epibias import outbreak_sim
 from epibias.outbreak_sim import (
     AcceptanceError,
     EnsembleStats,
+    OutbreakTrace,
     Scenario,
     SimulationLimitError,
     daily_series,
@@ -141,6 +142,16 @@ class TestSimulate:
             assert tr.t_infect.max() <= tr.end_time
             assert int((tr.t_symptom <= tr.threshold_time).sum()) == scn.notify_threshold
             _assert_sound_genealogy(tr)
+
+    def test_notified_order_breaks_ties_by_id(self):
+        # Many planted ties, where an unstable sort may order them otherwise.
+        n = 2000
+        t_symptom = stream(3, 0).integers(0, 20, n).astype(float)
+        zeros = np.zeros(n)
+        tr = OutbreakTrace(Scenario(), 20.0, 20.0, zeros.copy(), np.full(n, -1),
+                           zeros.copy(), zeros.copy(), t_symptom,
+                           np.zeros(n, dtype=bool), zeros.copy())
+        assert np.array_equal(tr.notified_order(), np.argsort(t_symptom, kind="stable"))
 
     def test_person_view_and_csv(self, small_trace, tmp_path):
         tr = small_trace
