@@ -33,7 +33,6 @@ from .outbreak_sim import (
     Scenario,
     daily_series,
     simulate_outbreak,
-    snapshot_ratios,
 )
 
 __all__ = [
@@ -60,6 +59,5 @@ __all__ = [
     "Scenario",
     "OutbreakTrace",
     "simulate_outbreak",
-    "snapshot_ratios",
     "daily_series",
 ]

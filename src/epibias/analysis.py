@@ -1,7 +1,9 @@
 """Per-trace analysis pipeline and ensemble aggregation.
 
 Bundles, for each accepted simulation run, everything the reports need:
-threshold-time and snapshot statistics, backward-sampled interval moments
+the trace's counts at the threshold (its ``TraceSummary``, which the
+``simulate`` and ``estimate`` reports summarize with the same
+:func:`summarize_traces` block), backward-sampled interval moments
 and their Gamma fit, growth-rate estimates from the notification series,
 renewal-model R0 estimates under biased and true weights, forward
 predictions scored against the realized continuation, and the corrected
@@ -190,7 +192,7 @@ def analyze_trace(
             T=trace.threshold_time,
             r=r_estimates["a"],
         )
-        death_delay = cfr.notification_delay(trace.scenario, cfr.DelayKind.TO_DEATH)
+        death_delay = cfr.notification_delay(trace.scenario, trace.scenario.to_death)
         corrected = cfr.corrected_naive_cfr(counts, death_delay)
 
     infection_daily = None
@@ -260,6 +262,21 @@ def summarize(values) -> dict[str, float]:
         "max": float(arr.max()),
         "q025": float(q025),
         "q975": float(q975),
+    }
+
+
+# TraceSummary fields that both ensemble reports summarize.
+TRACE_SUMMARY_FIELDS = (
+    "threshold_time", "time_to_first_100", "time_100_to_threshold",
+    "notified_over_infected", "resolved", "pending_notified", "unnotified",
+)
+
+
+def summarize_traces(summaries: list[TraceSummary]) -> dict[str, dict[str, float]]:
+    """:func:`summarize` of each of ``TRACE_SUMMARY_FIELDS`` over the summaries."""
+    return {
+        name: summarize([getattr(s, name) for s in summaries])
+        for name in TRACE_SUMMARY_FIELDS
     }
 
 
@@ -367,18 +384,8 @@ def ensemble_report(analysis: EnsembleAnalysis) -> dict:
         "true_r": r_true,
         "true_R0": scn.R0(),
         "prediction_factor_true": math.exp(r_true * analysis.options.horizon),
-        "threshold_time": summarize(analysis.values(lambda t: t.summary.threshold_time)),
+        **summarize_traces([t.summary for t in analysis.traces]),
         "deterministic_threshold_time": math.log(scn.notify_threshold) / r_true,
-        "time_to_first_100": summarize(analysis.values(lambda t: t.summary.time_to_first_100)),
-        "time_100_to_threshold": summarize(
-            analysis.values(lambda t: t.summary.time_100_to_threshold)
-        ),
-        "notified_over_infected": summarize(
-            analysis.values(lambda t: t.summary.notified_over_infected)
-        ),
-        "resolved": summarize(analysis.values(lambda t: t.summary.resolved)),
-        "pending_notified": summarize(analysis.values(lambda t: t.summary.pending_notified)),
-        "unnotified": summarize(analysis.values(lambda t: t.summary.unnotified)),
         "backward_mean_g": summarize(analysis.values(lambda t: t.backward.mean_g)),
         "backward_var_g": summarize(analysis.values(lambda t: t.backward.var_g)),
         "backward_mean_s": summarize(analysis.values(lambda t: t.backward.mean_s)),

@@ -12,7 +12,6 @@ closed form (finite horizons through the incomplete gamma function).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,23 +19,6 @@ import numpy as np
 from scipy.special import factorial, gammainc, poch
 
 from .distributions import GammaParams, gamma_from_moments, laplace
-
-
-class DelayKind(enum.Enum):
-    TO_DEATH = "to_death"
-    TO_RECOVERY = "to_recovery"
-
-
-@dataclass(frozen=True)
-class DelaySpec:
-    """A notification-to-outcome delay distribution with its role label."""
-
-    dist: GammaParams
-    label: DelayKind
-
-    @classmethod
-    def exponential(cls, mean: float, label: DelayKind) -> "DelaySpec":
-        return cls(GammaParams(shape=1.0, rate=1.0 / mean), label)
 
 
 @dataclass(frozen=True)
@@ -56,19 +38,19 @@ class CfrCounts:
             raise ValueError("resolved cases cannot exceed notified cases")
 
 
-def pi_infinity(r: float, delay: DelaySpec) -> float:
+def pi_infinity(r: float, delay: GammaParams) -> float:
     """Long-run observed fraction of delayed events, E[exp(-r*D)].
 
     For an exponential delay with mean m this is 1/(1 + r*m); among Gamma
     delays with a fixed mean it decreases with the shape parameter.
     """
-    return laplace(delay.dist, r)
+    return laplace(delay, r)
 
 
 _SERIES_BELOW = 0.05  # |r|*T below which pi_finite sums its series
 
 
-def pi_finite(T: float, r: float, delay: DelaySpec) -> float:
+def pi_finite(T: float, r: float, delay: GammaParams) -> float:
     """Observed fraction of delayed events at finite horizon T.
 
     The delay CDF F averaged under the case weight r*exp(-r*u) on [0, T],
@@ -87,10 +69,10 @@ def pi_finite(T: float, r: float, delay: DelaySpec) -> float:
     """
     if T < 0:
         raise ValueError(f"horizon must be non-negative, got {T}")
-    tilt = laplace(delay.dist, r)
+    tilt = laplace(delay, r)
     if T == 0:
         return 0.0
-    k, lam = delay.dist.shape, delay.dist.rate
+    k, lam = delay.shape, delay.rate
     observed = gammainc(k, lam * T)
     if abs(r) * T >= _SERIES_BELOW:
         shifted = tilt * gammainc(k, (lam + r) * T)
@@ -112,7 +94,7 @@ class CfrEstimate:
     clipped: bool
 
 
-def corrected_naive_cfr(counts: CfrCounts, delay_to_death: DelaySpec) -> CfrEstimate:
+def corrected_naive_cfr(counts: CfrCounts, delay_to_death: GammaParams) -> CfrEstimate:
     """Correct the naive D_obs/K estimator for not-yet-observed deaths.
 
     Divides by the observed fraction pi(T); estimates above 1 are clipped
@@ -131,15 +113,16 @@ def corrected_naive_cfr(counts: CfrCounts, delay_to_death: DelaySpec) -> CfrEsti
     )
 
 
-def notification_delay(scenario, label: DelayKind) -> DelaySpec:
+def notification_delay(scenario, outcome: GammaParams) -> GammaParams:
     """Notification-to-outcome delay implied by a simulation scenario.
 
     The outcome happens at (latent + infectious + outcome delay) after
     infection while notification happens at u * latent, so the gap is
     (1 - u) * latent + infectious + outcome delay.  Its first two moments
     are matched by a Gamma, which is what the corrections consume.
+    ``outcome`` is the outcome-delay law, ``scenario.to_death`` or
+    ``scenario.to_recovery``.
     """
-    outcome = scenario.to_death if label is DelayKind.TO_DEATH else scenario.to_recovery
     lo, hi = scenario.incubation_factor_range
     u_mean = 0.5 * (lo + hi)
     u_var = (hi - lo) ** 2 / 12.0
@@ -148,11 +131,11 @@ def notification_delay(scenario, label: DelayKind) -> DelaySpec:
     stretch_var = (u_var + (1.0 - u_mean) ** 2) * ell_sq - stretch_mean**2
     mean = stretch_mean + scenario.infectious.mean() + outcome.mean()
     var = stretch_var + scenario.infectious.variance() + outcome.variance()
-    return DelaySpec(gamma_from_moments(mean, math.sqrt(var)), label)
+    return gamma_from_moments(mean, math.sqrt(var))
 
 
 def resolved_cfr_bias(
-    p: float, r: float, to_death: DelaySpec, to_recovery: DelaySpec
+    p: float, r: float, to_death: GammaParams, to_recovery: GammaParams
 ) -> float:
     """Expected value of the resolved-cases estimator D/(D+R).
 

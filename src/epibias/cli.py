@@ -21,10 +21,10 @@ from pathlib import Path
 
 from . import __version__, analysis, cfr as cfr_mod, growth_math
 from .config import ConfigError, DEFAULT_CONFIG, RunConfig, load_config
+from .distributions import GammaParams
 from .exposures import ConvergenceError, MomentFitError
 from .outbreak_sim import (
     AcceptanceError,
-    EnsembleStats,
     SimulationLimitError,
     ensemble_map,
     summarize_trace,
@@ -52,10 +52,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _bias_rows(config: RunConfig) -> list[dict]:
-    combined_note = (
-        "combined row is the product of unrounded factors; "
-        "tables assembled from rounded rows may differ by a point or two"
-    )
     rows = []
     for report in growth_math.bias_table(config.bias):
         rows.append({
@@ -64,7 +60,7 @@ def _bias_rows(config: RunConfig) -> list[dict]:
             "r_biased": report.r_biased,
             "R0_bias_pct": 100.0 * report.R0_rel_bias,
             "r_bias_pct": 100.0 * report.r_rel_bias,
-            "note": report.note or (combined_note if report.source.value == "combined" else ""),
+            "note": report.note,
         })
     return rows
 
@@ -112,30 +108,14 @@ def cmd_simulate(config: RunConfig, outdir: Path, write_traces: bool = False) ->
     finally:
         if write_traces:
             shutil.rmtree(staging, ignore_errors=True)
-    stats = EnsembleStats(config.scenario, len(summaries), attempts, summaries)
     payload = {
         "meta": config.metadata(),
-        "n_accepted": stats.n_accepted,
-        "n_attempts": stats.n_attempts,
-        "threshold_time": analysis.summarize(stats.threshold_times()),
-        "notified_over_infected": analysis.summarize(stats.ratios()),
-        "time_to_first_100": analysis.summarize(
-            [s.time_to_first_100 for s in stats.summaries]
-        ),
-        "time_100_to_threshold": analysis.summarize(
-            [s.time_100_to_threshold for s in stats.summaries]
-        ),
-        "resolved": analysis.summarize([s.resolved for s in stats.summaries]),
-        "pending_notified": analysis.summarize(
-            [s.pending_notified for s in stats.summaries]
-        ),
-        "unnotified": analysis.summarize([s.unnotified for s in stats.summaries]),
+        "n_accepted": len(summaries),
+        "n_attempts": attempts,
+        **analysis.summarize_traces(summaries),
     }
     _write_json(outdir / "ensemble_summary.json", payload)
-    print(
-        f"simulate: {stats.n_accepted} accepted of {stats.n_attempts} attempts; "
-        f"summary in {outdir}"
-    )
+    print(f"simulate: {len(summaries)} accepted of {attempts} attempts; summary in {outdir}")
 
 
 def cmd_estimate(config: RunConfig, outdir: Path) -> None:
@@ -193,10 +173,9 @@ def cmd_exposures(config: RunConfig, outdir: Path) -> None:
 
 
 def cmd_cfr(config: RunConfig, outdir: Path) -> None:
-    death = cfr_mod.DelaySpec.exponential(config.cfr_death_delay_mean, cfr_mod.DelayKind.TO_DEATH)
-    recovery = cfr_mod.DelaySpec.exponential(
-        config.cfr_recovery_delay_mean, cfr_mod.DelayKind.TO_RECOVERY
-    )
+    # Exponential delays with the configured means.
+    death = GammaParams(1.0, 1.0 / config.cfr_death_delay_mean)
+    recovery = GammaParams(1.0, 1.0 / config.cfr_recovery_delay_mean)
     r = config.cfr_r
     pi = cfr_mod.pi_infinity(r, death)
     rho = cfr_mod.pi_infinity(r, recovery)

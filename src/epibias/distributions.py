@@ -95,17 +95,6 @@ def pdf(params: GammaParams, t):
     return out if out.ndim else float(out)
 
 
-def log_pdf(params: GammaParams, t):
-    """Log of the Gamma density at t; t must be finite and non-negative."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("density requested at negative time")
-    scale = 1.0 / params.rate
-    x = t / scale
-    out = xlogy(params.shape - 1.0, x) - x - gammaln(params.shape) - np.log(scale)
-    return out if out.ndim else float(out)
-
-
 def cdf(params: GammaParams, t):
     """Gamma CDF at t (days); t must be finite and non-negative."""
     t = np.asarray(t, dtype=float)

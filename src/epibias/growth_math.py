@@ -194,7 +194,7 @@ def multiple_exposure_bias(link: GrowthLink, biased_gen: GammaParams) -> BiasRep
     return _report(BiasSource.MULTIPLE_EXPOSURE, link, r_biased, R0_biased)
 
 
-def _report(source, link, r_biased, R0_biased, note="") -> BiasReport:
+def _report(source, link, r_biased, R0_biased) -> BiasReport:
     if link.r != 0:
         r_rel = r_biased / link.r - 1.0
     else:
@@ -205,7 +205,6 @@ def _report(source, link, r_biased, R0_biased, note="") -> BiasReport:
         R0_biased=R0_biased,
         r_rel_bias=r_rel,
         R0_rel_bias=R0_biased / link.R0 - 1.0,
-        note=note,
     )
 
 

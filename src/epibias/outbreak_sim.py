@@ -23,7 +23,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -346,44 +346,6 @@ def ensemble_map(
                 return results, examined
 
 
-@dataclass(frozen=True)
-class SnapshotStats:
-    """State of the outbreak at the moment the threshold was reached."""
-
-    total_infected: int
-    notified: int
-    resolved: int
-    pending_notified: int
-    unnotified: int
-
-    @property
-    def notified_over_infected(self) -> float:
-        return self.notified / self.total_infected
-
-
-def snapshot_ratios(trace: OutbreakTrace) -> SnapshotStats:
-    """Counts at threshold time: infected, notified, resolved, in-between.
-
-    ``resolved`` counts notified persons whose death/recovery had already
-    happened; ``unnotified`` counts infections whose symptoms were still to
-    come.
-    """
-    t = trace.threshold_time
-    notified = trace.t_symptom <= t
-    n_notified = int(notified.sum())
-    if n_notified < trace.scenario.notify_threshold:
-        raise ValueError("trace did not reach its notification threshold")
-    total_infected = int((trace.t_infect <= t).sum())
-    resolved = int((notified & (trace.t_outcome <= t)).sum())
-    return SnapshotStats(
-        total_infected=total_infected,
-        notified=n_notified,
-        resolved=resolved,
-        pending_notified=n_notified - resolved,
-        unnotified=total_infected - n_notified,
-    )
-
-
 _EVENT_TIMES = {
     "notification": lambda tr: tr.t_symptom,
     "infection": lambda tr: tr.t_infect,
@@ -426,35 +388,29 @@ class TraceSummary:
 
 
 def summarize_trace(trace: OutbreakTrace, replicate_index: int) -> TraceSummary:
-    """Per-trace scalars used by ensemble reports."""
-    snap = snapshot_ratios(trace)
+    """Per-trace scalars used by ensemble reports, counted at the threshold time.
+
+    ``resolved`` counts notified persons whose death/recovery had already
+    happened; ``unnotified`` counts infections whose symptoms were still to
+    come.
+    """
+    t = trace.threshold_time
+    notified = trace.t_symptom <= t
+    n_notified = int(notified.sum())
+    if n_notified < trace.scenario.notify_threshold:
+        raise ValueError("trace did not reach its notification threshold")
+    total_infected = int((trace.t_infect <= t).sum())
+    resolved = int((notified & (trace.t_outcome <= t)).sum())
     order = trace.notified_order()
     t_first_100 = float(trace.t_symptom[order[99]]) if len(order) >= 100 else math.nan
     return TraceSummary(
         replicate_index=replicate_index,
-        threshold_time=trace.threshold_time,
+        threshold_time=t,
         time_to_first_100=t_first_100,
-        time_100_to_threshold=trace.threshold_time - t_first_100,
-        total_infected=snap.total_infected,
-        resolved=snap.resolved,
-        pending_notified=snap.pending_notified,
-        unnotified=snap.unnotified,
-        notified_over_infected=snap.notified_over_infected,
+        time_100_to_threshold=t - t_first_100,
+        total_infected=total_infected,
+        resolved=resolved,
+        pending_notified=n_notified - resolved,
+        unnotified=total_infected - n_notified,
+        notified_over_infected=n_notified / total_infected,
     )
-
-
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Summaries over the accepted replicates of one scenario."""
-
-    scenario: Scenario
-    n_accepted: int
-    n_attempts: int
-    summaries: list[TraceSummary] = field(repr=False)
-
-    def threshold_times(self) -> np.ndarray:
-        return np.array([s.threshold_time for s in self.summaries])
-
-    def ratios(self) -> np.ndarray:
-        return np.array([s.notified_over_infected for s in self.summaries])
-

@@ -54,25 +54,31 @@ def _pairs_of(trace: OutbreakTrace, infectee: np.ndarray) -> TracedPairs:
 def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPairs:
     """Systematic backward sample: every ``stride``-th notified case.
 
-    Walks notified persons in notification order (ties broken by person id),
-    counts only cases with an identifiable infector (the index case has
-    none and is skipped), and selects every ``stride``-th of them until
-    ``n`` pairs are collected.
+    Walks persons notified by the end of the run in notification order
+    (ties broken by person id), counts only cases with an identifiable
+    infector (the index case has none and is skipped), and selects every
+    ``stride``-th of them until ``n`` pairs are collected.
 
     Raises:
-        ValueError: if the trace has fewer than n*stride notified persons.
+        ValueError: if fewer than n*stride persons are notified by the end
+            of the run, or fewer than n pairs can be formed from them.
     """
     if n < 1 or stride < 1:
         raise ValueError("n and stride must be positive")
     order = trace.notified_order()
-    if len(order) < n * stride:
-        raise ValueError(
-            f"trace has {len(order)} notified persons; need {n * stride}"
-        )
     eligible = order[trace.infector[order] >= 0]
     picked = eligible[stride - 1::stride][:n]
-    if len(picked) < n:
-        raise ValueError(f"only {len(picked)} of {n} pairs could be formed")
+    # Picks run in notification order: if the last one is notified inside
+    # the run, every one is.
+    if len(picked) < n or trace.t_symptom[picked[-1]] > trace.end_time:
+        n_notified = int(np.count_nonzero(trace.t_symptom <= trace.end_time))
+        if n_notified < n * stride:
+            raise ValueError(
+                f"trace has {n_notified} persons notified by the end of the run; "
+                f"need {n * stride}"
+            )
+        formed = int(np.count_nonzero(trace.t_symptom[picked] <= trace.end_time))
+        raise ValueError(f"only {formed} of {n} pairs could be formed")
     return _pairs_of(trace, picked)
 
 

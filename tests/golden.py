@@ -1,11 +1,12 @@
 """Golden SHA-256 digests of the CLI's output files and of default-size traces.
 
 ``reproduce-paper`` and ``simulate --write-traces`` run on the small config
-of ``test_cli.SMALL_RUN_CONFIG`` at 1 and at 2 worker processes; every file
-they write is hashed.  The small config's threshold of 150 needs only a few
-simulator batches, so the first ``N_DEFAULT_TRACES`` accepted traces of the
-default scenario are hashed too (every column, ``threshold_time`` and
-``notified_order()``), which covers the long tail of a ~33,000-person run.
+of ``test_cli.SMALL_RUN_CONFIG`` at 1 and at 2 worker processes, and
+``reproduce-paper --format csv`` at 1; every file they write is hashed.  The
+small config's threshold of 150 needs only a few simulator batches, so the
+first ``N_DEFAULT_TRACES`` accepted traces of the default scenario are hashed
+too (every column, ``threshold_time`` and ``notified_order()``), which covers
+the long tail of a ~33,000-person run.
 The pinned digests in ``golden.json`` are keyed by the numpy and scipy
 versions and the machine architecture, because a SIMD ``exp`` or ``log``
 may differ by one ulp between builds.
@@ -40,19 +41,30 @@ def platform_key() -> str:
     return f"numpy {np.__version__}, scipy {scipy.__version__}, {platform.machine()}"
 
 
-def run_digests(workdir: Path, threads: int) -> dict[str, str]:
-    """SHA-256 of every file both commands write, by path under ``workdir/out``."""
+def _digests(workdir: Path, threads: int, commands: list[list[str]]) -> dict[str, str]:
+    """Run each command on the small config; SHA-256 of every file under ``workdir/out``."""
     config = workdir / "small.ini"
     config.write_text(SMALL_RUN_CONFIG)
     out = workdir / "out"
     common = ["--config", str(config), "--out", str(out), "--threads", str(threads)]
-    for argv in (["reproduce-paper", *common], ["simulate", "--write-traces", *common]):
+    for command in commands:
+        argv = [*command, *common]
         if main(argv) != 0:
             raise RuntimeError(f"epibias {' '.join(argv)} failed")
     return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*")) if path.is_file()
     }
+
+
+def run_digests(workdir: Path, threads: int) -> dict[str, str]:
+    """SHA-256 of every file ``reproduce-paper`` and ``simulate --write-traces`` write."""
+    return _digests(workdir, threads, [["reproduce-paper"], ["simulate", "--write-traces"]])
+
+
+def csv_digests(workdir: Path) -> dict[str, str]:
+    """SHA-256 of every file ``reproduce-paper --format csv`` writes on 1 worker."""
+    return _digests(workdir, 1, [["reproduce-paper", "--format", "csv"]])
 
 
 def trace_digests() -> dict[str, str]:
@@ -82,8 +94,11 @@ def update() -> None:
     for threads in THREADS:
         with tempfile.TemporaryDirectory() as tmp:
             digests[str(threads)] = run_digests(Path(tmp), threads)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = csv_digests(Path(tmp))
     GOLDEN_PATH.write_text(json.dumps(
-        {"key": platform_key(), "digests": digests, "traces": trace_digests()}, indent=2
+        {"key": platform_key(), "digests": digests, "csv": csv, "traces": trace_digests()},
+        indent=2,
     ) + "\n")
     print(f"wrote {GOLDEN_PATH} for {platform_key()}")
 

@@ -9,8 +9,6 @@ from scipy import integrate
 from _oracles import quad_laplace, quad_pi_finite
 from epibias.cfr import (
     CfrCounts,
-    DelayKind,
-    DelaySpec,
     corrected_naive_cfr,
     notification_delay,
     pi_finite,
@@ -21,8 +19,9 @@ from epibias.distributions import GammaParams, cdf, gamma_from_moments
 from epibias.outbreak_sim import Scenario
 from epibias.rng import stream
 
-DEATH = DelaySpec.exponential(9.0, DelayKind.TO_DEATH)
-RECOVERY = DelaySpec.exponential(17.0, DelayKind.TO_RECOVERY)
+# Exponential delays with means 9 and 17 days.
+DEATH = GammaParams(1.0, 1.0 / 9.0)
+RECOVERY = GammaParams(1.0, 1.0 / 17.0)
 R_DOUBLING_20 = 0.0347
 
 
@@ -33,7 +32,7 @@ class TestPiInfinity:
         assert round(pi, 2) == 0.76
 
     def test_no_growth_no_bias(self):
-        assert pi_infinity(0.0, DelaySpec(GammaParams(2.7, 0.31), DelayKind.TO_DEATH)) == 1.0
+        assert pi_infinity(0.0, GammaParams(2.7, 0.31)) == 1.0
 
     def test_recovery_multiplier(self):
         assert round(pi_infinity(R_DOUBLING_20, RECOVERY), 2) == 0.63
@@ -46,7 +45,7 @@ class TestPiInfinity:
         # Exponential delays are the most observable; higher shapes hide more.
         last = math.inf
         for shape in [0.5, 1.0, 2.0, 4.0, 8.0]:
-            val = pi_infinity(0.05, DelaySpec(GammaParams(shape, shape / 9.0), DelayKind.TO_DEATH))
+            val = pi_infinity(0.05, GammaParams(shape, shape / 9.0))
             assert val < last or shape == 0.5
             if shape > 0.5:
                 assert val < last
@@ -54,8 +53,7 @@ class TestPiInfinity:
 
     def test_matches_quadrature(self):
         g = GammaParams(4.0 / 9.0, 1.0 / 9.0)
-        spec = DelaySpec(g, DelayKind.TO_DEATH)
-        assert abs(pi_infinity(0.0387, spec) - quad_laplace(g.shape, g.rate, 0.0387)) < 1e-8
+        assert abs(pi_infinity(0.0387, g) - quad_laplace(g.shape, g.rate, 0.0387)) < 1e-8
 
 
 class TestPiFinite:
@@ -74,7 +72,7 @@ class TestPiFinite:
     def test_zero_growth_limit(self):
         # Without growth the observed fraction is the window average of the CDF.
         val = pi_finite(500.0, 0.0, DEATH)
-        expected = integrate.quad(lambda u: cdf(DEATH.dist, u), 0, 500)[0] / 500.0
+        expected = integrate.quad(lambda u: cdf(DEATH, u), 0, 500)[0] / 500.0
         assert math.isclose(val, expected, rel_tol=1e-10)
         assert val > 0.98
 
@@ -87,7 +85,7 @@ GRID_T = [0.1, 1.0, 9.0, 217.0, 1000.0]
 
 
 def mean_9_delay(shape):
-    return DelaySpec(GammaParams(shape, shape / 9.0), DelayKind.TO_DEATH)
+    return GammaParams(shape, shape / 9.0)
 
 
 class TestPiFiniteClosedForm:
@@ -96,10 +94,10 @@ class TestPiFiniteClosedForm:
         delay = mean_9_delay(shape)
         checked = 0
         for r in GRID_R:
-            if r <= -0.5 * delay.dist.rate:
+            if r <= -0.5 * delay.rate:
                 continue
             for T in GRID_T:
-                oracle = quad_pi_finite(shape, delay.dist.rate, T, r)
+                oracle = quad_pi_finite(shape, delay.rate, T, r)
                 val = pi_finite(T, r, delay)
                 assert abs(val / oracle - 1.0) < 1e-11, (shape, r, T, val, oracle)
                 checked += 1
@@ -109,24 +107,24 @@ class TestPiFiniteClosedForm:
     def test_falling_incidence_stays_a_fraction(self, shape):
         # Down to r = -0.9 lambda over horizons where exp(-r*T) overflows.
         delay = mean_9_delay(shape)
-        for r in (-0.9 * delay.dist.rate, -0.5 * delay.dist.rate, -0.1 * delay.dist.rate, -0.01):
+        for r in (-0.9 * delay.rate, -0.5 * delay.rate, -0.1 * delay.rate, -0.01):
             for T in GRID_T + [2000.0, 3000.0]:
                 val = pi_finite(T, r, delay)
                 assert 0.0 <= val <= 1.0, (shape, r, T, val)
-                oracle = quad_pi_finite(shape, delay.dist.rate, T, r)
+                oracle = quad_pi_finite(shape, delay.rate, T, r)
                 assert abs(val / oracle - 1.0) < 1e-11, (shape, r, T, val, oracle)
 
     def test_rejects_divergent_growth_rate(self):
         with pytest.raises(ValueError):
-            pi_finite(10.0, -DEATH.dist.rate, DEATH)
+            pi_finite(10.0, -DEATH.rate, DEATH)
 
     @given(
         shape=st.sampled_from(GRID_SHAPES), mean=st.floats(1.0, 30.0),
         r=st.floats(-0.3, 0.3), T1=st.floats(0.1, 1000.0), T2=st.floats(0.1, 1000.0),
     )
     def test_monotone_in_horizon_and_bounded_by_limit(self, shape, mean, r, T1, T2):
-        delay = DelaySpec(gamma_from_moments(mean, mean / math.sqrt(shape)), DelayKind.TO_DEATH)
-        assume(r > -0.5 * delay.dist.rate)
+        delay = gamma_from_moments(mean, mean / math.sqrt(shape))
+        assume(r > -0.5 * delay.rate)
         lo, hi = pi_finite(min(T1, T2), r, delay), pi_finite(max(T1, T2), r, delay)
         assert 0.0 <= lo <= hi * (1.0 + 1e-12)
         assert hi <= pi_infinity(r, delay) * (1.0 + 1e-12)
@@ -140,7 +138,7 @@ class TestPiFiniteClosedForm:
         # so |pi(T, r) - pi(T, 0)| <= |r| * T / 4.
         delay = mean_9_delay(shape)
         r = sign * 10.0**log10_rT / T
-        assume(r > -0.5 * delay.dist.rate)
+        assume(r > -0.5 * delay.rate)
         at_zero = pi_finite(T, 0.0, delay)
         assert abs(pi_finite(T, r, delay) - at_zero) <= abs(r) * T / 4.0 + 1e-13 * at_zero
 
@@ -149,7 +147,7 @@ class TestPiFiniteClosedForm:
     def test_continuous_across_series_switch(self, shape, T, sign):
         delay = mean_9_delay(shape)
         r_lo, r_hi = sign * 0.05 * (1.0 - 1e-9) / T, sign * 0.05 * (1.0 + 1e-9) / T
-        assume(min(r_lo, r_hi) > -0.5 * delay.dist.rate)
+        assume(min(r_lo, r_hi) > -0.5 * delay.rate)
         lo, hi = pi_finite(T, r_lo, delay), pi_finite(T, r_hi, delay)
         assert abs(hi - lo) <= abs(r_hi - r_lo) * T / 4.0 + 1e-12 * max(lo, hi)
 
@@ -188,12 +186,12 @@ class TestResolvedEstimator:
         assert 0.04 < val / 0.7 - 1.0 < 0.07
 
     def test_equal_delays_unbiased(self):
-        val = resolved_cfr_bias(0.42, 0.05, DEATH, DelaySpec(DEATH.dist, DelayKind.TO_RECOVERY))
+        val = resolved_cfr_bias(0.42, 0.05, DEATH, DEATH)
         assert math.isclose(val, 0.42, rel_tol=1e-14)
 
     def test_fast_recovery_underestimates(self):
-        fast_rec = DelaySpec.exponential(9.0, DelayKind.TO_RECOVERY)
-        slow_death = DelaySpec.exponential(17.0, DelayKind.TO_DEATH)
+        fast_rec = GammaParams(1.0, 1.0 / 9.0)
+        slow_death = GammaParams(1.0, 1.0 / 17.0)
         assert resolved_cfr_bias(0.1, R_DOUBLING_20, slow_death, fast_rec) < 0.1
 
     def test_rejects_bad_p(self):
@@ -204,7 +202,7 @@ class TestResolvedEstimator:
 class TestNotificationDelay:
     def test_moments_match_monte_carlo(self):
         scn = Scenario()
-        spec = notification_delay(scn, DelayKind.TO_DEATH)
+        spec = notification_delay(scn, scn.to_death)
         rng = stream(99, 0)
         n = 1_000_000
         ell = rng.gamma(2.0, 5.0, n)
@@ -212,10 +210,11 @@ class TestNotificationDelay:
         u = rng.uniform(0.8, 1.2, n)
         d = rng.gamma(4.0 / 9.0, 9.0, n)
         delay = (1.0 - u) * ell + dur + d
-        assert abs(spec.dist.mean() - delay.mean()) < 3 * delay.std() / math.sqrt(n)
-        assert abs(spec.dist.variance() - delay.var()) < 0.5
-        assert abs(spec.dist.mean() - 9.0) < 1e-12
+        assert abs(spec.mean() - delay.mean()) < 3 * delay.std() / math.sqrt(n)
+        assert abs(spec.variance() - delay.var()) < 0.5
+        assert abs(spec.mean() - 9.0) < 1e-12
 
     def test_recovery_mean(self):
-        spec = notification_delay(Scenario(), DelayKind.TO_RECOVERY)
-        assert abs(spec.dist.mean() - 17.0) < 1e-12
+        scn = Scenario()
+        spec = notification_delay(scn, scn.to_recovery)
+        assert abs(spec.mean() - 17.0) < 1e-12

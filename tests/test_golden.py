@@ -7,7 +7,9 @@ everywhere.
 
 import pytest
 
-from golden import THREADS, load_golden, platform_key, run_digests, trace_digests
+from golden import (
+    THREADS, csv_digests, load_golden, platform_key, run_digests, trace_digests,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +51,7 @@ def test_digests_match_pinned(runs):
 
 def test_default_trace_digests_match_pinned():
     assert trace_digests() == _pinned()["traces"]
+
+
+def test_csv_digests_match_pinned(tmp_path):
+    assert csv_digests(tmp_path) == _pinned()["csv"]

@@ -11,14 +11,12 @@ from epibias.growth_estimators import CaseSeries, est_a_log_cumulative
 from epibias import outbreak_sim
 from epibias.outbreak_sim import (
     AcceptanceError,
-    EnsembleStats,
     OutbreakTrace,
     Scenario,
     SimulationLimitError,
     daily_series,
     ensemble_map,
     simulate_outbreak,
-    snapshot_ratios,
     summarize_trace,
 )
 from epibias.rng import stream
@@ -274,7 +272,7 @@ def _law_sample(simulate, scenario):
         child = 1 + np.flatnonzero(early[tr.infector[1:]])
         generation = tr.t_infect[child] - tr.t_infect[tr.infector[child]]
         per_trace.append((tr.threshold_time, len(tr),
-                          snapshot_ratios(tr).notified_over_infected, generation.mean()))
+                          summarize_trace(tr, rep).notified_over_infected, generation.mean()))
         offspring.append(np.bincount(tr.infector[1:], minlength=len(tr))[early])
     return np.array(per_trace), np.concatenate(offspring), rep
 
@@ -325,36 +323,48 @@ class TestFullSizeTrace:
         assert abs(s.mean() - g.mean()) < 0.5
 
     def test_snapshot_counts(self, ebola_trace):
-        snap = snapshot_ratios(ebola_trace)
-        assert snap.notified == 4500
-        assert snap.resolved + snap.pending_notified == snap.notified
-        assert snap.total_infected == snap.notified + snap.unnotified
-        assert 0.66 < snap.notified_over_infected < 0.75
+        summary = summarize_trace(ebola_trace, 0)
+        notified = summary.total_infected - summary.unnotified
+        assert notified == 4500
+        assert summary.resolved + summary.pending_notified == notified
+        assert summary.total_infected == int(
+            (ebola_trace.t_infect <= ebola_trace.threshold_time).sum()
+        )
+        assert summary.notified_over_infected == notified / summary.total_infected
+        assert 0.66 < summary.notified_over_infected < 0.75
+
+    def test_summary_rejects_trace_short_of_threshold(self, small_trace):
+        tr = small_trace
+        scn = dataclasses.replace(tr.scenario, notify_threshold=tr.scenario.notify_threshold + 1)
+        short = OutbreakTrace(scn, tr.threshold_time, tr.end_time, tr.t_infect, tr.infector,
+                              tr.t_inf_start, tr.t_inf_end, tr.t_symptom, tr.died, tr.t_outcome)
+        with pytest.raises(ValueError, match="did not reach its notification threshold"):
+            summarize_trace(short, 0)
 
     def test_snapshot_matches_discount_theory(self, ebola_trace):
         # notified/infected at the threshold is the discounted incubation mass
-        snap = snapshot_ratios(ebola_trace)
+        summary = summarize_trace(ebola_trace, 0)
         scn = ebola_trace.scenario
         r = scn.infectious.rate * (scn.R0() ** (1.0 / 3.0) - 1.0)
         theory = mc_incubation_discount(
             stream(123, 0), r, scn.latent.shape, scn.latent.rate, 0.8, 1.2, n=500_000
         )
-        assert abs(snap.notified_over_infected - theory) < 0.025
+        assert abs(summary.notified_over_infected - theory) < 0.025
 
     def test_resolved_fraction_matches_delay_theory(self, ebola_trace):
         # resolved/notified at the threshold is the mixture of the discounted
         # notification-to-outcome masses for deaths and recoveries
-        from epibias.cfr import DelayKind, notification_delay, pi_infinity
+        from epibias.cfr import notification_delay, pi_infinity
 
-        snap = snapshot_ratios(ebola_trace)
+        summary = summarize_trace(ebola_trace, 0)
         scn = ebola_trace.scenario
         r = scn.infectious.rate * (scn.R0() ** (1.0 / 3.0) - 1.0)
         theory = (
-            scn.p_death * pi_infinity(r, notification_delay(scn, DelayKind.TO_DEATH))
-            + (1 - scn.p_death)
-            * pi_infinity(r, notification_delay(scn, DelayKind.TO_RECOVERY))
+            scn.p_death * pi_infinity(r, notification_delay(scn, scn.to_death))
+            + (1 - scn.p_death) * pi_infinity(r, notification_delay(scn, scn.to_recovery))
         )
-        assert abs(snap.resolved / snap.notified - theory) < 0.03
+        notified = summary.total_infected - summary.unnotified
+        assert abs(summary.resolved / notified - theory) < 0.03
 
     def test_log_cumulative_slope_near_growth_rate(self, ebola_trace):
         from epibias.analysis import notification_series
@@ -410,10 +420,11 @@ class TestEnsemble:
 
     def test_ensemble_stats_summaries(self, small_scenario):
         summaries, attempts = ensemble_map(small_scenario, 4, summarize_trace)
-        stats_ = EnsembleStats(small_scenario, len(summaries), attempts, summaries)
-        assert stats_.n_accepted == 4 and len(stats_.summaries) == 4
-        assert np.all(stats_.threshold_times() > 0)
-        assert np.all((stats_.ratios() > 0.5) & (stats_.ratios() < 1.0))
+        assert len(summaries) == 4 and attempts >= 4
+        times = np.array([s.threshold_time for s in summaries])
+        ratios = np.array([s.notified_over_infected for s in summaries])
+        assert np.all(times > 0)
+        assert np.all((ratios > 0.5) & (ratios < 1.0))
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_thread_count_never_changes_outcome(self, monkeypatch, threads):

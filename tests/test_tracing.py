@@ -5,6 +5,7 @@ import pytest
 
 from epibias.distributions import GammaParams, sample
 from epibias.growth_math import GrowthLink, backward_dist
+from epibias.outbreak_sim import OutbreakTrace, Scenario
 from epibias.rng import stream
 from epibias.tracing import (
     TracedPairs,
@@ -72,6 +73,27 @@ class TestBackwardSampling:
     def test_insufficient_persons_rejected(self, small_trace):
         with pytest.raises(ValueError):
             sample_backward_pairs(small_trace, n=10_000, stride=9)
+
+    @staticmethod
+    def _planted(end_time):
+        """Index case 0 infects persons 1-9 at 0.5-day steps, all inside the
+        run; each person is notified 5 days after infection."""
+        t_infect = 0.5 * np.arange(10)
+        t_symptom = t_infect + 5.0
+        infector = np.array([-1] + [0] * 9)
+        return OutbreakTrace(Scenario(), 6.0, end_time, t_infect, infector, t_infect,
+                             t_infect + 5.0, t_symptom, np.zeros(10, dtype=bool),
+                             t_symptom + 20.0)
+
+    @pytest.mark.parametrize("end_time, message", [
+        (7.25, "5 persons notified by the end of the run; need 6"),
+        (7.75, "only 1 of 2 pairs could be formed"),
+    ])
+    def test_counts_only_persons_notified_inside_the_run(self, end_time, message):
+        # Picks 3 and 6 need person 6, notified on day 8.
+        with pytest.raises(ValueError, match=message):
+            sample_backward_pairs(self._planted(end_time), n=2, stride=3)
+        assert sample_backward_pairs(self._planted(8.0), n=2, stride=3).infectee.tolist() == [3, 6]
 
     def test_contraction_on_one_trace(self, backward_pairs):
         mean_g, var_g, mean_s, var_s = interval_moments(backward_pairs)
