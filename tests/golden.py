@@ -6,7 +6,9 @@ of ``test_cli.SMALL_RUN_CONFIG`` at 1 and at 2 worker processes, and
 small config's threshold of 150 needs only a few simulator batches, so the
 first ``N_DEFAULT_TRACES`` accepted traces of the default scenario are hashed
 too (every column, ``threshold_time`` and ``notified_order()``), which covers
-the long tail of a ~33,000-person run.
+the long tail of a ~33,000-person run, and so is the canonical JSON of
+``analyze_trace`` on each of them under the three option variants of the
+benchmark's ``reanalyze`` workload.
 The pinned digests in ``golden.json`` are keyed by the numpy and scipy
 versions and the machine architecture, because a SIMD ``exp`` or ``log``
 may differ by one ulp between builds.
@@ -14,9 +16,15 @@ may differ by one ulp between builds.
 Rewrite ``golden.json`` after a change that moves an output on purpose:
 
     PYTHONPATH=src python tests/golden.py --update
+
+or list the digests that moved, without writing the file (exit status 1 if
+any did):
+
+    PYTHONPATH=src python tests/golden.py --check
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -27,6 +35,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from epibias.analysis import AnalysisOptions, analyze_trace
 from epibias.cli import main
 from epibias.outbreak_sim import Scenario, simulate_outbreak
 from test_cli import SMALL_RUN_CONFIG
@@ -35,6 +44,12 @@ GOLDEN_PATH = Path(__file__).with_name("golden.json")
 THREADS = (1, 2)
 DEFAULT_SEED = 20140801
 N_DEFAULT_TRACES = 3
+# The option variants of perfbench's `reanalyze` workload.
+ANALYSIS_VARIANTS = (
+    AnalysisOptions(),
+    AnalysisOptions(window=28, horizon=28),
+    AnalysisOptions(window=56, horizon=35),
+)
 
 
 def platform_key() -> str:
@@ -67,21 +82,50 @@ def csv_digests(workdir: Path) -> dict[str, str]:
     return _digests(workdir, 1, [["reproduce-paper", "--format", "csv"]])
 
 
-def trace_digests() -> dict[str, str]:
-    """SHA-256 of each of the first accepted default-scenario traces, by replicate."""
+def default_traces() -> list:
+    """(replicate, trace) of the first accepted default-scenario traces."""
     scenario = Scenario(master_seed=DEFAULT_SEED)
-    out = {}
+    out = []
     rep = 0
     while len(out) < N_DEFAULT_TRACES:
         tr = simulate_outbreak(scenario, rep)
         if tr is not None:
-            h = hashlib.sha256(np.float64(tr.threshold_time).tobytes())
-            for col in (tr.t_infect, tr.infector, tr.t_inf_start, tr.t_inf_end,
-                        tr.t_symptom, tr.died, tr.t_outcome, tr.notified_order()):
-                h.update(col.dtype.str.encode())
-                h.update(col.tobytes())
-            out[f"replicate_{rep:04d}"] = h.hexdigest()
+            out.append((rep, tr))
         rep += 1
+    return out
+
+
+def trace_digests() -> dict[str, str]:
+    """SHA-256 of each of the first accepted default-scenario traces, by replicate."""
+    out = {}
+    for rep, tr in default_traces():
+        h = hashlib.sha256(np.float64(tr.threshold_time).tobytes())
+        for col in (tr.t_infect, tr.infector, tr.t_inf_start, tr.t_inf_end,
+                    tr.t_symptom, tr.died, tr.t_outcome, tr.notified_order()):
+            h.update(col.dtype.str.encode())
+            h.update(col.tobytes())
+        out[f"replicate_{rep:04d}"] = h.hexdigest()
+    return out
+
+
+def _plain(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def analysis_digests() -> dict[str, str]:
+    """SHA-256 of the canonical JSON of ``analyze_trace`` per default trace and variant."""
+    out = {}
+    for rep, tr in default_traces():
+        for opt in ANALYSIS_VARIANTS:
+            text = json.dumps(analyze_trace(tr, rep, opt), sort_keys=True, default=_plain)
+            key = f"replicate_{rep:04d}/window={opt.window},horizon={opt.horizon}"
+            out[key] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 
@@ -89,24 +133,50 @@ def load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def update() -> None:
+def compute() -> dict:
+    """Every section of ``golden.json``, recomputed on this platform."""
     digests = {}
     for threads in THREADS:
         with tempfile.TemporaryDirectory() as tmp:
             digests[str(threads)] = run_digests(Path(tmp), threads)
     with tempfile.TemporaryDirectory() as tmp:
         csv = csv_digests(Path(tmp))
-    GOLDEN_PATH.write_text(json.dumps(
-        {"key": platform_key(), "digests": digests, "csv": csv, "traces": trace_digests()},
-        indent=2,
-    ) + "\n")
+    return {"key": platform_key(), "digests": digests, "csv": csv,
+            "traces": trace_digests(), "analysis": analysis_digests()}
+
+
+def _flat(d: dict, prefix: str = "") -> dict[str, str]:
+    out = {}
+    for k, v in d.items():
+        out.update(_flat(v, f"{prefix}{k}/") if isinstance(v, dict) else {prefix + k: v})
+    return out
+
+
+def check() -> int:
+    """Print every digest that differs from ``golden.json``; 1 if any does, else 0."""
+    pinned, now = load_golden(), compute()
+    if pinned.pop("key") != now.pop("key"):
+        print(f"note: pinned on {load_golden()['key']}, this is {platform_key()}")
+    old, new = _flat(pinned), _flat(now)
+    moved = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    for k in moved:
+        print(f"moved: {k}  {old.get(k, '(absent)')[:12]} -> {new.get(k, '(absent)')[:12]}")
+    print(f"{len(moved)} of {len(old.keys() | new.keys())} digests moved")
+    return 1 if moved else 0
+
+
+def update() -> None:
+    GOLDEN_PATH.write_text(json.dumps(compute(), indent=2) + "\n")
     print(f"wrote {GOLDEN_PATH} for {platform_key()}")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--update", action="store_true", help="rewrite golden.json")
-    if not parser.parse_args().update:
-        parser.print_help()
-        sys.exit(2)
-    update()
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--update", action="store_true", help="rewrite golden.json")
+    mode.add_argument("--check", action="store_true",
+                      help="list the digests that differ from golden.json; write nothing")
+    if parser.parse_args().update:
+        update()
+    else:
+        sys.exit(check())

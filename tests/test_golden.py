@@ -8,7 +8,8 @@ everywhere.
 import pytest
 
 from golden import (
-    THREADS, csv_digests, load_golden, platform_key, run_digests, trace_digests,
+    THREADS, analysis_digests, csv_digests, load_golden, platform_key, run_digests,
+    trace_digests,
 )
 
 
@@ -51,6 +52,10 @@ def test_digests_match_pinned(runs):
 
 def test_default_trace_digests_match_pinned():
     assert trace_digests() == _pinned()["traces"]
+
+
+def test_default_analysis_digests_match_pinned():
+    assert analysis_digests() == _pinned()["analysis"]
 
 
 def test_csv_digests_match_pinned(tmp_path):
