@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -86,30 +86,30 @@ def notification_series(trace: OutbreakTrace) -> tuple[ge.CaseSeries, float, int
     threshold moment is dropped so every retained day is fully observed.
     Returns (series, day-1 start time, number of complete days).
     """
-    order = trace.notified_order()
-    t0 = float(trace.t_symptom[order[0]])
+    t0 = float(trace.notified_times()[0])
     k_complete = int(math.floor(trace.threshold_time - t0))
     if k_complete < 2:
         raise ValueError("threshold reached before two complete days of data")
-    counts = daily_series(trace, "notification")
+    # Notifications after the threshold fall on day k_complete + 1 or later.
+    counts = daily_series(trace, "notification", through=trace.threshold_time)[:k_complete]
     daily = np.zeros(k_complete, dtype=np.int64)
-    take = min(k_complete, len(counts))
-    daily[:take] = counts[:take]
+    daily[:len(counts)] = counts
     return ge.CaseSeries(daily), t0, k_complete
 
 
 def cumulative_notified_at(trace: OutbreakTrace, t: float) -> int:
     if t > trace.end_time:
         raise ValueError("time lies beyond the simulated window")
-    return int((trace.t_symptom <= t).sum())
+    return int(np.searchsorted(trace.notified_times(), t, "right"))
 
 
+@lru_cache(maxsize=8)
 def true_weights(scenario: Scenario, mass: float = 0.9999) -> DiscreteDelay:
     """Day-lag weights from the scenario's implied generation-time distribution.
 
     Uses the mean-preserving centered binning: the series being fitted holds
     day-binned events, so the lag kernel must not carry the half-day shift
-    of the plain interval discretization.
+    of the plain interval discretization.  Cached per scenario.
     """
     gen = scenario.implied_generation()
     return discretize_centered(gen, discretization_horizon(gen, mass))
@@ -183,10 +183,11 @@ def analyze_trace(
             predictions[method] = ge.PredictionScore(predicted=predicted, actual=actual)
 
     with _stage("cfr", replicate_index):
-        notified = trace.t_symptom <= trace.threshold_time
-        d_obs = int((notified & trace.died & (trace.t_outcome <= trace.threshold_time)).sum())
+        notified = trace.notified_order()[:summary.total_infected - summary.unnotified]
+        died_by_T = trace.died[notified] & (trace.t_outcome[notified] <= trace.threshold_time)
+        d_obs = int(np.count_nonzero(died_by_T))
         counts = cfr.CfrCounts(
-            K=summary.total_infected - summary.unnotified,
+            K=len(notified),
             D_obs=d_obs,
             R_obs=summary.resolved - d_obs,
             T=trace.threshold_time,

@@ -95,13 +95,17 @@ class Scenario:
 class OutbreakTrace:
     """Columnar record of one accepted outbreak run.
 
-    Persons are ordered (and numbered) by infection time.  ``threshold_time``
-    is the moment the notification threshold was reached; the run covers
-    every infection up to ``end_time = threshold_time + followup``.
+    Persons are ordered (and numbered) by infection time, so ``t_infect`` is
+    non-decreasing (else ``ValueError``) and every infector's id is below its
+    infectee's; the counts over a trace rely on both.  ``threshold_time`` is
+    the moment the notification threshold was reached; the run covers every
+    infection up to ``end_time = threshold_time + followup``.
     """
 
     def __init__(self, scenario, threshold_time, end_time, t_infect, infector,
                  t_inf_start, t_inf_end, t_symptom, died, t_outcome):
+        if np.any(t_infect[1:] < t_infect[:-1]):
+            raise ValueError("persons must be ordered by infection time")
         self.scenario = scenario
         self.threshold_time = float(threshold_time)
         self.end_time = float(end_time)
@@ -115,7 +119,7 @@ class OutbreakTrace:
         for arr in (t_infect, infector, t_inf_start, t_inf_end, t_symptom,
                     died, t_outcome):
             arr.flags.writeable = False
-        self._notified_order = None
+        self._notified_order = self._notified_times = None
 
     def __len__(self) -> int:
         return len(self.t_infect)
@@ -132,8 +136,14 @@ class OutbreakTrace:
             ts = self.t_symptom[order]
             if np.any(ts[1:] == ts[:-1]):
                 order = np.argsort(self.t_symptom, kind="stable")
-            self._notified_order = order
+            order.flags.writeable = ts.flags.writeable = False
+            self._notified_order, self._notified_times = order, ts
         return self._notified_order
+
+    def notified_times(self) -> np.ndarray:
+        """Notification times in ascending order: ``t_symptom[notified_order()]``."""
+        self.notified_order()
+        return self._notified_times
 
     def to_csv(self, path) -> None:
         """One row per person; times in days with 6 decimals.
@@ -346,11 +356,11 @@ def ensemble_map(
                 return results, examined
 
 
-_EVENT_TIMES = {
-    "notification": lambda tr: tr.t_symptom,
+_SORTED_TIMES = {
+    "notification": lambda tr: tr.notified_times(),
     "infection": lambda tr: tr.t_infect,
-    "death": lambda tr: tr.t_outcome[tr.died],
-    "recovery": lambda tr: tr.t_outcome[~tr.died],
+    "death": lambda tr: np.sort(tr.t_outcome[tr.died]),
+    "recovery": lambda tr: np.sort(tr.t_outcome[~tr.died]),
 }
 
 
@@ -360,18 +370,15 @@ def daily_series(trace: OutbreakTrace, by: str, through: Optional[float] = None)
     ``by`` is one of notification / infection / death / recovery; events
     after ``through`` (default: the end of the run) are excluded.
     """
-    if by not in _EVENT_TIMES:
+    if by not in _SORTED_TIMES:
         raise ValueError(f"unknown event kind {by!r}")
-    times = _EVENT_TIMES[by](trace)
+    times = _SORTED_TIMES[by](trace)
     if through is None:
         through = trace.end_time
-    times = times[times <= through]
-    if len(times) == 0:
-        return np.zeros(0, dtype=np.int64)
-    t0 = times.min()
-    days = np.floor(times - t0).astype(np.int64) + 1
-    counts = np.bincount(days)[1:]
-    return counts
+    offsets = times[:np.searchsorted(times, through, "right")] - times[:1]
+    ndays = int(offsets[-1]) + 1 if len(offsets) else 0
+    # Day d holds the offsets x in [d-1, d): exactly floor(x) == d-1 for an integer d.
+    return np.diff(np.searchsorted(offsets, np.arange(ndays + 1), "left"))
 
 
 @dataclass(frozen=True)
@@ -395,14 +402,14 @@ def summarize_trace(trace: OutbreakTrace, replicate_index: int) -> TraceSummary:
     come.
     """
     t = trace.threshold_time
-    notified = trace.t_symptom <= t
-    n_notified = int(notified.sum())
+    ts = trace.notified_times()
+    n_notified = int(np.searchsorted(ts, t, "right"))
     if n_notified < trace.scenario.notify_threshold:
         raise ValueError("trace did not reach its notification threshold")
-    total_infected = int((trace.t_infect <= t).sum())
-    resolved = int((notified & (trace.t_outcome <= t)).sum())
-    order = trace.notified_order()
-    t_first_100 = float(trace.t_symptom[order[99]]) if len(order) >= 100 else math.nan
+    total_infected = int(np.searchsorted(trace.t_infect, t, "right"))
+    notified = trace.notified_order()[:n_notified]
+    resolved = int(np.count_nonzero(trace.t_outcome[notified] <= t))
+    t_first_100 = float(ts[99]) if len(ts) >= 100 else math.nan
     return TraceSummary(
         replicate_index=replicate_index,
         threshold_time=t,

@@ -66,16 +66,21 @@ def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPa
     if n < 1 or stride < 1:
         raise ValueError("n and stride must be positive")
     order = trace.notified_order()
-    eligible = order[trace.infector[order] >= 0]
+    need = n * stride
+    # One index case: the first need + 1 notified hold the first need eligible.
+    head = order[:need + 1]
+    eligible = head[trace.infector[head] >= 0]
+    if len(eligible) < need:
+        eligible = order[trace.infector[order] >= 0]
     picked = eligible[stride - 1::stride][:n]
     # Picks run in notification order: if the last one is notified inside
     # the run, every one is.
     if len(picked) < n or trace.t_symptom[picked[-1]] > trace.end_time:
-        n_notified = int(np.count_nonzero(trace.t_symptom <= trace.end_time))
-        if n_notified < n * stride:
+        n_notified = int(np.searchsorted(trace.notified_times(), trace.end_time, "right"))
+        if n_notified < need:
             raise ValueError(
                 f"trace has {n_notified} persons notified by the end of the run; "
-                f"need {n * stride}"
+                f"need {need}"
             )
         formed = int(np.count_nonzero(trace.t_symptom[picked] <= trace.end_time))
         raise ValueError(f"only {formed} of {n} pairs could be formed")
@@ -92,10 +97,11 @@ def sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> TracedPa
     unlike enumerating every realized pair up to the end of the run.
     Pairs are ordered by infectee id.
     """
-    cutoff = trace.end_time - margin
-    ok_parent = (trace.t_infect <= cutoff) & (trace.t_inf_end <= trace.end_time)
-    parent = trace.infector
-    return _pairs_of(trace, np.flatnonzero((parent >= 0) & ok_parent[np.maximum(parent, 0)]))
+    # Ids follow infection time: those infected by the cutoff are below P.
+    P = int(np.searchsorted(trace.t_infect, trace.end_time - margin, "right"))
+    ok_parent = np.zeros(len(trace) + 1, dtype=bool)   # [-1]: an index case's infector
+    ok_parent[:P] = trace.t_inf_end[:P] <= trace.end_time
+    return _pairs_of(trace, np.flatnonzero(ok_parent[trace.infector]))
 
 
 def interval_moments(pairs: TracedPairs) -> tuple[float, float, float, float]:

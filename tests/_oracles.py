@@ -4,8 +4,8 @@ These deliberately avoid the library's closed forms: Laplace transforms and
 delayed-observation fractions are computed by adaptive quadrature, moment
 inversions analytically, renewal sums one day at a time, exposure histories
 one person at a time, outbreaks one infection at a time from an event queue,
-and expectations by brute-force Monte Carlo, so a bug in a formula cannot
-hide behind itself.  The exposure-history records and their builders, and
+per-trace counts by masking every person, and expectations by brute-force
+Monte Carlo, so a bug in a formula cannot hide behind itself.  The exposure-history records and their builders, and
 the plain interval binning ``discretize``, are test fixtures: the library
 itself is columnar only and bins delays with ``discretize_centered``.
 """
@@ -20,8 +20,9 @@ from scipy import integrate, stats
 
 from epibias.distributions import DiscreteDelay, GammaParams, cdf
 from epibias.exposures import ExposureModel, Histories, LogNormalParams
-from epibias.outbreak_sim import OutbreakTrace, Scenario, SimulationLimitError
+from epibias.outbreak_sim import OutbreakTrace, Scenario, SimulationLimitError, TraceSummary
 from epibias.rng import stream
+from epibias.tracing import TracedPairs, _pairs_of
 
 
 def quad_laplace(shape, rate, r, tol=1e-12):
@@ -355,3 +356,113 @@ def heap_simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional
         np.array(t_symptom_l), np.array(died_l, dtype=bool),
         np.array(t_outcome_l),
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-trace counts by masking every person.  The library counts on the sorted
+# views of a trace (``notified_order``, ``notified_times`` and ``t_infect``
+# as stored) with ``searchsorted``; these are its earlier full-pass versions.
+
+
+_EVENT_TIMES = {
+    "notification": lambda tr: tr.t_symptom,
+    "infection": lambda tr: tr.t_infect,
+    "death": lambda tr: tr.t_outcome[tr.died],
+    "recovery": lambda tr: tr.t_outcome[~tr.died],
+}
+
+
+def mask_daily_series(trace: OutbreakTrace, by: str, through: Optional[float] = None) -> np.ndarray:
+    """Daily event counts, day 1 anchored at the first event of the chosen kind.
+
+    ``by`` is one of notification / infection / death / recovery; events
+    after ``through`` (default: the end of the run) are excluded.
+    """
+    if by not in _EVENT_TIMES:
+        raise ValueError(f"unknown event kind {by!r}")
+    times = _EVENT_TIMES[by](trace)
+    if through is None:
+        through = trace.end_time
+    times = times[times <= through]
+    if len(times) == 0:
+        return np.zeros(0, dtype=np.int64)
+    t0 = times.min()
+    days = np.floor(times - t0).astype(np.int64) + 1
+    counts = np.bincount(days)[1:]
+    return counts
+
+
+def mask_summarize_trace(trace: OutbreakTrace, replicate_index: int) -> TraceSummary:
+    """Per-trace scalars used by ensemble reports, counted at the threshold time.
+
+    ``resolved`` counts notified persons whose death/recovery had already
+    happened; ``unnotified`` counts infections whose symptoms were still to
+    come.
+    """
+    t = trace.threshold_time
+    notified = trace.t_symptom <= t
+    n_notified = int(notified.sum())
+    if n_notified < trace.scenario.notify_threshold:
+        raise ValueError("trace did not reach its notification threshold")
+    total_infected = int((trace.t_infect <= t).sum())
+    resolved = int((notified & (trace.t_outcome <= t)).sum())
+    order = trace.notified_order()
+    t_first_100 = float(trace.t_symptom[order[99]]) if len(order) >= 100 else math.nan
+    return TraceSummary(
+        replicate_index=replicate_index,
+        threshold_time=t,
+        time_to_first_100=t_first_100,
+        time_100_to_threshold=t - t_first_100,
+        total_infected=total_infected,
+        resolved=resolved,
+        pending_notified=n_notified - resolved,
+        unnotified=total_infected - n_notified,
+        notified_over_infected=n_notified / total_infected,
+    )
+
+
+def mask_sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> TracedPairs:
+    """All pairs whose infector could be observed to the end of its course.
+
+    Forward ascertainment: include every offspring of infectors infected at
+    least ``margin`` days before the end of the run (and whose infectious
+    period closed within the run), so no offspring is cut off by the
+    observation window.  This recovers the unbiased generation-time law,
+    unlike enumerating every realized pair up to the end of the run.
+    Pairs are ordered by infectee id.
+    """
+    cutoff = trace.end_time - margin
+    ok_parent = (trace.t_infect <= cutoff) & (trace.t_inf_end <= trace.end_time)
+    parent = trace.infector
+    return _pairs_of(trace, np.flatnonzero((parent >= 0) & ok_parent[np.maximum(parent, 0)]))
+
+
+def full_walk_sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPairs:
+    """Systematic backward sample: every ``stride``-th notified case.
+
+    Walks persons notified by the end of the run in notification order
+    (ties broken by person id), counts only cases with an identifiable
+    infector (the index case has none and is skipped), and selects every
+    ``stride``-th of them until ``n`` pairs are collected.
+
+    Raises:
+        ValueError: if fewer than n*stride persons are notified by the end
+            of the run, or fewer than n pairs can be formed from them.
+    """
+    if n < 1 or stride < 1:
+        raise ValueError("n and stride must be positive")
+    order = trace.notified_order()
+    eligible = order[trace.infector[order] >= 0]
+    picked = eligible[stride - 1::stride][:n]
+    # Picks run in notification order: if the last one is notified inside
+    # the run, every one is.
+    if len(picked) < n or trace.t_symptom[picked[-1]] > trace.end_time:
+        n_notified = int(np.count_nonzero(trace.t_symptom <= trace.end_time))
+        if n_notified < n * stride:
+            raise ValueError(
+                f"trace has {n_notified} persons notified by the end of the run; "
+                f"need {n * stride}"
+            )
+        formed = int(np.count_nonzero(trace.t_symptom[picked] <= trace.end_time))
+        raise ValueError(f"only {formed} of {n} pairs could be formed")
+    return _pairs_of(trace, picked)
