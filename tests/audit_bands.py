@@ -50,7 +50,8 @@ from epibias.growth_math import solve_r
 from epibias.outbreak_sim import Scenario, ensemble_map, simulate_outbreak
 from epibias.rng import stream
 from test_acceptance import (
-    MOMENT_SD_POOLED, MOMENT_SD_POOLED_HALF_WIDTH, N_EXPOSURE_REPLICATES, N_TRACES,
+    MOMENT_MEAN_HALF_WIDTH, MOMENT_SD_POOLED, MOMENT_SD_POOLED_HALF_WIDTH,
+    N_EXPOSURE_REPLICATES, N_TRACES,
 )
 
 SHIFT = 0.03          # planted shift, as a fraction of the statistic's audit mean
@@ -348,13 +349,13 @@ def exposure_subchecks():
         ("ML-gamma sd mean in 8.1+-0.2", "gamma", mean_of("ml_sd"), within(8.1, 0.2)),
         ("ML-lognormal sd mean < 7", "lognormal", mean_of("ml_sd"), lambda x: x < 7.0),
     ]
-    half = MOMENT_SD_POOLED_HALF_WIDTH
+    half, mean_half = MOMENT_SD_POOLED_HALF_WIDTH, MOMENT_MEAN_HALF_WIDTH
     for family in FAMILIES:
         centre = MOMENT_SD_POOLED[family]
         checks += [
             (f"Mom-{family} p mean in 0.5+-0.02", family, mean_of("mom_p"), within(0.5, 0.02)),
-            (f"Mom-{family} mean in 11.4+-0.4", family, mean_of("mom_mean"),
-             within(11.4, 0.4)),
+            (f"Mom-{family} mean in 11.4+-{mean_half}", family, mean_of("mom_mean"),
+             within(11.4, mean_half)),
             (f"Mom-{family} pooled sd in {centre}+-{half}", family, pooled_sd,
              within(centre, half)),
         ]
