@@ -155,8 +155,9 @@ def _flat(d: dict, prefix: str = "") -> dict[str, str]:
 def check() -> int:
     """Print every digest that differs from ``golden.json``; 1 if any does, else 0."""
     pinned, now = load_golden(), compute()
-    if pinned.pop("key") != now.pop("key"):
-        print(f"note: pinned on {load_golden()['key']}, this is {platform_key()}")
+    pinned_key, key = pinned.pop("key"), now.pop("key")
+    if pinned_key != key:
+        print(f"note: pinned on {pinned_key}, this is {key}")
     old, new = _flat(pinned), _flat(now)
     moved = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     for k in moved:

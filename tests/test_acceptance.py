@@ -33,10 +33,10 @@ N_EXPOSURE_REPLICATES = 200
 # the error of the measured centre.  CHANGES.md gives the measurements.
 MOMENT_SD_POOLED = {"gamma": 7.8, "lognormal": 7.7}
 MOMENT_SD_POOLED_HALF_WIDTH = 1.3
-# Its band for the moment fit's mean incubation, 11.4 (the true mean) for
-# both families, is derived the same way: measured, the expectation is 11.46
-# (gamma) and 11.41 (log-normal), which differ by 1.4 standard errors, 11.43
-# for both; the half-width is 3 standard errors at 200 replicates (0.14)
+# Criterion 7's band for the moment fit's mean incubation is centred on the
+# true mean 11.4 for both families.  Measured the same way, its expectation
+# is 11.46 (gamma) and 11.41 (log-normal), 1.4 standard errors apart, 11.43
+# together; the half-width is 3 standard errors at 200 replicates (0.14)
 # plus 0.1, rounded up.
 MOMENT_MEAN_HALF_WIDTH = 0.55
 

@@ -2,9 +2,10 @@
 
 The library reads ``notified_order()``, ``notified_times()`` and ``t_infect``
 (rows are in infection-time order) with ``searchsorted``; ``_oracles`` keeps
-the earlier versions that mask every person.  Planted traces are drawn on a
-quarter-day grid, so event times fall exactly on integer day offsets and
-symptom times tie, with several roots and with ``through`` on an event time.
+the earlier versions that mask every person.  Planted traces draw their
+delays partly on a quarter-day grid, so event times fall exactly on integer
+day offsets and symptom times tie; they have several roots, and ``through``
+falls on an event time.
 """
 
 import numpy as np
@@ -118,7 +119,7 @@ class TestAgainstMaskOracles:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
         # The analysis keeps the first EXP_PHASE_DAYS days of infections;
-        # these series are shorter than that.
+        # most planted series are shorter than that.
         assert np.array_equal(got[:EXP_PHASE_DAYS], expected[:EXP_PHASE_DAYS])
 
     @given(planted_traces())
