@@ -11,8 +11,6 @@ from .distributions import (
     cdf,
     gamma_from_moments,
     laplace,
-    pdf,
-    sample,
 )
 from .growth_math import (
     BiasReport,
@@ -26,7 +24,6 @@ from .growth_math import (
     serial_inflation_bias,
     solve_R0,
     solve_r,
-    solve_r_numeric,
 )
 from .outbreak_sim import (
     OutbreakTrace,
@@ -40,17 +37,14 @@ __all__ = [
     "GammaParams",
     "DiscreteDelay",
     "gamma_from_moments",
-    "pdf",
     "cdf",
     "laplace",
-    "sample",
     "GrowthLink",
     "BiasReport",
     "BiasScenario",
     "BiasSource",
     "solve_r",
     "solve_R0",
-    "solve_r_numeric",
     "backward_dist",
     "backward_bias",
     "serial_inflation_bias",

@@ -104,7 +104,7 @@ def cumulative_notified_at(trace: OutbreakTrace, t: float) -> int:
 
 
 @lru_cache(maxsize=8)
-def true_weights(scenario: Scenario, mass: float = 0.9999) -> DiscreteDelay:
+def true_weights(scenario: Scenario) -> DiscreteDelay:
     """Day-lag weights from the scenario's implied generation-time distribution.
 
     Uses the mean-preserving centered binning: the series being fitted holds
@@ -112,7 +112,7 @@ def true_weights(scenario: Scenario, mass: float = 0.9999) -> DiscreteDelay:
     of the plain interval discretization.  Cached per scenario.
     """
     gen = scenario.implied_generation()
-    return discretize_centered(gen, discretization_horizon(gen, mass))
+    return discretize_centered(gen, discretization_horizon(gen))
 
 
 class AnalysisError(RuntimeError):
@@ -281,16 +281,19 @@ def summarize_traces(summaries: list[TraceSummary]) -> dict[str, dict[str, float
     }
 
 
+# Incubation families of the exposure study, in stream order.
+EXPOSURE_FAMILIES = ("gamma", "lognormal")
+
+
 def exposure_study(
     model,
     n_persons: int,
     replicates: int,
     master_seed: int,
-    generators: tuple[str, ...] = ("gamma", "lognormal"),
 ) -> dict:
     """Replicate study of the exposure-history estimators.
 
-    For each generator family (the model's Gamma incubation, and a
+    For each of ``EXPOSURE_FAMILIES`` (the model's Gamma incubation, and a
     log-normal with matched moments) runs ``replicates`` independent
     samples of ``n_persons`` histories through both the likelihood fit and
     the moment fit, and summarizes the estimates.
@@ -309,7 +312,7 @@ def exposure_study(
     from .rng import stream
 
     out = {}
-    for gi, family in enumerate(generators):
+    for gi, family in enumerate(EXPOSURE_FAMILIES):
         ml = {"p": [], "mean": [], "sd": []}
         mom = {"p": [], "mean": [], "variance": [], "contact_rate": []}
         sd_admissible = []

@@ -2,11 +2,11 @@
 
 All duration distributions (generation times, latent/infectious periods,
 delays to death or recovery) are parameterized as Gamma(shape, rate) with
-mean shape/rate and variance shape/rate**2.  Besides construction and the
-usual density/CDF/moments, the module provides the Laplace transform
-E[exp(-r*T)] (the workhorse behind every growth-rate and delayed-observation
-formula), random sampling, and discretization to daily probabilities for
-renewal-equation computations.  Gamma functions are scipy.special calls in
+mean shape/rate and variance shape/rate**2.  Besides construction, the CDF
+and the moments, the module provides the Laplace transform E[exp(-r*T)]
+(the workhorse behind every growth-rate and delayed-observation formula)
+and discretization to daily probabilities for renewal-equation
+computations.  Gamma functions are scipy.special calls in
 scipy.stats.gamma's order of operations (x = t / scale), so values match it.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln, xlogy
+from scipy.special import gammainc, gammaincinv
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,6 @@ class GammaParams:
 
     def sd(self) -> float:
         return np.sqrt(self.shape) / self.rate
-
-    def cv(self) -> float:
-        """Coefficient of variation, 1/sqrt(shape)."""
-        return 1.0 / np.sqrt(self.shape)
 
 
 @dataclass(frozen=True)
@@ -84,17 +80,6 @@ def gamma_from_moments(mean: float, sd: float) -> GammaParams:
     return GammaParams(shape=mean * mean / var, rate=mean / var)
 
 
-def pdf(params: GammaParams, t):
-    """Gamma density at t (days); t must be finite and non-negative."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("density requested at negative time")
-    scale = 1.0 / params.rate
-    x = t / scale
-    out = np.exp(xlogy(params.shape - 1.0, x) - x - gammaln(params.shape)) / scale
-    return out if out.ndim else float(out)
-
-
 def cdf(params: GammaParams, t):
     """Gamma CDF at t (days); t must be finite and non-negative."""
     t = np.asarray(t, dtype=float)
@@ -116,11 +101,6 @@ def laplace(params: GammaParams, r: float) -> float:
             f"transform diverges: need r > {-params.rate}, got {r}"
         )
     return float((params.rate / (params.rate + r)) ** params.shape)
-
-
-def sample(params: GammaParams, rng: np.random.Generator, size=None):
-    """Draw Gamma variates (supports non-integer shape) from ``rng``."""
-    return rng.gamma(params.shape, 1.0 / params.rate, size=size)
 
 
 def discretize_centered(params: GammaParams, horizon: int) -> DiscreteDelay:

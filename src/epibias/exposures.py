@@ -207,18 +207,14 @@ def conditional_log_likelihood(
     histories: Histories,
     p: float,
     g_params: GammaParams,
-    normalized: bool = False,
     gradient: bool = False,
 ) -> float | tuple[float, np.ndarray]:
     """Log-likelihood of onset times given exposure times.
 
-    Sums log( sum_i p*(1-p)**(i-1) * g(s - e_i) ) over histories.  With
-    ``normalized`` the inner sum is divided by 1 - (1-p)**k, conditioning on
-    the infection having come from one of the k listed exposures (useful for
-    sensitivity runs; the default matches the plain likelihood).
+    Sums log( sum_i p*(1-p)**(i-1) * g(s - e_i) ) over histories.
 
     With ``gradient`` the return value is ``(ll, grad)``, grad being the
-    gradient of the plain log-likelihood in (logit p, log mean, log sd) of
+    gradient of the log-likelihood in (logit p, log mean, log sd) of
     the incubation Gamma (k = mean**2/sd**2, rate lam = mean/sd**2).  With
     q_i the responsibility of exposure i (its share of its person's sum):
     d log w_i/d logit p = (1-p) - (i-1)*p; and with A = log lam - digamma(k)
@@ -227,8 +223,6 @@ def conditional_log_likelihood(
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    if gradient and normalized:
-        raise ValueError("the gradient is of the plain likelihood only")
     counts, starts, pos = histories.counts, histories.starts, histories.position
     delta, log_delta = histories.delta, histories.log_delta
     k, lam = g_params.shape, g_params.rate
@@ -245,10 +239,6 @@ def conditional_log_likelihood(
     scaled = np.exp(terms - np.repeat(safe_max, counts))
     sums = np.add.reduceat(scaled, starts)
     ll = np.where(np.isfinite(seg_max), safe_max + np.log(sums), -np.inf)
-    if normalized:
-        if p < 1.0:
-            ll = ll - np.log1p(-np.exp(counts * math.log1p(-p)))
-        # p == 1: the normalizer is 1 for every k.
     if not gradient:
         return float(ll.sum())
 
@@ -277,8 +267,11 @@ class MlFit:
 
 _LOGIT_CAP = 16.0  # p within 1e-7 of the boundary counts as boundary
 
+# Fewest histories either estimator accepts.
+MIN_HISTORIES = 50
 
-def ml_fit(histories: Histories, min_histories: int = 50) -> MlFit:
+
+def ml_fit(histories: Histories) -> MlFit:
     """Maximum-likelihood fit of (p, incubation mean, incubation sd).
 
     Searches in (logit p, log mean, log sd) coordinates with a bounded
@@ -290,8 +283,8 @@ def ml_fit(histories: Histories, min_histories: int = 50) -> MlFit:
     Raises:
         ConvergenceError: if no start converges; carries the best fit found.
     """
-    if len(histories) < min_histories:
-        raise ValueError(f"need at least {min_histories} histories, got {len(histories)}")
+    if len(histories) < MIN_HISTORIES:
+        raise ValueError(f"need at least {MIN_HISTORIES} histories, got {len(histories)}")
 
     def objective(x):
         p = expit(x[0])
@@ -384,15 +377,15 @@ def moment_system(params, moments) -> np.ndarray:
     ])
 
 
-def moment_fit(histories: Histories, min_histories: int = 50) -> MomentFit:
+def moment_fit(histories: Histories) -> MomentFit:
     """Distribution-free moment estimator of (p, contact rate, E(T), Var(T)).
 
     :func:`invert_moment_system` (whose MomentFitError it raises) at the
     sample mean/variance of the exposure counts and first-contact-to-symptom
     times.
     """
-    if len(histories) < min_histories:
-        raise ValueError(f"need at least {min_histories} histories, got {len(histories)}")
+    if len(histories) < MIN_HISTORIES:
+        raise ValueError(f"need at least {MIN_HISTORIES} histories, got {len(histories)}")
     return invert_moment_system(sample_moments(histories))
 
 

@@ -17,8 +17,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from scipy import integrate, optimize
-
 from .distributions import GammaParams, gamma_from_moments, laplace
 
 
@@ -33,8 +31,8 @@ class BiasSource(enum.Enum):
 class GrowthLink:
     """A consistent (R0, r, generation distribution) triple.
 
-    Consistency means 1 = R0 * E[exp(-r*G)] within 1e-10; use the
-    ``from_R0`` / ``from_r`` constructors to build valid links.
+    Consistency means 1 = R0 * E[exp(-r*G)] within 1e-10; ``from_R0``
+    builds a valid link from R0.
     """
 
     R0: float
@@ -53,10 +51,6 @@ class GrowthLink:
     @classmethod
     def from_R0(cls, R0: float, gen: GammaParams) -> "GrowthLink":
         return cls(R0=R0, r=solve_r(R0, gen), gen=gen)
-
-    @classmethod
-    def from_r(cls, r: float, gen: GammaParams) -> "GrowthLink":
-        return cls(R0=solve_R0(r, gen), r=r, gen=gen)
 
 
 @dataclass(frozen=True)
@@ -89,52 +83,6 @@ def solve_R0(r: float, gen: GammaParams) -> float:
     if r <= -gen.rate:
         raise ValueError(f"need r > {-gen.rate}, got {r}")
     return (1.0 + r / gen.rate) ** gen.shape
-
-
-def solve_r_numeric(
-    R0: float,
-    gen_pdf,
-    lower: float = None,
-    upper: float = 10.0,
-    tol: float = 1e-12,
-) -> float:
-    """Growth rate from an arbitrary generation-time density, numerically.
-
-    Finds the root of g(r) = R0 * integral(exp(-r*t) * gen_pdf(t)) - 1 with a
-    bracketing solver; g is strictly decreasing in r so the root is unique.
-
-    Args:
-        R0: reproduction number (> 0).
-        gen_pdf: density callback on [0, inf), integrating to 1.
-        lower: bracket lower end.  Defaults to 0 for R0 >= 1 and must be
-            supplied (above the transform's divergence point) for R0 < 1.
-        upper: bracket upper end, per day.
-
-    Raises:
-        ValueError: if g does not change sign on [lower, upper].
-    """
-    if R0 <= 0:
-        raise ValueError(f"R0 must be positive, got {R0}")
-
-    def residual(r: float) -> float:
-        # Split at t = 1 so a density singular at 0 converges without roundoff.
-        val = sum(integrate.quad(lambda t: math.exp(-r * t) * gen_pdf(t), lo, hi,
-                                 epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-                  for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
-        return R0 * val - 1.0
-
-    if lower is None:
-        lower = 0.0
-    g_lo = residual(lower)
-    if abs(g_lo) < tol:
-        return lower
-    g_hi = residual(upper)
-    if g_lo * g_hi > 0:
-        raise ValueError(
-            f"no sign change on [{lower}, {upper}]: g={g_lo:.3e}, {g_hi:.3e}"
-        )
-    root = optimize.brentq(residual, lower, upper, xtol=1e-14, rtol=8.9e-16)
-    return float(root)
 
 
 def backward_dist(link: GrowthLink) -> GammaParams:

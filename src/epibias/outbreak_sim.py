@@ -359,15 +359,13 @@ def ensemble_map(
 _SORTED_TIMES = {
     "notification": lambda tr: tr.notified_times(),
     "infection": lambda tr: tr.t_infect,
-    "death": lambda tr: np.sort(tr.t_outcome[tr.died]),
-    "recovery": lambda tr: np.sort(tr.t_outcome[~tr.died]),
 }
 
 
 def daily_series(trace: OutbreakTrace, by: str, through: Optional[float] = None) -> np.ndarray:
     """Daily event counts, day 1 anchored at the first event of the chosen kind.
 
-    ``by`` is one of notification / infection / death / recovery; events
+    ``by`` is notification or infection; events
     after ``through`` (default: the end of the run) are excluded.
     """
     if by not in _SORTED_TIMES:

@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 These deliberately avoid the library's closed forms: Laplace transforms and
-delayed-observation fractions are computed by adaptive quadrature, moment
-inversions analytically, renewal sums one day at a time, exposure histories
+delayed-observation fractions are computed by adaptive quadrature, growth
+rates by quadrature and a bracketing root-finder, moment inversions
+analytically, renewal sums one day at a time, exposure histories
 one person at a time, outbreaks one infection at a time from an event queue,
 per-trace counts by masking every person, and expectations by brute-force
 Monte Carlo, so a bug in a formula cannot hide behind itself.  The exposure-history records and their builders, and
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from epibias.distributions import DiscreteDelay, GammaParams, cdf
 from epibias.exposures import ExposureModel, Histories, LogNormalParams
@@ -52,6 +53,52 @@ def quad_tilted_mean(shape, rate, mu, tol=1e-10):
         0.0, upper, epsabs=tol, epsrel=tol, limit=300,
     )
     return num / den
+
+
+def solve_r_numeric(
+    R0: float,
+    gen_pdf,
+    lower: float = None,
+    upper: float = 10.0,
+    tol: float = 1e-12,
+) -> float:
+    """Growth rate from an arbitrary generation-time density, numerically.
+
+    Finds the root of g(r) = R0 * integral(exp(-r*t) * gen_pdf(t)) - 1 with a
+    bracketing solver; g is strictly decreasing in r so the root is unique.
+
+    Args:
+        R0: reproduction number (> 0).
+        gen_pdf: density callback on [0, inf), integrating to 1.
+        lower: bracket lower end.  Defaults to 0 for R0 >= 1 and must be
+            supplied (above the transform's divergence point) for R0 < 1.
+        upper: bracket upper end, per day.
+
+    Raises:
+        ValueError: if g does not change sign on [lower, upper].
+    """
+    if R0 <= 0:
+        raise ValueError(f"R0 must be positive, got {R0}")
+
+    def residual(r: float) -> float:
+        # Split at t = 1 so a density singular at 0 converges without roundoff.
+        val = sum(integrate.quad(lambda t: math.exp(-r * t) * gen_pdf(t), lo, hi,
+                                 epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+                  for lo, hi in ((0.0, 1.0), (1.0, math.inf)))
+        return R0 * val - 1.0
+
+    if lower is None:
+        lower = 0.0
+    g_lo = residual(lower)
+    if abs(g_lo) < tol:
+        return lower
+    g_hi = residual(upper)
+    if g_lo * g_hi > 0:
+        raise ValueError(
+            f"no sign change on [{lower}, {upper}]: g={g_lo:.3e}, {g_hi:.3e}"
+        )
+    root = optimize.brentq(residual, lower, upper, xtol=1e-14, rtol=8.9e-16)
+    return float(root)
 
 
 def invert_exposure_moments(EC, VarC, ES, VarS):
@@ -367,16 +414,14 @@ def heap_simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional
 _EVENT_TIMES = {
     "notification": lambda tr: tr.t_symptom,
     "infection": lambda tr: tr.t_infect,
-    "death": lambda tr: tr.t_outcome[tr.died],
-    "recovery": lambda tr: tr.t_outcome[~tr.died],
 }
 
 
 def mask_daily_series(trace: OutbreakTrace, by: str, through: Optional[float] = None) -> np.ndarray:
     """Daily event counts, day 1 anchored at the first event of the chosen kind.
 
-    ``by`` is one of notification / infection / death / recovery; events
-    after ``through`` (default: the end of the run) are excluded.
+    ``by`` is notification or infection; events after ``through``
+    (default: the end of the run) are excluded.
     """
     if by not in _EVENT_TIMES:
         raise ValueError(f"unknown event kind {by!r}")

@@ -17,9 +17,9 @@ from epibias import growth_math
 from epibias.analysis import AnalysisOptions, analyze_ensemble, exposure_study
 from epibias.cfr import pi_infinity, resolved_cfr_bias
 from epibias.config import load_config
-from _oracles import gamma_pdf_fn
+from _oracles import gamma_pdf_fn, solve_r_numeric
 from epibias.distributions import GammaParams
-from epibias.growth_math import BiasScenario, BiasSource, bias_table, solve_r, solve_r_numeric
+from epibias.growth_math import BiasScenario, BiasSource, bias_table, solve_r
 from epibias.outbreak_sim import Scenario, ensemble_map
 
 N_TRACES = 200

@@ -126,9 +126,10 @@ class TestExposureStudy:
         model = ExposureModel(
             p=0.5, contact_rate=0.0725, incubation=gamma_from_moments(11.4, 8.1)
         )
-        a = exposure_study(model, 200, 3, master_seed=11, generators=("gamma",))
-        b = exposure_study(model, 200, 3, master_seed=11, generators=("gamma",))
+        a = exposure_study(model, 200, 3, master_seed=11)
+        b = exposure_study(model, 200, 3, master_seed=11)
         assert a == b
+        assert list(a) == ["gamma", "lognormal"]
         block = a["gamma"]
         assert set(block) >= {"ml", "moment", "moment_sd_pooled", "moment_inadmissible"}
         assert block["ml"]["p"]["n"] == 3
@@ -140,17 +141,17 @@ class TestExposureStudy:
         ml_fit = exposures.ml_fit
         calls = []
 
-        def fails_once(hist, *args, **kwargs):
+        def fails_once(hist):
             calls.append(None)
             if len(calls) == 2:
                 raise exposures.ConvergenceError("no start converged", best=None)
-            return ml_fit(hist, *args, **kwargs)
+            return ml_fit(hist)
 
         monkeypatch.setattr(exposures, "ml_fit", fails_once)
         model = ExposureModel(
             p=0.5, contact_rate=0.0725, incubation=gamma_from_moments(11.4, 8.1)
         )
-        block = exposure_study(model, 200, 3, master_seed=11, generators=("gamma",))["gamma"]
+        block = exposure_study(model, 200, 3, master_seed=11)["gamma"]
         assert block["ml_nonconverged"] == 1
         assert all(block["ml"][k]["n"] == 2 for k in ("p", "mean", "sd"))
         moment_fits = block["moment"]["p"]["n"] + block["moment_unsolved"]
@@ -161,14 +162,14 @@ class TestExposureStudy:
         # the raw roots feed the moment columns, the admissible sd is empty.
         raw = MomentFit(p=0.4, contact_rate=0.07, mean=11.0, variance=-3.0, residual=0.0)
 
-        def inadmissible(hist, min_histories=50):
+        def inadmissible(hist):
             raise MomentFitError("no admissible solution", raw=raw)
 
         monkeypatch.setattr(exposures, "moment_fit", inadmissible)
         model = ExposureModel(
             p=0.5, contact_rate=0.0725, incubation=gamma_from_moments(11.4, 8.1)
         )
-        block = exposure_study(model, 200, 3, master_seed=11, generators=("gamma",))["gamma"]
+        block = exposure_study(model, 200, 3, master_seed=11)["gamma"]
         assert block["moment_inadmissible"] == block["replicates"] == 3
         assert block["moment"]["variance"]["n"] == 3
         assert block["moment_sd_admissible"]["n"] == 0

@@ -15,8 +15,6 @@ from epibias.distributions import (
     discretization_horizon,
     gamma_from_moments,
     laplace,
-    pdf,
-    sample,
 )
 from epibias.rng import stream
 
@@ -27,7 +25,6 @@ class TestGammaParams:
         assert g.mean() == 15.0
         assert math.isclose(g.variance(), 75.0, rel_tol=1e-14)
         assert math.isclose(g.sd(), math.sqrt(75.0))
-        assert math.isclose(g.cv(), 1.0 / math.sqrt(3.0))
 
     @pytest.mark.parametrize("shape,rate", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_rejects_nonpositive(self, shape, rate):
@@ -66,9 +63,6 @@ class TestFromMoments:
 
 
 class TestDensity:
-    def test_exponential_at_origin(self):
-        assert pdf(GammaParams(1.0, 1.0), 0.0) == 1.0
-
     def test_cdf_at_zero(self):
         assert cdf(GammaParams(3.0, 0.2), 0.0) == 0.0
 
@@ -78,8 +72,6 @@ class TestDensity:
         assert abs(val - 1.0) < 1e-8
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            pdf(GammaParams(2.0, 1.0), -0.5)
         with pytest.raises(ValueError):
             cdf(GammaParams(2.0, 1.0), -0.5)
 
@@ -100,14 +92,12 @@ class TestAgainstScipyStats:
     """The scipy.special formulas against scipy.stats.gamma, kept as the reference."""
 
     @given(shape=SHAPES, rate=RATES, t=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=20))
-    def test_density_and_cdf(self, shape, rate, t):
+    def test_cdf(self, shape, rate, t):
         g = GammaParams(shape, rate)
         t = np.array([0.0] + t)
         ref = dict(a=shape, scale=1.0 / rate)
-        np.testing.assert_array_max_ulp(pdf(g, t), stats.gamma.pdf(t, **ref), maxulp=2)
         np.testing.assert_array_max_ulp(cdf(g, t), stats.gamma.cdf(t, **ref), maxulp=2)
-        for fn in (pdf, cdf):
-            assert type(fn(g, float(t[-1]))) is float
+        assert type(cdf(g, float(t[-1]))) is float
 
     @given(shape=SHAPES, rate=RATES, mass=st.floats(0.5, 1.0 - 1e-12))
     def test_horizon(self, shape, rate, mass):
@@ -158,25 +148,30 @@ class TestLaplace:
 
 
 class TestSample:
+    """Draws as the simulator takes them, ``rng.gamma(shape, 1 / rate)``,
+    have the moments and the CDF of their GammaParams."""
+
     def test_exponential_mean(self):
-        draws = sample(GammaParams(1.0, 1.0), stream(7, 0), size=1_000_000)
-        assert abs(draws.mean() - 1.0) < 0.003
+        g = GammaParams(1.0, 1.0)
+        draws = stream(7, 0).gamma(g.shape, 1.0 / g.rate, size=1_000_000)
+        assert abs(draws.mean() - g.mean()) < 0.003
         assert draws.min() >= 0
 
     def test_generation_time_mean(self):
-        draws = sample(GammaParams(3.0, 0.2), stream(7, 1), size=1_000_000)
-        assert abs(draws.mean() - 15.0) < 0.03
-        assert abs(draws.std() - math.sqrt(75.0)) < 0.05
+        g = GammaParams(3.0, 0.2)
+        draws = stream(7, 1).gamma(g.shape, 1.0 / g.rate, size=1_000_000)
+        assert abs(draws.mean() - g.mean()) < 0.03
+        assert abs(draws.std() - g.sd()) < 0.05
 
     def test_deterministic_stream(self):
-        a = sample(GammaParams(2.3, 0.7), stream(11, 5), size=100)
-        b = sample(GammaParams(2.3, 0.7), stream(11, 5), size=100)
+        a = stream(11, 5).gamma(2.3, 1.0 / 0.7, size=100)
+        b = stream(11, 5).gamma(2.3, 1.0 / 0.7, size=100)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("shape", [4.0 / 9.0, 1.0, 2.0, 3.0, 4.0])
     def test_goodness_of_fit(self, shape):
         g = GammaParams(shape, 0.6)
-        draws = sample(g, stream(13, int(shape * 1000)), size=100_000)
+        draws = stream(13, int(shape * 1000)).gamma(g.shape, 1.0 / g.rate, size=100_000)
         stat = stats.kstest(draws, lambda t: cdf(g, t)).statistic
         # 1% critical value of the Kolmogorov statistic for n = 1e5
         assert stat < 1.628 / math.sqrt(100_000)

@@ -229,14 +229,6 @@ class TestLikelihood:
         with pytest.raises(ValueError):
             conditional_log_likelihood(hist, 0.0, gamma_from_moments(11.4, 8.1))
 
-    def test_normalized_variant_single_exposure(self):
-        # with k = 1 the normalizer removes the p factor entirely
-        hist = histories_from_records([ExposureHistory((0.0,), 6.0)])
-        g = gamma_from_moments(11.4, 8.1)
-        val = conditional_log_likelihood(hist, 0.3, g, normalized=True)
-        expected = math.log(stats.gamma.pdf(6.0, a=g.shape, scale=1.0 / g.rate))
-        assert math.isclose(val, expected, rel_tol=1e-12)
-
     @given(
         data=st.sampled_from(sorted(GRADIENT_SETS)),
         logit_p=st.floats(-16.0, 16.0),
@@ -264,12 +256,6 @@ class TestLikelihood:
             # five-point stencil: truncation error O(h**4)
             fd = (8 * (ll(x + e) - ll(x - e)) - (ll(x + 2 * e) - ll(x - 2 * e))) / (12 * h)
             assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j]) + 1e-10 * abs(value), j
-
-    def test_gradient_of_normalized_likelihood_rejected(self):
-        # ml_fit maximizes the plain likelihood; only its gradient exists
-        hist = GRADIENT_SETS["default"]
-        with pytest.raises(ValueError):
-            conditional_log_likelihood(hist, 0.5, MODEL.incubation, normalized=True, gradient=True)
 
 
 class TestMlFit:

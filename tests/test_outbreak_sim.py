@@ -389,12 +389,6 @@ class TestDailySeries:
         with pytest.raises(ValueError):
             daily_series(small_trace, "sneezes")
 
-    def test_death_and_recovery_partition(self, small_trace):
-        tr = small_trace
-        d = daily_series(tr, "death").sum()
-        r = daily_series(tr, "recovery").sum()
-        assert d + r == int((tr.t_outcome <= tr.end_time).sum())
-
 
 class TestEnsemble:
     def test_accepts_first_nonextinct_in_order(self, small_scenario):

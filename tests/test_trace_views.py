@@ -23,7 +23,7 @@ from epibias.analysis import EXP_PHASE_DAYS
 from epibias.outbreak_sim import OutbreakTrace, Scenario, daily_series, summarize_trace
 from epibias.tracing import sample_backward_pairs, sample_forward_pairs
 
-KINDS = ("notification", "infection", "death", "recovery")
+KINDS = ("notification", "infection")
 
 
 @st.composite
@@ -59,9 +59,7 @@ def planted_traces(draw):
 
 
 def _event_times(trace, by):
-    return {"notification": trace.t_symptom, "infection": trace.t_infect,
-            "death": trace.t_outcome[trace.died],
-            "recovery": trace.t_outcome[~trace.died]}[by]
+    return {"notification": trace.t_symptom, "infection": trace.t_infect}[by]
 
 
 def _assert_same_pairs(a, b):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epibias.distributions import GammaParams, sample
+from epibias.distributions import GammaParams
 from epibias.growth_math import GrowthLink, backward_dist
 from epibias.outbreak_sim import OutbreakTrace, Scenario
 from epibias.rng import stream
@@ -144,7 +144,7 @@ class TestIntervalMoments:
 
 class TestGammaFit:
     def test_recovers_known_distribution(self):
-        draws = sample(GammaParams(3.0, 0.2), stream(21, 0), size=100_000)
+        draws = stream(21, 0).gamma(3.0, 1.0 / 0.2, size=100_000)
         fit = fit_gamma_to_intervals(_pairs(draws, draws), "G")
         assert abs(fit.shape - 3.0) < 0.06
         assert abs(fit.rate - 0.2) < 0.004
