@@ -47,6 +47,11 @@ class AnalysisOptions:
     window: int = 42
     horizon: int = 42
 
+    def __post_init__(self):
+        for name, least in (("n_pairs", 1), ("stride", 1), ("window", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+
 
 # Days of each trace's infection series kept for the exponential-phase curve.
 EXP_PHASE_DAYS = 200

@@ -206,6 +206,11 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         window=est.getint("window"),
         horizon=est.getint("horizon"),
     )
+    if options.horizon > scenario.followup:
+        raise ConfigError(
+            f"[estimate] horizon ({options.horizon}) must not exceed [scenario] followup "
+            f"({scenario.followup:g}): predictions are scored on the follow-up"
+        )
 
     exp = parser["exposures"]
     exposure_model = ExposureModel(

@@ -200,7 +200,14 @@ class TestCliCommands:
         ("sample_pairs = 30\nstride = 3", "sample_pairs = 500\nstride = 9", 3,
          ["runtime error", "stage 'contact tracing'", "replicate 0", "need 4500"]),
         ("[scenario]\n", "[scenario]\np_death = 1.5\n", 2, ["config error", "p_death"]),
-    ], ids=["analysis-error", "config-value-error"])
+        # [estimate] values that no trace can satisfy fail before any simulation
+        ("window = 20", "window = 1", 2, ["config error", "window must be >= 2"]),
+        ("stride = 3", "stride = 0", 2, ["config error", "stride must be >= 1"]),
+        ("sample_pairs = 30", "sample_pairs = 0", 2, ["config error", "n_pairs must be >= 1"]),
+        ("window = 20", "window = 20\nhorizon = 60", 2,
+         ["config error", "[estimate] horizon (60)", "[scenario] followup (42)"]),
+    ], ids=["analysis-error", "config-value-error", "window-too-short", "stride-zero",
+            "no-pairs", "horizon-past-followup"])
     def test_error_exit_codes(self, tmp_path, capsys, old, new, code, words):
         cfg = tmp_path / "run.ini"
         cfg.write_text(SMALL_RUN_CONFIG.replace(old, new))
