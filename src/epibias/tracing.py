@@ -54,37 +54,30 @@ def _pairs_of(trace: OutbreakTrace, infectee: np.ndarray) -> TracedPairs:
 def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPairs:
     """Systematic backward sample: every ``stride``-th notified case.
 
-    Walks persons notified by the end of the run in notification order
-    (ties broken by person id), counts only cases with an identifiable
-    infector (the index case has none and is skipped), and selects every
-    ``stride``-th of them until ``n`` pairs are collected.
+    Picks the persons at positions stride-1, 2*stride-1, ..., n*stride-1 of
+    the notification order (ties broken by person id), so every pick is
+    among the first n*stride notified persons: when n*stride is at most the
+    notification threshold, every pick is notified by the threshold time.
+    An index case has no infector to trace back to, so a pick position it
+    holds forms no pair and the sample is one pair short.  A single index
+    case is usually notified first, and then only stride 1 loses a pair.
 
     Raises:
         ValueError: if fewer than n*stride persons are notified by the end
-            of the run, or fewer than n pairs can be formed from them.
+            of the run.
     """
     if n < 1 or stride < 1:
         raise ValueError("n and stride must be positive")
-    order = trace.notified_order()
     need = n * stride
-    # One index case: the first need + 1 notified hold the first need eligible.
-    head = order[:need + 1]
-    eligible = head[trace.infector[head] >= 0]
-    if len(eligible) < need:
-        eligible = order[trace.infector[order] >= 0]
-    picked = eligible[stride - 1::stride][:n]
+    picked = trace.notified_order()[stride - 1:need:stride]
     # Picks run in notification order: if the last one is notified inside
     # the run, every one is.
     if len(picked) < n or trace.t_symptom[picked[-1]] > trace.end_time:
         n_notified = int(np.searchsorted(trace.notified_times(), trace.end_time, "right"))
-        if n_notified < need:
-            raise ValueError(
-                f"trace has {n_notified} persons notified by the end of the run; "
-                f"need {need}"
-            )
-        formed = int(np.count_nonzero(trace.t_symptom[picked] <= trace.end_time))
-        raise ValueError(f"only {formed} of {n} pairs could be formed")
-    return _pairs_of(trace, picked)
+        raise ValueError(
+            f"trace has {n_notified} persons notified by the end of the run; need {need}"
+        )
+    return _pairs_of(trace, picked[trace.infector[picked] >= 0])
 
 
 def sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> TracedPairs:

@@ -485,29 +485,27 @@ def mask_sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> Tra
 def full_walk_sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPairs:
     """Systematic backward sample: every ``stride``-th notified case.
 
-    Walks persons notified by the end of the run in notification order
-    (ties broken by person id), counts only cases with an identifiable
-    infector (the index case has none and is skipped), and selects every
-    ``stride``-th of them until ``n`` pairs are collected.
+    Walks the notification order (ties broken by person id) one person at a
+    time and keeps the person at every ``stride``-th position up to position
+    n*stride if it has an infector (a position held by an index case forms
+    no pair).
 
     Raises:
         ValueError: if fewer than n*stride persons are notified by the end
-            of the run, or fewer than n pairs can be formed from them.
+            of the run.
     """
     if n < 1 or stride < 1:
         raise ValueError("n and stride must be positive")
-    order = trace.notified_order()
-    eligible = order[trace.infector[order] >= 0]
-    picked = eligible[stride - 1::stride][:n]
-    # Picks run in notification order: if the last one is notified inside
-    # the run, every one is.
-    if len(picked) < n or trace.t_symptom[picked[-1]] > trace.end_time:
-        n_notified = int(np.count_nonzero(trace.t_symptom <= trace.end_time))
-        if n_notified < n * stride:
-            raise ValueError(
-                f"trace has {n_notified} persons notified by the end of the run; "
-                f"need {n * stride}"
-            )
-        formed = int(np.count_nonzero(trace.t_symptom[picked] <= trace.end_time))
-        raise ValueError(f"only {formed} of {n} pairs could be formed")
-    return _pairs_of(trace, picked)
+    n_notified = int(np.count_nonzero(trace.t_symptom <= trace.end_time))
+    if n_notified < n * stride:
+        raise ValueError(
+            f"trace has {n_notified} persons notified by the end of the run; "
+            f"need {n * stride}"
+        )
+    picked = []
+    for position, pid in enumerate(trace.notified_order(), 1):
+        if position > n * stride:
+            break
+        if position % stride == 0 and trace.infector[pid] >= 0:
+            picked.append(pid)
+    return _pairs_of(trace, np.array(picked, dtype=np.int64))

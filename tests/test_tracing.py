@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from epibias.distributions import GammaParams
 from epibias.growth_math import GrowthLink, backward_dist
@@ -40,25 +42,31 @@ class TestBackwardSampling:
         assert np.array_equal(backward_pairs.S, tr.t_symptom[backward_pairs.infectee]
                               - tr.t_symptom[backward_pairs.infector])
 
-    def test_single_pick_is_strideth_eligible(self, ebola_trace):
+    def test_single_pick_is_strideth_notified(self, ebola_trace):
         pairs = sample_backward_pairs(ebola_trace, n=1, stride=9)
-        order = ebola_trace.notified_order()
-        eligible = [int(pid) for pid in order if ebola_trace.infector[pid] >= 0]
-        assert pairs.infectee.tolist() == [eligible[8]]
+        assert pairs.infectee.tolist() == [ebola_trace.notified_order()[8]]
 
     def test_matches_notification_order_walk(self, ebola_trace):
-        # Reference: walk notified cases in order, count those with an
-        # infector, keep every 9th until 500 are kept.
-        picked, eligible = [], 0
-        for pid in ebola_trace.notified_order():
-            if ebola_trace.infector[pid] < 0:
-                continue
-            eligible += 1
-            if eligible % 9 == 0:
+        # Reference: walk notified cases in order and keep every 9th until
+        # 500 are kept; the index case, notified first, is never one of them.
+        picked = []
+        for position, pid in enumerate(ebola_trace.notified_order(), 1):
+            if position % 9 == 0:
+                assert ebola_trace.infector[pid] >= 0
                 picked.append(int(pid))
                 if len(picked) == 500:
                     break
         assert sample_backward_pairs(ebola_trace, 500, 9).infectee.tolist() == picked
+
+    @given(stride=st.integers(1, 12), n=st.integers(1, 4500))
+    @example(stride=9, n=500)   # the study's sample, which fills the threshold
+    def test_picks_notified_by_the_threshold(self, ebola_trace, stride, n):
+        tr = ebola_trace
+        n = min(n, tr.scenario.notify_threshold // stride)
+        pairs = sample_backward_pairs(tr, n, stride)
+        # The index case is notified first: a pick position only at stride 1.
+        assert len(pairs) == n - (stride == 1)
+        assert np.all(tr.t_symptom[pairs.infectee] <= tr.threshold_time)
 
     def test_deterministic(self, ebola_trace):
         a = sample_backward_pairs(ebola_trace, 100, 9)
@@ -87,13 +95,25 @@ class TestBackwardSampling:
 
     @pytest.mark.parametrize("end_time, message", [
         (7.25, "5 persons notified by the end of the run; need 6"),
-        (7.75, "only 1 of 2 pairs could be formed"),
     ])
     def test_counts_only_persons_notified_inside_the_run(self, end_time, message):
-        # Picks 3 and 6 need person 6, notified on day 8.
+        # Picks 2 and 5 need person 5, notified on day 7.5.
         with pytest.raises(ValueError, match=message):
             sample_backward_pairs(self._planted(end_time), n=2, stride=3)
-        assert sample_backward_pairs(self._planted(8.0), n=2, stride=3).infectee.tolist() == [3, 6]
+        assert sample_backward_pairs(self._planted(7.5), n=2, stride=3).infectee.tolist() == [2, 5]
+
+    def test_index_case_on_a_pick_position_forms_no_pair(self):
+        # Notified first, the index case holds the first pick position at
+        # stride 1; the picks stay among the first n notified persons.
+        tr = self._planted(20.0)
+        assert sample_backward_pairs(tr, n=3, stride=1).infectee.tolist() == [1, 2]
+        # Notified third (order 1, 2, 0, 3, ...), it holds position 3 of stride 3.
+        t_symptom = tr.t_symptom.copy()
+        t_symptom[0] = 6.2
+        late = OutbreakTrace(Scenario(), 6.0, 20.0, tr.t_infect, tr.infector, tr.t_inf_start,
+                             tr.t_inf_end, t_symptom, tr.died, tr.t_outcome)
+        assert late.notified_order()[:4].tolist() == [1, 2, 0, 3]
+        assert sample_backward_pairs(late, n=2, stride=3).infectee.tolist() == [5]
 
     def test_contraction_on_one_trace(self, backward_pairs):
         mean_g, var_g, mean_s, var_s = interval_moments(backward_pairs)
