@@ -49,8 +49,9 @@ class AnalysisOptions:
 
     def __post_init__(self):
         for name, least in (("n_pairs", 1), ("stride", 1), ("window", 2)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 # Days of each trace's infection series kept for the exponential-phase curve.

@@ -59,8 +59,9 @@ def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPa
     among the first n*stride notified persons: when n*stride is at most the
     notification threshold, every pick is notified by the threshold time.
     An index case has no infector to trace back to, so a pick position it
-    holds forms no pair and the sample is one pair short.  A single index
-    case is usually notified first, and then only stride 1 loses a pair.
+    holds forms no pair and the sample is one pair short for it.  A single
+    index case is usually notified first, and then only stride 1 loses a
+    pair.
 
     Raises:
         ValueError: if fewer than n*stride persons are notified by the end
