@@ -48,7 +48,7 @@ class AnalysisOptions:
     horizon: int = 42
 
     def __post_init__(self):
-        for name, least in (("n_pairs", 1), ("stride", 1), ("window", 2)):
+        for name, least in (("n_pairs", 1), ("stride", 1), ("window", 2), ("horizon", 0)):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")

@@ -206,8 +206,9 @@ class TestCliCommands:
         ("sample_pairs = 30", "sample_pairs = 0", 2, ["config error", "n_pairs must be >= 1"]),
         ("window = 20", "window = 20\nhorizon = 60", 2,
          ["config error", "[estimate] horizon (60)", "[scenario] followup (42)"]),
+        ("window = 20", "window = 20\nhorizon = -5", 2, ["config error", "horizon must be >= 0"]),
     ], ids=["analysis-error", "config-value-error", "window-too-short", "stride-zero",
-            "no-pairs", "horizon-past-followup"])
+            "no-pairs", "horizon-past-followup", "horizon-negative"])
     def test_error_exit_codes(self, tmp_path, capsys, old, new, code, words):
         cfg = tmp_path / "run.ini"
         cfg.write_text(SMALL_RUN_CONFIG.replace(old, new))
