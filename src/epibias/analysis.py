@@ -21,13 +21,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import cfr, growth_estimators as ge, tracing
+from . import cfr, exposures, growth_estimators as ge, tracing
 from .distributions import (
     DiscreteDelay,
     GammaParams,
     discretization_horizon,
     discretize_centered,
 )
+from .growth_math import solve_r
 from .outbreak_sim import (
     OutbreakTrace,
     Scenario,
@@ -36,6 +37,7 @@ from .outbreak_sim import (
     ensemble_map,
     summarize_trace,
 )
+from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -179,12 +181,12 @@ def analyze_trace(
 
     with _stage("prediction", replicate_index):
         actual = cumulative_notified_at(trace, t0 + k_complete + options.horizon)
+        fitted = {**r_estimates, "e": R0_backward}
         predictions = {}
         for method in ("a", "b", "c", "d", "e"):
             predicted = ge.predict_forward(
-                series, method, horizon=options.horizon,
+                series, method, fitted[method], horizon=options.horizon,
                 weights=backward_weights if method == "e" else None,
-                window=options.window,
             )
             predictions[method] = ge.PredictionScore(predicted=predicted, actual=actual)
 
@@ -314,9 +316,6 @@ def exposure_study(
     likelihood fit does not converge is counted in ``ml_nonconverged`` and
     left out of the ml summaries; its moment fit still runs.
     """
-    from . import exposures
-    from .rng import stream
-
     out = {}
     for gi, family in enumerate(EXPOSURE_FAMILIES):
         ml = {"p": [], "mean": [], "sd": []}
@@ -368,8 +367,6 @@ def ensemble_report(analysis: EnsembleAnalysis) -> dict:
     """JSON-ready summary of an analyzed ensemble."""
     scn = analysis.scenario
     gen = scn.implied_generation()
-    from .growth_math import solve_r
-
     r_true = solve_r(scn.R0(), gen)
     methods = {
         m: summarize(analysis.values(lambda t, m=m: t.r_estimates[m]))

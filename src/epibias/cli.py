@@ -22,13 +22,7 @@ from pathlib import Path
 from . import __version__, analysis, cfr as cfr_mod, growth_math
 from .config import ConfigError, DEFAULT_CONFIG, RunConfig, load_config
 from .distributions import GammaParams
-from .exposures import ConvergenceError, MomentFitError
-from .outbreak_sim import (
-    AcceptanceError,
-    SimulationLimitError,
-    ensemble_map,
-    summarize_trace,
-)
+from .outbreak_sim import ensemble_map, summarize_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -285,8 +279,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AcceptanceError, SimulationLimitError, ConvergenceError,
-            MomentFitError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -12,11 +12,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 
+from . import __version__
 from .analysis import AnalysisOptions
 from .distributions import GammaParams, gamma_from_moments
-from .exposures import ExposureModel
+from .exposures import MIN_HISTORIES, ExposureModel
 from .growth_math import BiasScenario
 from .outbreak_sim import Scenario
 
@@ -105,8 +107,6 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text.encode()).hexdigest()
 
     def metadata(self) -> dict:
-        from . import __version__
-
         return {
             "seed": self.seed,
             "version": __version__,
@@ -222,13 +222,28 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     )
 
     replicates, threads = int(run["replicates"]), int(run["threads"])
-    exposure_replicates = exp.getint("replicates")
-    for name, value in (("[run] replicates", replicates), ("[run] threads", threads),
-                        ("[exposures] replicates", exposure_replicates)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    exposure_replicates, n_persons = exp.getint("replicates"), exp.getint("n_persons")
+    for name, value, least in (
+        ("[run] replicates", replicates, 1), ("[run] threads", threads, 1),
+        ("[exposures] replicates", exposure_replicates, 1),
+        ("[exposures] n_persons", n_persons, MIN_HISTORIES),
+    ):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
 
     cfr_sec = parser["cfr"]
+    cfr_r, cfr_true = cfr_sec.getfloat("r"), cfr_sec.getfloat("true_cfr")
+    death_mean = cfr_sec.getfloat("death_delay_mean")
+    recovery_mean = cfr_sec.getfloat("recovery_delay_mean")
+    if not 0.0 < cfr_true <= 1.0:
+        raise ConfigError(f"[cfr] true_cfr must be in (0, 1], got {cfr_true}")
+    if not (0.0 < death_mean < math.inf and 0.0 < recovery_mean < math.inf):
+        raise ConfigError("[cfr] death_delay_mean and recovery_delay_mean must be positive and "
+                          f"finite, got {death_mean} and {recovery_mean}")
+    r_least = -1.0 / max(death_mean, recovery_mean)  # an observed fraction 1/(1 + r*m) diverges
+    if not r_least < cfr_r < math.inf:
+        raise ConfigError(f"[cfr] r must be finite and > -1 / the larger delay mean "
+                          f"({r_least:g}), got {cfr_r}")
     return RunConfig(
         seed=seed,
         replicates=replicates,
@@ -238,11 +253,11 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         bias=bias,
         options=options,
         exposure_model=exposure_model,
-        exposure_n_persons=exp.getint("n_persons"),
+        exposure_n_persons=n_persons,
         exposure_replicates=exposure_replicates,
-        cfr_r=cfr_sec.getfloat("r"),
-        cfr_death_delay_mean=cfr_sec.getfloat("death_delay_mean"),
-        cfr_recovery_delay_mean=cfr_sec.getfloat("recovery_delay_mean"),
-        cfr_true=cfr_sec.getfloat("true_cfr"),
+        cfr_r=cfr_r,
+        cfr_death_delay_mean=death_mean,
+        cfr_recovery_delay_mean=recovery_mean,
+        cfr_true=cfr_true,
         canonical_text=_canonical(parser),
     )

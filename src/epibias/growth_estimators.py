@@ -3,8 +3,8 @@
 Five estimators over a daily notification series: log-cumulative regression,
 log-daily regression, mean log-ratio of successive cumulatives, a
 branching-process ratio estimator, and the Poisson maximum-likelihood
-estimator of R0 under the discretized renewal model.  Each can be turned
-into a forward prediction of the cumulative count a fixed horizon ahead.
+estimator of R0 under the discretized renewal model.  Forward prediction
+projects a fitted r or R0 to the cumulative count a fixed horizon ahead.
 """
 
 from __future__ import annotations
@@ -155,30 +155,24 @@ def est_e_renewal_R0(series: CaseSeries, weights: DiscreteDelay) -> float:
 def predict_forward(
     series: CaseSeries,
     method: str,
+    estimate: float,
     horizon: int = 42,
     weights: Optional[DiscreteDelay] = None,
-    window: int = 42,
 ) -> float:
     """Predicted cumulative count ``horizon`` days past the series' end.
 
-    Growth-rate methods (a-d) multiply the last cumulative count by
-    exp(r_hat * horizon); the renewal method (e) iterates the fitted model
-    forward on expected values.  Rounding to whole cases is left to the
-    caller.
+    ``estimate`` is the fitted value being projected: the growth rate r for
+    methods a-d, which multiply the last cumulative count by
+    exp(r * horizon), and R0 for the renewal method (e), which iterates the
+    model forward on expected values with ``weights``.  Rounding to whole
+    cases is left to the caller.
     """
     cum_last = float(series.cumulative[-1])
     if method in ("a", "b", "c", "d"):
-        r_hat = {
-            "a": est_a_log_cumulative,
-            "b": est_b_log_daily,
-            "c": est_c_mean_ratio,
-            "d": est_d_branching,
-        }[method](series, window)
-        return cum_last * float(np.exp(r_hat * horizon))
+        return cum_last * float(np.exp(estimate * horizon))
     if method == "e":
         if weights is None:
             raise ValueError("method 'e' needs renewal weights")
-        R0_hat = est_e_renewal_R0(series, weights)
         extended = np.concatenate([series.daily, np.zeros(horizon)])
         L = len(weights.probs)
         for t in range(len(series), len(extended)):
@@ -186,6 +180,6 @@ def predict_forward(
             # the one dot product renewal_pressure(extended[:t])[-1] takes,
             # in the same operand order, so the result matches it bit for bit.
             recent = extended[max(0, t - L):t]
-            extended[t] = R0_hat * np.convolve(recent, weights.probs, "valid")[0]
+            extended[t] = estimate * np.convolve(recent, weights.probs, "valid")[0]
         return cum_last + float(extended[len(series):].sum())
     raise ValueError(f"unknown method {method!r}")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from epibias.analysis import (
     summarize,
     true_weights,
 )
-from epibias import exposures
+from epibias import exposures, growth_estimators
 from epibias.exposures import ExposureModel, MomentFit, MomentFitError
 from epibias.distributions import gamma_from_moments
 from epibias.rng import stream
@@ -77,6 +78,22 @@ class TestAnalyzeTrace:
         if ebola_trace.end_time >= 200:
             assert analysis.infection_daily is not None
             assert len(analysis.infection_daily) == 200
+
+    def test_fits_each_estimator_once(self, monkeypatch, ebola_trace):
+        # The prediction stage projects the fitted r and R0 rather than
+        # refitting them: c runs for the log and plain ratio, e for the
+        # backward and the true weights.
+        calls = Counter()
+        for name in ("est_a_log_cumulative", "est_b_log_daily", "est_c_mean_ratio",
+                     "est_d_branching", "est_e_renewal_R0"):
+            def counted(*args, _fn=getattr(growth_estimators, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(growth_estimators, name, counted)
+        analyze_trace(ebola_trace, 0)
+        assert calls == {"est_a_log_cumulative": 1, "est_b_log_daily": 1,
+                         "est_c_mean_ratio": 2, "est_d_branching": 1, "est_e_renewal_R0": 2}
 
     def test_data_error_names_stage_and_replicate(self, small_trace):
         # a threshold of 300 cannot give the default 500 pairs at stride 9

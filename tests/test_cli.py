@@ -194,27 +194,46 @@ class TestCliCommands:
         assert main(["bias-table", "--config", "/no/such/file.ini",
                      "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("old, new, code, words", [
+    @pytest.mark.parametrize("command, old, new, code, words", [
         # a threshold of 150 cannot give 500 backward pairs at stride 9: the
         # simulated trace, not the config's parsing, fails the analysis
-        ("sample_pairs = 30\nstride = 3", "sample_pairs = 500\nstride = 9", 3,
+        ("estimate", "sample_pairs = 30\nstride = 3", "sample_pairs = 500\nstride = 9", 3,
          ["runtime error", "stage 'contact tracing'", "replicate 0", "need 4500"]),
-        ("[scenario]\n", "[scenario]\np_death = 1.5\n", 2, ["config error", "p_death"]),
+        ("estimate", "[scenario]\n", "[scenario]\np_death = 1.5\n", 2,
+         ["config error", "p_death"]),
         # [estimate] values that no trace can satisfy fail before any simulation
-        ("window = 20", "window = 1", 2, ["config error", "window must be >= 2"]),
-        ("stride = 3", "stride = 0", 2, ["config error", "stride must be >= 1"]),
-        ("sample_pairs = 30", "sample_pairs = 0", 2, ["config error", "n_pairs must be >= 1"]),
-        ("window = 20", "window = 20\nhorizon = 60", 2,
+        ("estimate", "window = 20", "window = 1", 2, ["config error", "window must be >= 2"]),
+        ("estimate", "stride = 3", "stride = 0", 2, ["config error", "stride must be >= 1"]),
+        ("estimate", "sample_pairs = 30", "sample_pairs = 0", 2,
+         ["config error", "n_pairs must be >= 1"]),
+        ("estimate", "window = 20", "window = 20\nhorizon = 60", 2,
          ["config error", "[estimate] horizon (60)", "[scenario] followup (42)"]),
-        ("window = 20", "window = 20\nhorizon = -5", 2, ["config error", "horizon must be >= 0"]),
+        ("estimate", "window = 20", "window = 20\nhorizon = -5", 2,
+         ["config error", "horizon must be >= 0"]),
+        # [cfr] and [exposures] values fail before the first report is written
+        ("reproduce-paper", "[run]\n", "[cfr]\ntrue_cfr = 0\n[run]\n", 2,
+         ["config error", "true_cfr must be in (0, 1]"]),
+        ("cfr", "[run]\n", "[cfr]\ndeath_delay_mean = 0\n[run]\n", 2,
+         ["config error", "death_delay_mean and recovery_delay_mean must be positive"]),
+        ("reproduce-paper", "[run]\n", "[cfr]\nrecovery_delay_mean = inf\n[run]\n", 2,
+         ["config error", "must be positive and finite, got 9.0 and inf"]),
+        ("reproduce-paper", "[run]\n", "[cfr]\nr = -0.5\n[run]\n", 2,
+         ["config error", "r must be finite and > -1 / the larger delay mean (-0.0588235)"]),
+        ("cfr", "[run]\n", "[cfr]\nr = inf\n[run]\n", 2,
+         ["config error", "r must be finite", "got inf"]),
+        ("reproduce-paper", "n_persons = 100", "n_persons = 10", 2,
+         ["config error", "[exposures] n_persons must be >= 50"]),
     ], ids=["analysis-error", "config-value-error", "window-too-short", "stride-zero",
-            "no-pairs", "horizon-past-followup", "horizon-negative"])
-    def test_error_exit_codes(self, tmp_path, capsys, old, new, code, words):
-        cfg = tmp_path / "run.ini"
+            "no-pairs", "horizon-past-followup", "horizon-negative", "cfr-true-zero",
+            "cfr-delay-zero", "cfr-delay-infinite", "cfr-r-too-negative", "cfr-r-infinite",
+            "exposures-too-few-persons"])
+    def test_error_exit_codes(self, tmp_path, capsys, command, old, new, code, words):
+        cfg, out = tmp_path / "run.ini", tmp_path / "out"
         cfg.write_text(SMALL_RUN_CONFIG.replace(old, new))
-        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path)]) == code
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
+        assert list(out.glob("*")) == []
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "hopeless.ini"

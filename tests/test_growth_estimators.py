@@ -169,13 +169,13 @@ class TestRenewalEstimator:
 class TestPrediction:
     def test_growth_methods_multiply_last_cumulative(self):
         series = doubling_series(30)
-        predicted = predict_forward(series, "a", horizon=10, window=20)
+        predicted = predict_forward(series, "a", est_a_log_cumulative(series, 20), horizon=10)
         expected = float(series.cumulative[-1]) * 2.0**10
         assert math.isclose(predicted, expected, rel_tol=1e-9)
 
     def test_renewal_method_continues_recursion(self, renewal_setup):
         series, weights, R0 = renewal_setup
-        predicted = predict_forward(series, "e", horizon=5, weights=weights)
+        predicted = predict_forward(series, "e", R0, horizon=5, weights=weights)
         daily = series.daily.astype(float)
         extended = np.concatenate([daily, np.zeros(5)])
         for t in range(len(daily) + 1, len(daily) + 6):
@@ -183,14 +183,14 @@ class TestPrediction:
         assert math.isclose(predicted, series.cumulative[-1] + extended[-5:].sum(), rel_tol=1e-12)
 
     def test_method_e_needs_weights(self, renewal_setup):
-        series, _, _ = renewal_setup
+        series, _, R0 = renewal_setup
         with pytest.raises(ValueError):
-            predict_forward(series, "e", horizon=5)
+            predict_forward(series, "e", R0, horizon=5)
 
     def test_unknown_method(self, renewal_setup):
         series, _, _ = renewal_setup
         with pytest.raises(ValueError):
-            predict_forward(series, "z")
+            predict_forward(series, "z", 0.03)
 
     def test_prediction_score(self):
         score = PredictionScore(predicted=110.0, actual=100.0)
