@@ -18,8 +18,7 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy import optimize
-from scipy.special import digamma, expit, gammaln, logit
+from scipy.special import digamma, expit, gammaln, logit, zeta
 
 from .distributions import GammaParams, gamma_from_moments
 from .rng import stream
@@ -136,6 +135,15 @@ class Histories:
     def log_delta(self) -> np.ndarray:
         return _read_only(np.log(self.delta))
 
+    @cached_property
+    def z(self) -> np.ndarray:
+        """Rows (i - 1, log delta, delta) over all exposures.
+
+        The score of each exposure's likelihood term is affine in its column
+        (see :func:`conditional_log_likelihood`).
+        """
+        return _read_only(np.vstack([self.position, self.log_delta, self.delta]))
+
     def first_to_symptom(self) -> np.ndarray:
         """Time from first exposure to symptoms for every person."""
         return self.symptom_times - self.exposures[self.starts]
@@ -208,18 +216,29 @@ def conditional_log_likelihood(
     p: float,
     g_params: GammaParams,
     gradient: bool = False,
-) -> float | tuple[float, np.ndarray]:
+    hessian: bool = False,
+) -> float | tuple[float, np.ndarray] | tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood of onset times given exposure times.
 
     Sums log( sum_i p*(1-p)**(i-1) * g(s - e_i) ) over histories.
 
-    With ``gradient`` the return value is ``(ll, grad)``, grad being the
-    gradient of the log-likelihood in (logit p, log mean, log sd) of
-    the incubation Gamma (k = mean**2/sd**2, rate lam = mean/sd**2).  With
-    q_i the responsibility of exposure i (its share of its person's sum):
-    d log w_i/d logit p = (1-p) - (i-1)*p; and with A = log lam - digamma(k)
-    + log delta, B = k/lam - delta, d log g/d log mean = 2k*A + lam*B and
-    d log g/d log sd = -2k*A - 2*lam*B; each summed with weights q_i.
+    With ``gradient`` the return value is ``(ll, grad)``, and with
+    ``hessian`` it is ``(ll, grad, hess)``: the gradient and Hessian of the
+    log-likelihood in (logit p, log mean, log sd) of the incubation Gamma
+    (k = mean**2/sd**2, rate lam = mean/sd**2).
+
+    Exposure i's term l_i = log(p*(1-p)**(i-1)) + log g(delta_i) has the
+    score c + J z_i, affine in z_i = (i-1, log delta_i, delta_i)
+    (``Histories.z``), where with D = log lam - digamma(k)
+
+        c = (1-p, 2k*D + k, -2k*D - 2k),
+        J = [[-p, 0, 0], [0, 2k, -lam], [0, -2k, 2*lam]].
+
+    With q_i the responsibility of exposure i (its share of its person's
+    sum) and n persons, grad = n*c + J Z'q.  The Hessian is the sum over
+    persons of the q-covariance of the scores, J C J' with C = Z'(qZ) - M'M
+    and M each person's q-mean of z, plus the q-weighted second derivatives
+    of l_i, which need only n, Z'q, digamma(k) and trigamma(k).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
@@ -238,20 +257,35 @@ def conditional_log_likelihood(
     safe_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
     scaled = np.exp(terms - np.repeat(safe_max, counts))
     sums = np.add.reduceat(scaled, starts)
-    ll = np.where(np.isfinite(seg_max), safe_max + np.log(sums), -np.inf)
-    if not gradient:
-        return float(ll.sum())
+    ll = float(np.where(np.isfinite(seg_max), safe_max + np.log(sums), -np.inf).sum())
+    if not (gradient or hessian):
+        return ll
 
     q = scaled / np.repeat(sums, counts)
     n = len(histories)  # the q of each person sum to 1
-    q_A = n * (log_lam - digamma(k)) + q @ log_delta
-    q_B = n * k / lam - q @ delta
-    grad = np.array([
-        n * (1.0 - p) - p * (q @ pos),
-        2.0 * k * q_A + lam * q_B,
-        -2.0 * k * q_A - 2.0 * lam * q_B,
-    ])
-    return float(ll.sum()), grad
+    z = histories.z
+    d = log_lam - digamma(k)
+    jac = np.array([[-p, 0.0, 0.0], [0.0, 2.0 * k, -lam], [0.0, -2.0 * k, 2.0 * lam]])
+    zq = z @ q
+    grad = n * np.array([1.0 - p, 2.0 * k * d + k, -2.0 * k * d - 2.0 * k]) + jac @ zq
+    if not hessian:
+        return ll, grad
+
+    qz = z * q
+    per_person = np.add.reduceat(qz, starts, axis=1)
+    hess = jac @ (qz @ z.T - per_person @ per_person.T) @ jac.T
+    # The q-weighted second derivatives of l_i, with dk = 2k*(dlog mean -
+    # dlog sd) and dlam = lam*(dlog mean - 2*dlog sd).  The q-weighted sums
+    # of d log g/dk and d log g/dlam are n*D + (Z'q)[1] and n*k/lam - (Z'q)[2].
+    a = 4.0 * k * (n * d + zq[1])
+    b = n * k - lam * zq[2]
+    kn, trigamma_term = k * n, 4.0 * k * k * n * zeta(2.0, k)  # trigamma(k) = zeta(2, k)
+    hess[0, 0] -= p * (1.0 - p) * (n + zq[0])
+    hess[1, 1] += a + b + 3.0 * kn - trigamma_term
+    hess[2, 2] += a + 4.0 * b + 4.0 * kn - trigamma_term
+    hess[1, 2] += -a - 2.0 * b - 4.0 * kn + trigamma_term
+    hess[2, 1] = hess[1, 2]
+    return ll, grad, hess
 
 
 @dataclass(frozen=True)
@@ -267,6 +301,15 @@ class MlFit:
 
 _LOGIT_CAP = 16.0  # p within 1e-7 of the boundary counts as boundary
 
+# The search box in (logit p, log mean, log sd).
+_LOWER = np.array([-_LOGIT_CAP, math.log(1e-3), math.log(1e-3)])
+_UPPER = np.array([_LOGIT_CAP, math.log(1e4), math.log(1e4)])
+
+# Newton stops when no free coordinate's gradient exceeds this, per history.
+_GTOL = 1e-8
+_MAX_STEPS = 100
+_MAX_HALVINGS = 30
+
 # Fewest histories either estimator accepts.
 MIN_HISTORIES = 50
 
@@ -274,30 +317,20 @@ MIN_HISTORIES = 50
 def ml_fit(histories: Histories) -> MlFit:
     """Maximum-likelihood fit of (p, incubation mean, incubation sd).
 
-    Searches in (logit p, log mean, log sd) coordinates with a bounded
-    quasi-Newton optimizer on the analytic gradient of
-    :func:`conditional_log_likelihood`, from three deterministic data-driven
-    starts, and keeps the best optimum.  A p estimate at the upper search
-    bound is reported as the boundary value 1.
+    Searches in (logit p, log mean, log sd) coordinates with a damped Newton
+    iteration on the analytic gradient and Hessian of
+    :func:`conditional_log_likelihood`, inside a box that caps |logit p|.
+    It starts from the first of three deterministic data-driven starts, and
+    tries the next only when a solve fails.  On histories crowded with
+    exposures the likelihood can have several local maxima; the fit reports
+    the one its start climbs to.  A p estimate at the cap is reported as the
+    boundary value 1.
 
     Raises:
         ConvergenceError: if no start converges; carries the best fit found.
     """
     if len(histories) < MIN_HISTORIES:
         raise ValueError(f"need at least {MIN_HISTORIES} histories, got {len(histories)}")
-
-    def objective(x):
-        p = expit(x[0])
-        try:
-            ll, grad = conditional_log_likelihood(
-                histories, p, gamma_from_moments(math.exp(x[1]), math.exp(x[2])),
-                gradient=True,
-            )
-        except (ValueError, OverflowError):
-            return 1e12, np.zeros(3)
-        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
-            return 1e12, np.zeros(3)
-        return -ll, -grad
 
     lo = histories.last_to_symptom()
     hi = histories.first_to_symptom()
@@ -308,37 +341,84 @@ def ml_fit(histories: Histories) -> MlFit:
         (logit(0.8), math.log(max(0.5 * (m_lo + m_hi), 1e-3)), math.log(max(s_lo, 0.5))),
         (logit(0.3), math.log(m_hi), math.log(max(0.5 * (m_lo + m_hi), 0.5))),
     ]
-    bounds = [(-_LOGIT_CAP, _LOGIT_CAP), (math.log(1e-3), math.log(1e4)),
-              (math.log(1e-3), math.log(1e4))]
     best = None
-    any_converged = False
     evaluations = 0
-    message = ""
     for x0 in starts:
-        res = optimize.minimize(
-            objective, x0, method="L-BFGS-B", jac=True, bounds=bounds,
-            options={"maxiter": 500},
-        )
-        evaluations += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-            message = str(res.message)
-        any_converged = any_converged or res.success
-    p_hat = float(expit(best.x[0]))
-    if best.x[0] >= _LOGIT_CAP - 1e-6:
-        p_hat = 1.0
+        x, ll, converged, used, message = _newton(histories, np.array(x0))
+        evaluations += used
+        if converged or best is None or ll > best[1]:
+            best = x, ll, message
+        if converged:
+            break
+    x, ll, message = best
     fit = MlFit(
-        p=p_hat,
-        mean=float(math.exp(best.x[1])),
-        sd=float(math.exp(best.x[2])),
-        log_likelihood=float(-best.fun),
-        converged=any_converged,
+        p=1.0 if x[0] >= _LOGIT_CAP - 1e-6 else float(expit(x[0])),
+        mean=float(math.exp(x[1])),
+        sd=float(math.exp(x[2])),
+        log_likelihood=ll,
+        converged=converged,
         n_evaluations=evaluations,
         message=message,
     )
-    if not any_converged:
+    if not converged:
         raise ConvergenceError(f"no start converged: {message}", best=fit)
     return fit
+
+
+def _newton(histories: Histories, x: np.ndarray) -> tuple[np.ndarray, float, bool, int, str]:
+    """Damped Newton ascent of the log-likelihood from ``x`` inside the box.
+
+    A coordinate at a face of the box whose gradient points out of it is
+    held fixed; the step on the others is Newton's, taken on the absolute
+    eigenvalues of their Hessian (so it ascends where the surface is not
+    concave), projected onto the box, and halved until it gains a fraction
+    of the predicted ascent.
+
+    Returns:
+        (x, ll, converged, evaluations, message).
+    """
+    tol = _GTOL * len(histories)
+    ll, grad, hess = _evaluate(histories, x)
+    evaluations = 1
+    if grad is None:
+        return x, ll, False, evaluations, "the likelihood is not finite at the start"
+    for _ in range(_MAX_STEPS):
+        free = ~(((x >= _UPPER) & (grad > 0.0)) | ((x <= _LOWER) & (grad < 0.0)))
+        if np.max(np.abs(grad[free]), initial=0.0) <= tol:
+            return x, ll, True, evaluations, "projected gradient below tolerance"
+        w, v = np.linalg.eigh(hess[np.ix_(free, free)])
+        curvature = np.maximum(np.abs(w), 1e-10 * np.max(np.abs(w)))
+        step = np.zeros(3)
+        step[free] = v @ ((v.T @ grad[free]) / curvature)
+        # the slack lets a step near the optimum through when rounding in
+        # ll hides its gain
+        slack = 1e-13 * abs(ll)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(x + t * step, _LOWER, _UPPER)
+            new = _evaluate(histories, trial)
+            evaluations += 1
+            if new[0] >= ll + 1e-4 * (grad @ (trial - x)) - slack:
+                break
+            t *= 0.5
+        else:
+            return x, ll, False, evaluations, "the line search found no ascent"
+        x, (ll, grad, hess) = trial, new
+    return x, ll, False, evaluations, f"no convergence in {_MAX_STEPS} steps"
+
+
+def _evaluate(histories: Histories, x: np.ndarray) -> tuple:
+    """(ll, grad, hess) at x = (logit p, log mean, log sd); (-inf, None, None) where not finite."""
+    try:
+        ll, grad, hess = conditional_log_likelihood(
+            histories, float(expit(x[0])), gamma_from_moments(math.exp(x[1]), math.exp(x[2])),
+            hessian=True,
+        )
+    except (ValueError, OverflowError):
+        return -math.inf, None, None
+    if not (math.isfinite(ll) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+        return -math.inf, None, None
+    return ll, grad, hess
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ These deliberately avoid the library's closed forms: Laplace transforms and
 delayed-observation fractions are computed by adaptive quadrature, growth
 rates by quadrature and a bracketing root-finder, moment inversions
 analytically, renewal sums one day at a time, exposure histories
-one person at a time, outbreaks one infection at a time from an event queue,
-per-trace counts by masking every person, and expectations by brute-force
-Monte Carlo, so a bug in a formula cannot hide behind itself.  The exposure-history records and their builders, and
+one person at a time, likelihood fits by scipy's L-BFGS-B from three
+starts, outbreaks one infection at a time from an event queue, per-trace
+counts by masking every person, and expectations by brute-force Monte
+Carlo, so a bug in a formula cannot hide behind itself.  The
+exposure-history records and their builders, and
 the plain interval binning ``discretize``, are test fixtures: the library
 itself is columnar only and bins delays with ``discretize_centered``.
 """
@@ -18,9 +20,16 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 from scipy import integrate, optimize, stats
+from scipy.special import expit, logit
 
-from epibias.distributions import DiscreteDelay, GammaParams, cdf
-from epibias.exposures import ExposureModel, Histories, LogNormalParams
+from epibias.distributions import DiscreteDelay, GammaParams, cdf, gamma_from_moments
+from epibias.exposures import (
+    ExposureModel,
+    Histories,
+    LogNormalParams,
+    MlFit,
+    conditional_log_likelihood,
+)
 from epibias.outbreak_sim import OutbreakTrace, Scenario, SimulationLimitError, TraceSummary
 from epibias.rng import stream
 from epibias.tracing import TracedPairs, _pairs_of
@@ -264,6 +273,62 @@ def loop_generate_histories(
         if M[i]:
             seg[k_pre:] = W[i] + np.sort(T[i] * rng.random(M[i]))
     return Histories(offsets, flat, sympt)
+
+
+def lbfgsb_ml_fit(histories: Histories) -> MlFit:
+    """``ml_fit`` by scipy's bounded quasi-Newton optimizer, best of three starts.
+
+    Minimizes the negative log-likelihood in (logit p, log mean, log sd) on
+    the analytic gradient of ``conditional_log_likelihood`` with L-BFGS-B,
+    from each of the three data-driven starts in turn, and keeps the best
+    optimum; a p estimate at the upper search bound is reported as 1.
+    """
+
+    def objective(x):
+        p = expit(x[0])
+        try:
+            ll, grad = conditional_log_likelihood(
+                histories, p, gamma_from_moments(math.exp(x[1]), math.exp(x[2])),
+                gradient=True,
+            )
+        except (ValueError, OverflowError):
+            return 1e12, np.zeros(3)
+        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+            return 1e12, np.zeros(3)
+        return -ll, -grad
+
+    lo = histories.last_to_symptom()
+    hi = histories.first_to_symptom()
+    m_lo, m_hi = float(np.mean(lo)), float(np.mean(hi))
+    s_lo = float(np.std(lo, ddof=1))
+    starts = [
+        (logit(0.5), math.log(m_lo), math.log(max(s_lo, 0.5))),
+        (logit(0.8), math.log(max(0.5 * (m_lo + m_hi), 1e-3)), math.log(max(s_lo, 0.5))),
+        (logit(0.3), math.log(m_hi), math.log(max(0.5 * (m_lo + m_hi), 0.5))),
+    ]
+    cap = 16.0
+    bounds = [(-cap, cap), (math.log(1e-3), math.log(1e4)), (math.log(1e-3), math.log(1e4))]
+    best = None
+    any_converged = False
+    evaluations = 0
+    for x0 in starts:
+        res = optimize.minimize(
+            objective, x0, method="L-BFGS-B", jac=True, bounds=bounds,
+            options={"maxiter": 500},
+        )
+        evaluations += res.nfev
+        if best is None or res.fun < best.fun:
+            best = res
+        any_converged = any_converged or res.success
+    return MlFit(
+        p=1.0 if best.x[0] >= cap - 1e-6 else float(expit(best.x[0])),
+        mean=float(math.exp(best.x[1])),
+        sd=float(math.exp(best.x[2])),
+        log_likelihood=float(-best.fun),
+        converged=any_converged,
+        n_evaluations=evaluations,
+        message=str(best.message),
+    )
 
 
 def discretize(params: GammaParams, horizon: int) -> DiscreteDelay:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from _oracles import (
     ExposureHistory,
@@ -13,12 +13,16 @@ from _oracles import (
     histories_from_records,
     history,
     invert_exposure_moments,
+    lbfgsb_ml_fit,
     loop_generate_histories,
     quad_tilted_mean,
 )
 from epibias import exposures
+from epibias.analysis import EXPOSURE_FAMILIES
+from epibias.config import load_config
 from epibias.distributions import GammaParams, gamma_from_moments, laplace
 from epibias.exposures import (
+    ConvergenceError,
     ExposureModel,
     Histories,
     LogNormalParams,
@@ -80,7 +84,7 @@ class TestHistoryTypes:
         hist = Histories(offsets, times, onsets)
         offsets[1] = 2  # the store keeps its own copy of the caller's arrays
         assert list(hist.counts) == [1, 2]
-        for name in ("offsets", "exposures", "symptom_times", "counts", "delta", "log_delta"):
+        for name in ("offsets", "exposures", "symptom_times", "counts", "delta", "log_delta", "z"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(hist, name)[0] = 1.0
 
@@ -192,6 +196,30 @@ GRADIENT_SETS = {
 }
 
 
+# Points of the derivative checks in (logit p, log mean, log sd): logit p
+# spans the fit's cap of +-16 (p within 1.2e-7 of 0 or 1), and cv > 1 is a
+# Gamma shape below 1.
+DERIVATIVE_POINTS = given(
+    data=st.sampled_from(sorted(GRADIENT_SETS)),
+    logit_p=st.floats(-16.0, 16.0),
+    log_mean=st.floats(0.0, math.log(60.0)),
+    log_cv=st.floats(math.log(0.1), math.log(4.0)),
+)
+
+
+def ll_at(data, x, **kw):
+    """Log-likelihood of ``GRADIENT_SETS[data]`` at x = (logit p, log mean, log sd)."""
+    g = gamma_from_moments(math.exp(x[1]), math.exp(x[2]))
+    return conditional_log_likelihood(GRADIENT_SETS[data], expit(x[0]), g, **kw)
+
+
+def central_difference(f, x, j):
+    """Five-point stencil for df/dx_j: truncation error O(h**4)."""
+    e = np.zeros(3)
+    e[j] = 1e-3 if j == 0 else 1e-4
+    return (8 * (f(x + e) - f(x - e)) - (f(x + 2 * e) - f(x - 2 * e))) / (12 * e[j])
+
+
 class TestLikelihood:
     def test_single_exposure(self):
         hist = histories_from_records([ExposureHistory((0.0,), 6.0)])
@@ -229,33 +257,38 @@ class TestLikelihood:
         with pytest.raises(ValueError):
             conditional_log_likelihood(hist, 0.0, gamma_from_moments(11.4, 8.1))
 
-    @given(
-        data=st.sampled_from(sorted(GRADIENT_SETS)),
-        logit_p=st.floats(-16.0, 16.0),
-        log_mean=st.floats(0.0, math.log(60.0)),
-        log_cv=st.floats(math.log(0.1), math.log(4.0)),
-    )
+    @DERIVATIVE_POINTS
     @example(data="default", logit_p=16.0, log_mean=math.log(11.4), log_cv=-0.34)
     @example(data="crowded", logit_p=-16.0, log_mean=math.log(11.4), log_cv=-0.34)
     @example(data="single", logit_p=16.0, log_mean=math.log(11.4), log_cv=math.log(2.0))
     def test_gradient_matches_central_differences(self, data, logit_p, log_mean, log_cv):
-        # logit p spans the fit's cap of +-16 (p within 1.2e-7 of 0 or 1);
-        # cv > 1 is a Gamma shape below 1.
-        hist = GRADIENT_SETS[data]
+        x = np.array([logit_p, log_mean, log_mean + log_cv])
+        value, grad = ll_at(data, x, gradient=True)
+        assert value == ll_at(data, x)
+        for j in range(3):
+            fd = central_difference(lambda y: ll_at(data, y), x, j)
+            assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j]) + 1e-10 * abs(value), j
 
-        def ll(x, **kw):
-            g = gamma_from_moments(math.exp(x[1]), math.exp(x[2]))
-            return conditional_log_likelihood(hist, expit(x[0]), g, **kw)
+    @DERIVATIVE_POINTS
+    @example(data="default", logit_p=16.0, log_mean=math.log(11.4), log_cv=-0.34)
+    @example(data="default", logit_p=12.0, log_mean=math.log(11.4), log_cv=-0.34)
+    @example(data="crowded", logit_p=16.0, log_mean=math.log(30.0), log_cv=0.5)
+    @example(data="crowded", logit_p=-16.0, log_mean=math.log(11.4), log_cv=-0.34)
+    @example(data="single", logit_p=16.0, log_mean=math.log(11.4), log_cv=math.log(2.0))
+    def test_hessian_matches_central_differences(self, data, logit_p, log_mean, log_cv):
+        # Each Hessian column against central differences of the analytic
+        # gradient, which the test above checks.
+        def grad(y):
+            return ll_at(data, y, gradient=True)[1]
 
         x = np.array([logit_p, log_mean, log_mean + log_cv])
-        value, grad = ll(x, gradient=True)
-        assert value == ll(x)
-        for j, h in enumerate((1e-3, 1e-4, 1e-4)):
-            e = np.zeros(3)
-            e[j] = h
-            # five-point stencil: truncation error O(h**4)
-            fd = (8 * (ll(x + e) - ll(x - e)) - (ll(x + 2 * e) - ll(x - 2 * e))) / (12 * h)
-            assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j]) + 1e-10 * abs(value), j
+        value, gradient, hess = ll_at(data, x, hessian=True)
+        assert value == ll_at(data, x)
+        assert np.array_equal(gradient, grad(x))
+        for j in range(3):
+            fd = central_difference(grad, x, j)
+            tol = 1e-5 * np.abs(hess[:, j]) + 1e-8 * (np.max(np.abs(hess)) + abs(value))
+            assert np.all(np.abs(fd - hess[:, j]) <= tol), (j, fd, hess[:, j])
 
 
 class TestMlFit:
@@ -286,10 +319,10 @@ class TestMlFit:
         assert abs(fit.mean - shape * scale) / (shape * scale) < 0.01
 
     def test_every_evaluation_is_counted(self, monkeypatch):
-        # Each optimizer step evaluates the likelihood and its gradient in
-        # one call through the module-level name, so wrapping that name
-        # counts them all; the gradient keeps the count near 40 (~164 with
-        # finite differences).
+        # Each Newton step evaluates the likelihood, its gradient and its
+        # Hessian in one call through the module-level name, and so does
+        # each halving of a step, so wrapping that name counts them all.
+        # From the first start Newton needs 6-8 calls on default histories.
         hist = generate_histories(MODEL, 500, "gamma", seed=stream(47, 0))
         calls = []
         likelihood = exposures.conditional_log_likelihood
@@ -301,7 +334,58 @@ class TestMlFit:
         monkeypatch.setattr(exposures, "conditional_log_likelihood", counted)
         fit = ml_fit(hist)
         assert fit.converged
-        assert len(calls) == fit.n_evaluations <= 50
+        assert len(calls) == fit.n_evaluations <= 15
+        assert all(kw == {"hessian": True} for kw in calls)
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_failed_start_falls_back_to_the_next(self, monkeypatch, failing):
+        # The first `failing` solves report failure; the fit moves on to the
+        # next start, counts every solve's evaluations, and when all three
+        # fail raises with the best of them.
+        hist = generate_histories(MODEL, 500, "gamma", seed=stream(47, 0))
+        newton = exposures._newton
+        solves = []
+
+        def fails_first(histories, x0):
+            x, ll, converged, used, message = newton(histories, x0)
+            solves.append((x0, ll, used))
+            if len(solves) <= failing:
+                return x, ll, False, used, f"forced failure {len(solves)}"
+            return x, ll, converged, used, message
+
+        monkeypatch.setattr(exposures, "_newton", fails_first)
+        if failing < 3:
+            fit = ml_fit(hist)
+            assert fit.converged
+            assert fit.log_likelihood == solves[-1][1]
+        else:
+            with pytest.raises(ConvergenceError, match="forced failure") as err:
+                ml_fit(hist)
+            fit = err.value.best
+            assert fit is not None and not fit.converged
+        assert len(solves) == min(failing + 1, 3)
+        starts = [tuple(x0) for x0, _, _ in solves]
+        assert len(set(starts)) == len(starts)
+        assert fit.n_evaluations == sum(used for _, _, used in solves)
+        if failing == 3:
+            assert fit.log_likelihood == max(ll for _, ll, _ in solves)
+
+    @pytest.mark.parametrize("family", EXPOSURE_FAMILIES)
+    def test_matches_lbfgsb_best_of_three_on_study_streams(self, family):
+        # The exposure study's own history sets: Newton from one start
+        # reaches the optimum that the best of three L-BFGS-B runs reaches.
+        config = load_config()
+        gi = EXPOSURE_FAMILIES.index(family)
+        for rep in range(150):
+            rng = stream(config.seed, 1_000_000 * (gi + 1) + rep)
+            hist = generate_histories(
+                config.exposure_model, config.exposure_n_persons, family, seed=rng
+            )
+            fit, ref = ml_fit(hist), lbfgsb_ml_fit(hist)
+            assert fit.log_likelihood >= ref.log_likelihood - 1e-9, rep
+            x, x_ref = (np.array([logit(f.p), math.log(f.mean), math.log(f.sd)])
+                        for f in (fit, ref))
+            assert np.allclose(x, x_ref, rtol=0.0, atol=2e-4), (rep, x, x_ref)
 
     def test_needs_enough_histories(self):
         hist = generate_histories(MODEL, 10, "gamma", seed=stream(38, 0))
