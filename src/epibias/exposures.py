@@ -115,6 +115,11 @@ class Histories:
         return self.offsets[:-1]
 
     @cached_property
+    def person(self) -> np.ndarray:
+        """Index of the person of every exposure."""
+        return _read_only(np.repeat(np.arange(len(self)), self.counts))
+
+    @cached_property
     def position(self) -> np.ndarray:
         """i - 1 for the i-th exposure of its person."""
         return _read_only(np.arange(len(self.exposures)) - np.repeat(self.starts, self.counts))
@@ -143,6 +148,12 @@ class Histories:
         (see :func:`conditional_log_likelihood`).
         """
         return _read_only(np.vstack([self.position, self.log_delta, self.delta]))
+
+    @cached_property
+    def z_person(self) -> np.ndarray:
+        """Person index of every entry of ``z`` (flattened), offset by len(self)
+        per row, so one ``np.bincount`` sums each row per person."""
+        return _read_only((self.person + len(self) * np.arange(3)[:, None]).ravel())
 
     def first_to_symptom(self) -> np.ndarray:
         """Time from first exposure to symptoms for every person."""
@@ -215,17 +226,15 @@ def conditional_log_likelihood(
     histories: Histories,
     p: float,
     g_params: GammaParams,
-    gradient: bool = False,
     hessian: bool = False,
-) -> float | tuple[float, np.ndarray] | tuple[float, np.ndarray, np.ndarray]:
+) -> float | tuple[float, np.ndarray, np.ndarray]:
     """Log-likelihood of onset times given exposure times.
 
     Sums log( sum_i p*(1-p)**(i-1) * g(s - e_i) ) over histories.
 
-    With ``gradient`` the return value is ``(ll, grad)``, and with
-    ``hessian`` it is ``(ll, grad, hess)``: the gradient and Hessian of the
-    log-likelihood in (logit p, log mean, log sd) of the incubation Gamma
-    (k = mean**2/sd**2, rate lam = mean/sd**2).
+    With ``hessian`` the return value is ``(ll, grad, hess)``: the gradient
+    and Hessian of the log-likelihood in (logit p, log mean, log sd) of the
+    incubation Gamma (k = mean**2/sd**2, rate lam = mean/sd**2).
 
     Exposure i's term l_i = log(p*(1-p)**(i-1)) + log g(delta_i) has the
     score c + J z_i, affine in z_i = (i-1, log delta_i, delta_i)
@@ -237,42 +246,41 @@ def conditional_log_likelihood(
     With q_i the responsibility of exposure i (its share of its person's
     sum) and n persons, grad = n*c + J Z'q.  The Hessian is the sum over
     persons of the q-covariance of the scores, J C J' with C = Z'(qZ) - M'M
-    and M each person's q-mean of z, plus the q-weighted second derivatives
+    and M each person's q-sum of z, plus the q-weighted second derivatives
     of l_i, which need only n, Z'q, digamma(k) and trigamma(k).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    counts, starts, pos = histories.counts, histories.starts, histories.position
-    delta, log_delta = histories.delta, histories.log_delta
+    z, person, starts = histories.z, histories.person, histories.starts
+    n = len(histories)
     k, lam = g_params.shape, g_params.rate
     log_lam = math.log(lam)
-    log_g = (k - 1.0) * log_delta - lam * delta + (k * log_lam - gammaln(k))
+    # l_i less log p + k*log(lam) - log(Gamma(k)), which every person has once
     if p < 1.0:
-        weight = math.log(p) + pos * math.log1p(-p)
+        terms = np.array([math.log1p(-p), k - 1.0, -lam]) @ z
     else:
-        weight = np.where(pos == 0, 0.0, -np.inf)
-    terms = weight + log_g
-
-    seg_max = np.maximum.reduceat(terms, starts)
-    safe_max = np.where(np.isfinite(seg_max), seg_max, 0.0)
-    scaled = np.exp(terms - np.repeat(safe_max, counts))
-    sums = np.add.reduceat(scaled, starts)
-    ll = float(np.where(np.isfinite(seg_max), safe_max + np.log(sums), -np.inf).sum())
-    if not (gradient or hessian):
+        terms = np.where(z[0] == 0.0, (k - 1.0) * z[1] - lam * z[2], -np.inf)
+    # Each person's terms relative to its first, which is finite, so every
+    # sum is at least 1; relative to its largest where a later term exceeds
+    # the first by so much that a sum could overflow.
+    shift = terms[starts]
+    relative = terms - shift[person]
+    if relative.max() > 600.0:
+        shift = np.maximum.reduceat(terms, starts)
+        relative = terms - shift[person]
+    scaled = np.exp(relative)
+    sums = np.bincount(person, scaled, n)
+    ll = float((shift + np.log(sums)).sum() + n * (math.log(p) + k * log_lam - gammaln(k)))
+    if not hessian:
         return ll
 
-    q = scaled / np.repeat(sums, counts)
-    n = len(histories)  # the q of each person sum to 1
-    z = histories.z
+    q = scaled / sums[person]  # the q of each person sum to 1
+    qz = z * q
+    per_person = np.bincount(histories.z_person, qz.ravel(), 3 * n).reshape(3, n)
+    zq = per_person.sum(axis=1)
     d = log_lam - digamma(k)
     jac = np.array([[-p, 0.0, 0.0], [0.0, 2.0 * k, -lam], [0.0, -2.0 * k, 2.0 * lam]])
-    zq = z @ q
     grad = n * np.array([1.0 - p, 2.0 * k * d + k, -2.0 * k * d - 2.0 * k]) + jac @ zq
-    if not hessian:
-        return ll, grad
-
-    qz = z * q
-    per_person = np.add.reduceat(qz, starts, axis=1)
     hess = jac @ (qz @ z.T - per_person @ per_person.T) @ jac.T
     # The q-weighted second derivatives of l_i, with dk = 2k*(dlog mean -
     # dlog sd) and dlam = lam*(dlog mean - 2*dlog sd).  The q-weighted sums
@@ -302,12 +310,16 @@ class MlFit:
 _LOGIT_CAP = 16.0  # p within 1e-7 of the boundary counts as boundary
 
 # The search box in (logit p, log mean, log sd).
-_LOWER = np.array([-_LOGIT_CAP, math.log(1e-3), math.log(1e-3)])
-_UPPER = np.array([_LOGIT_CAP, math.log(1e4), math.log(1e4)])
+_LOWER = (-_LOGIT_CAP, math.log(1e-3), math.log(1e-3))
+_UPPER = (_LOGIT_CAP, math.log(1e4), math.log(1e4))
 
-# Newton stops when no free coordinate's gradient exceeds this, per history.
+# Newton stops when no free coordinate's gradient exceeds _GTOL per history,
+# or where the free block is concave and a Newton step would gain at most
+# _GAIN_TOL in log-likelihood.
 _GTOL = 1e-8
+_GAIN_TOL = 1e-10
 _MAX_STEPS = 100
+_MAX_STEP = 1.0  # longest step in any coordinate
 _MAX_HALVINGS = 30
 
 # Fewest histories either estimator accepts.
@@ -320,11 +332,11 @@ def ml_fit(histories: Histories) -> MlFit:
     Searches in (logit p, log mean, log sd) coordinates with a damped Newton
     iteration on the analytic gradient and Hessian of
     :func:`conditional_log_likelihood`, inside a box that caps |logit p|.
-    It starts from the first of three deterministic data-driven starts, and
-    tries the next only when a solve fails.  On histories crowded with
-    exposures the likelihood can have several local maxima; the fit reports
-    the one its start climbs to.  A p estimate at the cap is reported as the
-    boundary value 1.
+    On histories crowded with exposures the likelihood can have several
+    local maxima, and no one start climbs to the highest on every input, so
+    the fit climbs from each of three deterministic data-driven starts,
+    keeps the highest end point, and counts as converged when any start
+    converged.  A p estimate at the cap is reported as the boundary value 1.
 
     Raises:
         ConvergenceError: if no start converges; carries the best fit found.
@@ -342,14 +354,14 @@ def ml_fit(histories: Histories) -> MlFit:
         (logit(0.3), math.log(m_hi), math.log(max(0.5 * (m_lo + m_hi), 0.5))),
     ]
     best = None
+    converged = False
     evaluations = 0
     for x0 in starts:
-        x, ll, converged, used, message = _newton(histories, np.array(x0))
+        x, ll, ok, used, message = _newton(histories, x0)
         evaluations += used
-        if converged or best is None or ll > best[1]:
+        converged = converged or ok
+        if best is None or ll > best[1]:
             best = x, ll, message
-        if converged:
-            break
     x, ll, message = best
     fit = MlFit(
         p=1.0 if x[0] >= _LOGIT_CAP - 1e-6 else float(expit(x[0])),
@@ -365,41 +377,64 @@ def ml_fit(histories: Histories) -> MlFit:
     return fit
 
 
-def _newton(histories: Histories, x: np.ndarray) -> tuple[np.ndarray, float, bool, int, str]:
-    """Damped Newton ascent of the log-likelihood from ``x`` inside the box.
+def _newton(histories: Histories, x0) -> tuple[list, float, bool, int, str]:
+    """Damped Newton ascent of the log-likelihood from ``x0`` inside the box.
 
     A coordinate at a face of the box whose gradient points out of it is
-    held fixed; the step on the others is Newton's, taken on the absolute
-    eigenvalues of their Hessian (so it ascends where the surface is not
-    concave), projected onto the box, and halved until it gains a fraction
-    of the predicted ascent.
+    held fixed.  The step on the others is Newton's where their Hessian is
+    negative definite, and elsewhere Newton's on its absolute eigenvalues,
+    so that it ascends; where projecting it onto the box would turn it
+    downhill, the gradient scaled by a bound on those eigenvalues takes its
+    place.  The step is shortened to at most ``_MAX_STEP`` in every
+    coordinate, projected onto the box, and halved until it gains a
+    fraction of the ascent the gradient predicts for it.  The 3-vectors are
+    plain floats, which cost less than numpy calls at this size.
 
     Returns:
         (x, ll, converged, evaluations, message).
     """
     tol = _GTOL * len(histories)
+    x = [float(v) for v in x0]
     ll, grad, hess = _evaluate(histories, x)
     evaluations = 1
     if grad is None:
         return x, ll, False, evaluations, "the likelihood is not finite at the start"
     for _ in range(_MAX_STEPS):
-        free = ~(((x >= _UPPER) & (grad > 0.0)) | ((x <= _LOWER) & (grad < 0.0)))
-        if np.max(np.abs(grad[free]), initial=0.0) <= tol:
+        free = [i for i in range(3) if not (
+            (x[i] >= _UPPER[i] and grad[i] > 0.0) or (x[i] <= _LOWER[i] and grad[i] < 0.0))]
+        g = [grad[i] for i in free]
+        if max(map(abs, g), default=0.0) <= tol:
             return x, ll, True, evaluations, "projected gradient below tolerance"
-        w, v = np.linalg.eigh(hess[np.ix_(free, free)])
-        curvature = np.maximum(np.abs(w), 1e-10 * np.max(np.abs(w)))
-        step = np.zeros(3)
-        step[free] = v @ ((v.T @ grad[free]) / curvature)
+        h = [[hess[i][j] for j in free] for i in free]
+        newton = _solve_concave(h, g)
+        if newton is None:
+            w, v = np.linalg.eigh(h)
+            along = v.T @ g
+            newton = (v @ (along / np.maximum(np.abs(w), 1e-10 * np.abs(w).max()))).tolist()
+        elif sum(gi * si for gi, si in zip(g, newton)) <= 2.0 * _GAIN_TOL:
+            return x, ll, True, evaluations, "the Newton step gains less than tolerance"
+        step = [0.0, 0.0, 0.0]
+        for i, si in zip(free, newton):
+            step[i] = si
+        if _ascent(x, grad, step, 1.0)[1] <= 0.0:
+            # every component of a projected gradient step ascends; the
+            # largest absolute row sum of h bounds its eigenvalues
+            scale = 1.0 / max(sum(map(abs, row)) for row in h)
+            step = [grad[i] * scale if i in free else 0.0 for i in range(3)]
+        longest = max(map(abs, step))
+        if longest > _MAX_STEP:
+            step = [s * (_MAX_STEP / longest) for s in step]
         # the slack lets a step near the optimum through when rounding in
         # ll hides its gain
         slack = 1e-13 * abs(ll)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = np.clip(x + t * step, _LOWER, _UPPER)
-            new = _evaluate(histories, trial)
-            evaluations += 1
-            if new[0] >= ll + 1e-4 * (grad @ (trial - x)) - slack:
-                break
+            trial, ascent = _ascent(x, grad, step, t)
+            if ascent > 0.0:
+                new = _evaluate(histories, trial)
+                evaluations += 1
+                if new[0] >= ll + 1e-4 * ascent - slack:
+                    break
             t *= 0.5
         else:
             return x, ll, False, evaluations, "the line search found no ascent"
@@ -407,8 +442,38 @@ def _newton(histories: Histories, x: np.ndarray) -> tuple[np.ndarray, float, boo
     return x, ll, False, evaluations, f"no convergence in {_MAX_STEPS} steps"
 
 
-def _evaluate(histories: Histories, x: np.ndarray) -> tuple:
-    """(ll, grad, hess) at x = (logit p, log mean, log sd); (-inf, None, None) where not finite."""
+def _solve_concave(h: list, g: list) -> list | None:
+    """The Newton step s with -h s = g for a negative definite 3 x 3 h; else None.
+
+    Sylvester's criterion on -h, then its adjugate: a few dozen float
+    operations, where a numpy solver call costs microseconds.
+    """
+    if len(g) != 3:
+        return None
+    (a, b, c), (_, d, e), (_, _, f) = h
+    a, b, c, d, e, f = -a, -b, -c, -d, -e, -f
+    minor = a * d - b * b
+    adj00, adj01, adj02 = d * f - e * e, c * e - b * f, b * e - c * d
+    det = a * adj00 + b * adj01 + c * adj02
+    if not (a > 0.0 and minor > 0.0 and det > 0.0):
+        return None
+    adj11, adj12 = a * f - c * c, b * c - a * e
+    g0, g1, g2 = g
+    return [
+        (adj00 * g0 + adj01 * g1 + adj02 * g2) / det,
+        (adj01 * g0 + adj11 * g1 + adj12 * g2) / det,
+        (adj02 * g0 + adj12 * g1 + minor * g2) / det,
+    ]
+
+
+def _ascent(x: list, grad: list, step: list, t: float) -> tuple[list, float]:
+    """x + t*step projected onto the box, and the ascent grad predicts for it."""
+    trial = [min(max(xi + t * si, lo), hi) for xi, si, lo, hi in zip(x, step, _LOWER, _UPPER)]
+    return trial, sum(gi * (yi - xi) for gi, yi, xi in zip(grad, trial, x))
+
+
+def _evaluate(histories: Histories, x: list) -> tuple:
+    """(ll, grad, hess) at x = (logit p, log mean, log sd), as lists; (-inf, None, None) where not finite."""
     try:
         ll, grad, hess = conditional_log_likelihood(
             histories, float(expit(x[0])), gamma_from_moments(math.exp(x[1]), math.exp(x[2])),
@@ -416,9 +481,10 @@ def _evaluate(histories: Histories, x: np.ndarray) -> tuple:
         )
     except (ValueError, OverflowError):
         return -math.inf, None, None
-    if not (math.isfinite(ll) and np.isfinite(grad).all() and np.isfinite(hess).all()):
+    # the sum is finite only if every term is
+    if not math.isfinite(ll + grad.sum() + hess.sum()):
         return -math.inf, None, None
-    return ll, grad, hess
+    return ll, grad.tolist(), hess.tolist()
 
 
 @dataclass(frozen=True)

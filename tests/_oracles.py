@@ -289,8 +289,8 @@ def lbfgsb_ml_fit(histories: Histories) -> MlFit:
         try:
             ll, grad = conditional_log_likelihood(
                 histories, p, gamma_from_moments(math.exp(x[1]), math.exp(x[2])),
-                gradient=True,
-            )
+                hessian=True,
+            )[:2]
         except (ValueError, OverflowError):
             return 1e12, np.zeros(3)
         if not (np.isfinite(ll) and np.all(np.isfinite(grad))):

@@ -263,7 +263,7 @@ class TestLikelihood:
     @example(data="single", logit_p=16.0, log_mean=math.log(11.4), log_cv=math.log(2.0))
     def test_gradient_matches_central_differences(self, data, logit_p, log_mean, log_cv):
         x = np.array([logit_p, log_mean, log_mean + log_cv])
-        value, grad = ll_at(data, x, gradient=True)
+        value, grad, _ = ll_at(data, x, hessian=True)
         assert value == ll_at(data, x)
         for j in range(3):
             fd = central_difference(lambda y: ll_at(data, y), x, j)
@@ -279,12 +279,11 @@ class TestLikelihood:
         # Each Hessian column against central differences of the analytic
         # gradient, which the test above checks.
         def grad(y):
-            return ll_at(data, y, gradient=True)[1]
+            return ll_at(data, y, hessian=True)[1]
 
         x = np.array([logit_p, log_mean, log_mean + log_cv])
-        value, gradient, hess = ll_at(data, x, hessian=True)
+        value, _, hess = ll_at(data, x, hessian=True)
         assert value == ll_at(data, x)
-        assert np.array_equal(gradient, grad(x))
         for j in range(3):
             fd = central_difference(grad, x, j)
             tol = 1e-5 * np.abs(hess[:, j]) + 1e-8 * (np.max(np.abs(hess)) + abs(value))
@@ -322,7 +321,7 @@ class TestMlFit:
         # Each Newton step evaluates the likelihood, its gradient and its
         # Hessian in one call through the module-level name, and so does
         # each halving of a step, so wrapping that name counts them all.
-        # From the first start Newton needs 6-8 calls on default histories.
+        # From each of the three starts Newton needs 6-7 calls on this set.
         hist = generate_histories(MODEL, 500, "gamma", seed=stream(47, 0))
         calls = []
         likelihood = exposures.conditional_log_likelihood
@@ -334,14 +333,14 @@ class TestMlFit:
         monkeypatch.setattr(exposures, "conditional_log_likelihood", counted)
         fit = ml_fit(hist)
         assert fit.converged
-        assert len(calls) == fit.n_evaluations <= 15
+        assert len(calls) == fit.n_evaluations <= 25
         assert all(kw == {"hessian": True} for kw in calls)
 
     @pytest.mark.parametrize("failing", [1, 2, 3])
-    def test_failed_start_falls_back_to_the_next(self, monkeypatch, failing):
-        # The first `failing` solves report failure; the fit moves on to the
-        # next start, counts every solve's evaluations, and when all three
-        # fail raises with the best of them.
+    def test_every_start_climbs_and_the_best_is_kept(self, monkeypatch, failing):
+        # The first `failing` solves report failure.  All three starts climb
+        # all the same, every solve's evaluations are counted, the fit keeps
+        # the highest end point, and when all three fail it raises with it.
         hist = generate_histories(MODEL, 500, "gamma", seed=stream(47, 0))
         newton = exposures._newton
         solves = []
@@ -357,23 +356,21 @@ class TestMlFit:
         if failing < 3:
             fit = ml_fit(hist)
             assert fit.converged
-            assert fit.log_likelihood == solves[-1][1]
         else:
-            with pytest.raises(ConvergenceError, match="forced failure") as err:
+            with pytest.raises(ConvergenceError, match="no start converged") as err:
                 ml_fit(hist)
             fit = err.value.best
             assert fit is not None and not fit.converged
-        assert len(solves) == min(failing + 1, 3)
-        starts = [tuple(x0) for x0, _, _ in solves]
-        assert len(set(starts)) == len(starts)
+        assert len(solves) == 3
+        assert len({tuple(x0) for x0, _, _ in solves}) == 3
         assert fit.n_evaluations == sum(used for _, _, used in solves)
-        if failing == 3:
-            assert fit.log_likelihood == max(ll for _, ll, _ in solves)
+        assert fit.log_likelihood == max(ll for _, ll, _ in solves)
 
     @pytest.mark.parametrize("family", EXPOSURE_FAMILIES)
     def test_matches_lbfgsb_best_of_three_on_study_streams(self, family):
-        # The exposure study's own history sets: Newton from one start
-        # reaches the optimum that the best of three L-BFGS-B runs reaches.
+        # The exposure study's own history sets: the best of three Newton
+        # solves reaches the optimum that the best of three L-BFGS-B runs
+        # reaches.
         config = load_config()
         gi = EXPOSURE_FAMILIES.index(family)
         for rep in range(150):
@@ -386,6 +383,17 @@ class TestMlFit:
             x, x_ref = (np.array([logit(f.p), math.log(f.mean), math.log(f.sd)])
                         for f in (fit, ref))
             assert np.allclose(x, x_ref, rtol=0.0, atol=2e-4), (rep, x, x_ref)
+
+    def test_matches_lbfgsb_best_of_three_on_crowded_histories(self):
+        # Many exposures per person give the likelihood several local
+        # maxima: from the first start alone Newton climbs to p = 0.13, 372
+        # log-likelihood units below the maximum at p = 0.80 that the best
+        # of three L-BFGS-B runs reaches.
+        model = ExposureModel(p=0.98, contact_rate=0.34, incubation=gamma_from_moments(24.0, 41.0))
+        hist = generate_histories(model, 2000, "lognormal", seed=stream(1, 0))
+        fit, ref = ml_fit(hist), lbfgsb_ml_fit(hist)
+        assert fit.log_likelihood >= ref.log_likelihood - 1e-9
+        assert abs(fit.p - ref.p) < 1e-3 and abs(fit.p - 0.80) < 0.01
 
     def test_needs_enough_histories(self):
         hist = generate_histories(MODEL, 10, "gamma", seed=stream(38, 0))
