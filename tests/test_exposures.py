@@ -244,6 +244,21 @@ class TestLikelihood:
         expected = math.log(0.5 * math.exp(-3.0) + 0.25 * math.exp(-2.0))
         assert math.isclose(conditional_log_likelihood(hist, 0.5, g), expected, rel_tol=1e-12)
 
+    def test_later_exposure_far_likelier_than_the_first(self):
+        # The second exposure's term exceeds the first's by ~985, more than
+        # exp can scale a sum by, so each person's terms are taken relative
+        # to its largest; the persons with one exposure stay as they are.
+        hist = histories_from_records(
+            [ExposureHistory((0.0, 99.0), 100.0), ExposureHistory((0.0,), 0.3)]
+        )
+        g = GammaParams(2.0, 10.0)
+        log_g = stats.gamma(a=2.0, scale=0.1).logpdf
+        expected = np.logaddexp(math.log(0.5) + log_g(100.0), math.log(0.25) + log_g(1.0))
+        expected += math.log(0.5) + log_g(0.3)
+        assert math.isclose(conditional_log_likelihood(hist, 0.5, g), expected, rel_tol=1e-12)
+        assert conditional_log_likelihood(hist, 0.5, g, hessian=True)[0] == (
+            conditional_log_likelihood(hist, 0.5, g))
+
     def test_symptoms_before_exposure_rejected(self):
         hist = Histories(
             offsets=np.array([0, 2]), exposures=np.array([0.0, 5.0]),
