@@ -35,6 +35,7 @@ from .outbreak_sim import (
     TraceSummary,
     daily_series,
     ensemble_map,
+    ordered_map,
     summarize_trace,
 )
 from .rng import stream
@@ -293,18 +294,46 @@ def summarize_traces(summaries: list[TraceSummary]) -> dict[str, dict[str, float
 EXPOSURE_FAMILIES = ("gamma", "lognormal")
 
 
+def exposure_fits(task) -> list[tuple]:
+    """(ml fit, moment fit, admissible) per replicate of one exposure-study block.
+
+    ``task`` is (model, n_persons, family, master_seed, replicates); each
+    replicate draws its histories from its own stream.  The ml fit is None
+    when it does not converge; an inadmissible moment fit is its raw root,
+    or None when there is none.
+    """
+    model, n_persons, family, master_seed, reps = task
+    key = 1_000_000 * (EXPOSURE_FAMILIES.index(family) + 1)
+    fits = []
+    for rep in reps:
+        hist = exposures.generate_histories(
+            model, n_persons, family, seed=stream(master_seed, key + rep))
+        try:
+            ml = exposures.ml_fit(hist)
+        except exposures.ConvergenceError:
+            ml = None
+        try:
+            fits.append((ml, exposures.moment_fit(hist), True))
+        except exposures.MomentFitError as err:
+            fits.append((ml, err.raw, False))
+    return fits
+
+
 def exposure_study(
     model,
     n_persons: int,
     replicates: int,
     master_seed: int,
+    threads: int = 1,
 ) -> dict:
     """Replicate study of the exposure-history estimators.
 
     For each of ``EXPOSURE_FAMILIES`` (the model's Gamma incubation, and a
     log-normal with matched moments) runs ``replicates`` independent
     samples of ``n_persons`` histories through both the likelihood fit and
-    the moment fit, and summarizes the estimates.
+    the moment fit, and summarizes the estimates.  The replicates are fitted
+    in blocks by :func:`exposure_fits` on ``threads`` worker processes; each
+    draws from its own stream, so the result does not depend on ``threads``.
 
     Moment replicates whose variance equation demands Var(T) <= 0 still
     contribute their raw root to the (p, contact rate, mean, variance)
@@ -316,47 +345,25 @@ def exposure_study(
     likelihood fit does not converge is counted in ``ml_nonconverged`` and
     left out of the ml summaries; its moment fit still runs.
     """
+    size = max(1, math.ceil(replicates / (4 * max(threads, 1))))
+    tasks = [(model, n_persons, family, master_seed, range(replicates)[lo:lo + size])
+             for family in EXPOSURE_FAMILIES for lo in range(0, replicates, size)]
+    fits = [fit for block in ordered_map(exposure_fits, tasks, threads) for fit in block]
     out = {}
     for gi, family in enumerate(EXPOSURE_FAMILIES):
-        ml = {"p": [], "mean": [], "sd": []}
-        mom = {"p": [], "mean": [], "variance": [], "contact_rate": []}
-        sd_admissible = []
-        ml_nonconverged = 0
-        inadmissible = 0
-        unsolved = 0
-        for rep in range(replicates):
-            rng = stream(master_seed, 1_000_000 * (gi + 1) + rep)
-            hist = exposures.generate_histories(model, n_persons, family, seed=rng)
-            try:
-                fit = exposures.ml_fit(hist)
-            except exposures.ConvergenceError:
-                ml_nonconverged += 1
-            else:
-                ml["p"].append(fit.p)
-                ml["mean"].append(fit.mean)
-                ml["sd"].append(fit.sd)
-            try:
-                mfit = exposures.moment_fit(hist)
-                sd_admissible.append(mfit.sd)
-            except exposures.MomentFitError as err:
-                if err.raw is None:
-                    unsolved += 1
-                    continue
-                mfit = err.raw
-                inadmissible += 1
-            mom["p"].append(mfit.p)
-            mom["mean"].append(mfit.mean)
-            mom["variance"].append(mfit.variance)
-            mom["contact_rate"].append(mfit.contact_rate)
-        mean_variance = float(np.mean(mom["variance"])) if mom["variance"] else float("nan")
+        family_fits = fits[gi * replicates:(gi + 1) * replicates]
+        ml = [m for m, _, _ in family_fits if m is not None]
+        mom = [f for _, f, _ in family_fits if f is not None]
+        moment = {k: summarize([getattr(f, k) for f in mom])
+                  for k in ("p", "mean", "variance", "contact_rate")}
         out[family] = {
-            "ml": {k: summarize(v) for k, v in ml.items()},
-            "ml_nonconverged": ml_nonconverged,
-            "moment": {k: summarize(v) for k, v in mom.items()},
-            "moment_sd_pooled": math.sqrt(max(mean_variance, 0.0)),
-            "moment_sd_admissible": summarize(sd_admissible),
-            "moment_inadmissible": inadmissible,
-            "moment_unsolved": unsolved,
+            "ml": {k: summarize([getattr(m, k) for m in ml]) for k in ("p", "mean", "sd")},
+            "ml_nonconverged": replicates - len(ml),
+            "moment": moment,
+            "moment_sd_pooled": math.sqrt(max(moment["variance"]["mean"], 0.0)),
+            "moment_sd_admissible": summarize([f.sd for _, f, ok in family_fits if ok]),
+            "moment_inadmissible": sum(f is not None and not ok for _, f, ok in family_fits),
+            "moment_unsolved": replicates - len(mom),
             "replicates": replicates,
             "n_persons": n_persons,
         }

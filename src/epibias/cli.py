@@ -45,31 +45,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([_float6(v) if isinstance(v, float) else v for v in row])
 
 
-def _bias_rows(config: RunConfig) -> list[dict]:
-    rows = []
-    for report in growth_math.bias_table(config.bias):
-        rows.append({
-            "source": report.source.value,
-            "R0_biased": report.R0_biased,
-            "r_biased": report.r_biased,
-            "R0_bias_pct": 100.0 * report.R0_rel_bias,
-            "r_bias_pct": 100.0 * report.r_rel_bias,
-            "note": report.note,
-        })
-    return rows
-
-
 def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
-    rows = _bias_rows(config)
+    rows = [{
+        "source": report.source.value,
+        "R0_biased": report.R0_biased,
+        "r_biased": report.r_biased,
+        "R0_bias_pct": 100.0 * report.R0_rel_bias,
+        "r_bias_pct": 100.0 * report.r_rel_bias,
+        "note": report.note,
+    } for report in growth_math.bias_table(config.bias)]
     if config.out_format == "json":
         _write_json(outdir / "bias_table.json", {"meta": config.metadata(), "rows": rows})
     else:
-        _write_csv(
-            outdir / "bias_table.csv",
-            ["source", "R0_biased", "r_biased", "R0_bias_pct", "r_bias_pct", "note"],
-            [[r["source"], r["R0_biased"], r["r_biased"],
-              r["R0_bias_pct"], r["r_bias_pct"], r["note"]] for r in rows],
-        )
+        _write_csv(outdir / "bias_table.csv", list(rows[0]), [list(r.values()) for r in rows])
     print(f"bias-table: wrote {len(rows)} rows to {outdir}")
 
 
@@ -142,6 +130,7 @@ def cmd_exposures(config: RunConfig, outdir: Path) -> None:
         config.exposure_n_persons,
         config.exposure_replicates,
         master_seed=config.seed,
+        threads=config.threads,
     )
     truth = {
         "p": config.exposure_model.p,
@@ -218,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file (defaults are built in)")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--replicates", type=int, help="ensemble size override")
-        p.add_argument("--threads", type=int, help="worker processes for ensembles")
+        p.add_argument("--threads", type=int,
+                       help="worker processes for ensembles and the exposure study")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=["csv", "json"], help="output format")
 
@@ -261,21 +251,13 @@ def main(argv=None) -> int:
         print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    commands = {
+        "bias-table": cmd_bias_table, "estimate": cmd_estimate, "exposures": cmd_exposures,
+        "cfr": cmd_cfr, "reproduce-paper": cmd_reproduce,
+        "simulate": partial(cmd_simulate, write_traces=getattr(args, "write_traces", False)),
+    }
     try:
-        if args.command == "bias-table":
-            cmd_bias_table(config, outdir)
-        elif args.command == "simulate":
-            cmd_simulate(config, outdir, write_traces=args.write_traces)
-        elif args.command == "estimate":
-            cmd_estimate(config, outdir)
-        elif args.command == "exposures":
-            cmd_exposures(config, outdir)
-        elif args.command == "cfr":
-            cmd_cfr(config, outdir)
-        elif args.command == "reproduce-paper":
-            cmd_reproduce(config, outdir)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
+        commands[args.command](config, outdir)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

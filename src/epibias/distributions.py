@@ -12,6 +12,7 @@ scipy.stats.gamma's order of operations (x = t / scale), so values match it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,9 @@ class GammaParams:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and np.isfinite(self.shape)):
+        if not (self.shape > 0 and math.isfinite(self.shape)):
             raise ValueError(f"shape must be positive, got {self.shape}")
-        if not (self.rate > 0 and np.isfinite(self.rate)):
+        if not (self.rate > 0 and math.isfinite(self.rate)):
             raise ValueError(f"rate must be positive, got {self.rate}")
 
     def mean(self) -> float:

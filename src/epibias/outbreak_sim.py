@@ -24,7 +24,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -297,24 +297,24 @@ def _apply(args):
     return fn(trace, rep)
 
 
-def _outcomes(scenario: Scenario, fn, threads: int) -> Iterator:
-    """``_apply`` outcomes for replicates 0, 1, 2, ... in replicate order, forever.
+def ordered_map(fn: Callable, tasks: Iterable, threads: int) -> Iterator:
+    """``fn(task)`` for each of ``tasks``, in task order; ``tasks`` may be endless.
 
-    With more than one thread, a process pool keeps ``2 * threads`` replicates
-    submitted ahead of the one being read; closing the generator cancels the
-    queued ones and waits for the running ones.
+    With one thread this is ``map``.  With more, a process pool keeps
+    ``2 * threads`` tasks submitted ahead of the one being read; it shuts
+    down, cancelling the queued tasks and waiting for the running ones, when
+    the tasks run out, when a task raises, or when the generator is closed.
     """
-    reps = itertools.count()
     if threads <= 1:
-        for rep in reps:
-            yield _apply((scenario, rep, fn))
+        yield from map(fn, tasks)
+        return
+    tasks = iter(tasks)
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
-        window = deque(pool.submit(_apply, (scenario, rep, fn))
-                       for rep in itertools.islice(reps, 2 * threads))
-        while True:
+        window = deque(pool.submit(fn, task) for task in itertools.islice(tasks, 2 * threads))
+        while window:
             done = window.popleft()
-            window.append(pool.submit(_apply, (scenario, next(reps), fn)))
+            window.extend(pool.submit(fn, task) for task in itertools.islice(tasks, 1))
             yield done.result()
     finally:
         pool.shutdown(cancel_futures=True)
@@ -343,7 +343,8 @@ def ensemble_map(
     if n_accepted < 1:
         raise ValueError("n_accepted must be >= 1")
     results = []
-    with closing(_outcomes(scenario, fn, threads)) as outcomes:
+    tasks = ((scenario, rep, fn) for rep in itertools.count())
+    with closing(ordered_map(_apply, tasks, threads)) as outcomes:
         for examined, out in enumerate(outcomes, 1):
             if out is not None:
                 results.append(out)

@@ -43,8 +43,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from epibias import exposures
-from epibias.analysis import analyze_trace
+from epibias.analysis import EXPOSURE_FAMILIES, analyze_trace, exposure_fits
 from epibias.config import load_config
 from epibias.growth_math import solve_r
 from epibias.outbreak_sim import Scenario, ensemble_map, simulate_outbreak
@@ -295,40 +294,29 @@ def audit_ensemble(n_traces: int, n_resamples: int) -> None:
 
 # -- part 3: exposure-study bands (criterion 7) ----------------------------
 
-FAMILIES = ("gamma", "lognormal")
-
-
 def exposure_pool(config, n_replicates: int, first: int):
     """Per-replicate fits of each family, on the streams of replicates ``first`` onward.
 
-    Follows ``analysis.exposure_study``: a replicate whose likelihood fit
-    does not converge has NaN ml values, and one whose moment fit is
-    inadmissible keeps its raw root (NaN only when unsolved).
+    The fits are ``analysis.exposure_fits``, the exposure study's own: a
+    replicate whose likelihood fit does not converge has NaN ml values, and
+    one whose moment fit is inadmissible keeps its raw root (NaN only when
+    unsolved).
     """
     model, n_persons = config.exposure_model, config.exposure_n_persons
+    reps = range(first, first + n_replicates)
+    nan = (math.nan,) * 3
     pool, counts = {}, {}
-    for gi, family in enumerate(FAMILIES):
-        cols = {key: np.full(n_replicates, np.nan)
-                for key in ("ml_p", "ml_mean", "ml_sd", "mom_p", "mom_mean", "mom_var")}
-        counts[family] = {"ml_nonconverged": 0, "moment_inadmissible": 0, "moment_unsolved": 0}
-        for i in range(n_replicates):
-            rep = first + i
-            rng = stream(config.seed, 1_000_000 * (gi + 1) + rep)
-            hist = exposures.generate_histories(model, n_persons, family, seed=rng)
-            try:
-                fit = exposures.ml_fit(hist)
-                cols["ml_p"][i], cols["ml_mean"][i], cols["ml_sd"][i] = fit.p, fit.mean, fit.sd
-            except exposures.ConvergenceError:
-                counts[family]["ml_nonconverged"] += 1
-            try:
-                mfit = exposures.moment_fit(hist)
-            except exposures.MomentFitError as err:
-                mfit = err.raw
-                counts[family]["moment_unsolved" if mfit is None else "moment_inadmissible"] += 1
-            if mfit is not None:
-                cols["mom_p"][i], cols["mom_mean"][i], cols["mom_var"][i] = (
-                    mfit.p, mfit.mean, mfit.variance)
-        pool[family] = cols
+    for family in EXPOSURE_FAMILIES:
+        fits = exposure_fits((model, n_persons, family, config.seed, reps))
+        ml = np.array([nan if m is None else (m.p, m.mean, m.sd) for m, _, _ in fits])
+        mom = np.array([nan if f is None else (f.p, f.mean, f.variance) for _, f, _ in fits])
+        pool[family] = dict(zip(("ml_p", "ml_mean", "ml_sd", "mom_p", "mom_mean", "mom_var"),
+                                [*ml.T, *mom.T]))
+        counts[family] = {
+            "ml_nonconverged": sum(m is None for m, _, _ in fits),
+            "moment_inadmissible": sum(f is not None and not ok for _, f, ok in fits),
+            "moment_unsolved": sum(f is None for _, f, _ in fits),
+        }
     return pool, counts
 
 
@@ -350,7 +338,7 @@ def exposure_subchecks():
         ("ML-lognormal sd mean < 7", "lognormal", mean_of("ml_sd"), lambda x: x < 7.0),
     ]
     half, mean_half = MOMENT_SD_POOLED_HALF_WIDTH, MOMENT_MEAN_HALF_WIDTH
-    for family in FAMILIES:
+    for family in EXPOSURE_FAMILIES:
         centre = MOMENT_SD_POOLED[family]
         checks += [
             (f"Mom-{family} p mean in 0.5+-0.02", family, mean_of("mom_p"), within(0.5, 0.02)),

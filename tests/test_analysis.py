@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -18,6 +21,7 @@ from epibias import exposures, growth_estimators
 from epibias.exposures import ExposureModel, MomentFit, MomentFitError
 from epibias.distributions import gamma_from_moments
 from epibias.rng import stream
+from golden import load_golden, platform_key
 
 
 class TestNotificationSeries:
@@ -138,18 +142,27 @@ class TestSummarize:
         assert all(math.isnan(v) for k, v in stats.items() if k != "n")
 
 
+# SHA-256 of the JSON of exposure_study(model, 200, 5, master_seed=11), key
+# order included; compared only on the platform golden.json was recorded on.
+STUDY_DIGEST = "38e75ebeee3b538d98f4510552af487fff3ce1166bf29d97ba17f603f7d22742"
+
+
 class TestExposureStudy:
-    def test_structure_and_determinism(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_structure_and_determinism(self, threads):
         model = ExposureModel(
             p=0.5, contact_rate=0.0725, incubation=gamma_from_moments(11.4, 8.1)
         )
-        a = exposure_study(model, 200, 3, master_seed=11)
-        b = exposure_study(model, 200, 3, master_seed=11)
-        assert a == b
+        a = exposure_study(model, 200, 5, master_seed=11, threads=threads)
+        b = exposure_study(model, 200, 5, master_seed=11, threads=1)
+        assert json.dumps(a) == json.dumps(b)
+        assert not multiprocessing.active_children()
+        if load_golden()["key"] == platform_key():
+            assert hashlib.sha256(json.dumps(a).encode()).hexdigest() == STUDY_DIGEST
         assert list(a) == ["gamma", "lognormal"]
         block = a["gamma"]
         assert set(block) >= {"ml", "moment", "moment_sd_pooled", "moment_inadmissible"}
-        assert block["ml"]["p"]["n"] == 3
+        assert block["ml"]["p"]["n"] == 5
         assert 0.2 < block["ml"]["p"]["mean"] < 0.8
 
     def test_nonconverged_ml_fit_is_counted(self, monkeypatch):

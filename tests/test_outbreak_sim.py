@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import math
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from epibias.outbreak_sim import (
     SimulationLimitError,
     daily_series,
     ensemble_map,
+    ordered_map,
     simulate_outbreak,
     summarize_trace,
 )
@@ -411,6 +415,7 @@ class TestEnsemble:
         )
         assert serial == parallel
         assert at_s == at_p
+        assert not multiprocessing.active_children()
 
     def test_ensemble_stats_summaries(self, small_scenario):
         summaries, attempts = ensemble_map(small_scenario, 4, summarize_trace)
@@ -433,6 +438,37 @@ class TestEnsemble:
         scn = Scenario(contact_rate=0.01, notify_threshold=100, master_seed=5)
         with pytest.raises(AcceptanceError):
             ensemble_map(scn, 1, lambda tr, rep: rep, max_attempts=300)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_results_in_task_order(self, threads):
+        # Even tasks sleep, so on two workers later tasks finish first.
+        assert list(ordered_map(_square, range(9), threads)) == [x * x for x in range(9)]
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_task_exception_propagates(self, threads):
+        with pytest.raises(ValueError, match="task 3"):
+            list(ordered_map(_fail_at_3, range(20), threads))
+        assert not multiprocessing.active_children()
+
+    def test_closing_an_endless_map_stops_the_pool(self):
+        outcomes = ordered_map(_square, itertools.count(), 2)
+        assert [next(outcomes) for _ in range(3)] == [0, 1, 4]
+        outcomes.close()
+        assert not multiprocessing.active_children()
+
+
+def _square(x):
+    time.sleep(0.02 * (x % 2 == 0))
+    return x * x
+
+
+def _fail_at_3(x):
+    if x == 3:
+        raise ValueError("task 3 failed")
+    return x
 
 
 def _assert_sound_genealogy(tr):
