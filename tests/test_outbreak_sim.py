@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,22 @@ class TestSimulate:
             assert tr.t_infect.max() <= tr.end_time
             assert int((tr.t_symptom <= tr.threshold_time).sum()) == scn.notify_threshold
             _assert_sound_genealogy(tr)
+            _assert_column_layout(tr)
+
+    def test_column_layout(self, ebola_trace):
+        _assert_column_layout(ebola_trace)
+
+    def test_peak_memory_within_twice_the_trace(self, ebola_scenario):
+        # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+        rep = next(r for r in itertools.count() if simulate_outbreak(ebola_scenario, r))
+        tracemalloc.start()
+        try:
+            tr = simulate_outbreak(ebola_scenario, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(tr, name).nbytes for name in COLUMN_DTYPES)
+        assert peak <= 2 * kept, peak / kept
 
     def test_notified_order_breaks_ties_by_id(self):
         # Many planted ties, where an unstable sort may order them otherwise.
@@ -156,25 +173,57 @@ class TestSimulate:
         assert np.array_equal(tr.notified_order(), np.argsort(t_symptom, kind="stable"))
 
     def test_person_view_and_csv(self, small_trace, tmp_path):
-        tr = small_trace
-        pending = tr.t_outcome > tr.end_time
-        # the reference below must cover both empty-field cases
-        assert tr.infector[0] == -1 and tr.t_infect[0] == 0.0
-        assert pending.any() and not pending.all()
-        rows = ["id,infector_id,t_infect,t_inf_start,t_inf_end,t_symptom,outcome,t_outcome"]
-        for i in range(len(tr)):
-            outcome = "pending" if pending[i] else ("died" if tr.died[i] else "recovered")
-            rows.append(",".join([
-                str(i),
-                "" if tr.infector[i] < 0 else str(int(tr.infector[i])),
-                *(f"{float(col[i]):.6f}" for col in
-                  (tr.t_infect, tr.t_inf_start, tr.t_inf_end, tr.t_symptom)),
-                outcome,
-                "" if pending[i] else f"{float(tr.t_outcome[i]):.6f}",
-            ]))
         path = tmp_path / "trace.csv"
-        tr.to_csv(path)
-        assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
+        small_trace.to_csv(path)
+        assert path.read_bytes() == _reference_csv(small_trace)
+
+    @pytest.mark.parametrize("block", [1, 7, outbreak_sim.CSV_BLOCK_ROWS])
+    def test_csv_is_the_same_in_any_block_size(self, ebola_trace, tmp_path, monkeypatch, block):
+        # 33,309 persons: neither 7 nor the default block size divides them,
+        # so the last block is a partial one.
+        assert len(ebola_trace) % 7 and len(ebola_trace) % outbreak_sim.CSV_BLOCK_ROWS
+        assert len(ebola_trace) > outbreak_sim.CSV_BLOCK_ROWS
+        monkeypatch.setattr(outbreak_sim, "CSV_BLOCK_ROWS", block)
+        path = tmp_path / "trace.csv"
+        ebola_trace.to_csv(path)
+        assert path.read_bytes() == _reference_csv(ebola_trace)
+
+
+def _reference_csv(tr) -> bytes:
+    """The trace's CSV file, one row at a time from the definition of each field."""
+    pending = tr.t_outcome > tr.end_time
+    # the reference must cover both empty-field cases
+    assert tr.infector[0] == -1 and tr.t_infect[0] == 0.0
+    assert pending.any() and not pending.all()
+    rows = ["id,infector_id,t_infect,t_inf_start,t_inf_end,t_symptom,outcome,t_outcome"]
+    for i in range(len(tr)):
+        outcome = "pending" if pending[i] else ("died" if tr.died[i] else "recovered")
+        rows.append(",".join([
+            str(i),
+            "" if tr.infector[i] < 0 else str(int(tr.infector[i])),
+            *(f"{float(col[i]):.6f}" for col in
+              (tr.t_infect, tr.t_inf_start, tr.t_inf_end, tr.t_symptom)),
+            outcome,
+            "" if pending[i] else f"{float(tr.t_outcome[i]):.6f}",
+        ]))
+    return "".join(r + "\r\n" for r in rows).encode()
+
+
+COLUMN_DTYPES = {
+    "t_infect": np.float64, "infector": np.int64, "t_inf_start": np.float64,
+    "t_inf_end": np.float64, "t_symptom": np.float64, "died": np.bool_,
+    "t_outcome": np.float64,
+}
+
+
+def _assert_column_layout(tr):
+    """Every column has its dtype, one entry per person, and is a read-only,
+    C-contiguous array that owns its buffer (not a view of a larger one)."""
+    for name, dtype in COLUMN_DTYPES.items():
+        col = getattr(tr, name)
+        assert col.dtype == dtype and col.shape == (len(tr),), name
+        assert col.flags.c_contiguous and col.flags.owndata, name
+        assert not col.flags.writeable, name
 
 
 @pytest.fixture(scope="module")
