@@ -72,8 +72,8 @@ class Scenario:
             raise ValueError("incubation factor range must satisfy 0 <= lo <= hi")
         if self.notify_threshold < 1:
             raise ValueError("notify_threshold must be >= 1")
-        if self.followup < 0:
-            raise ValueError("followup must be non-negative")
+        if not 0.0 <= self.followup < math.inf:
+            raise ValueError("followup must be finite and non-negative")
 
     def R0(self) -> float:
         """Mean offspring per case: contact rate times mean infectious period."""
@@ -279,11 +279,8 @@ def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[Outb
     # (faster) sort gives the same order a stable sort would.
     order = np.argsort(t_infect)
     t_infect = t_infect[order]
-    # threshold_time is at least the last horizon but one, so only a follow-up
-    # shorter than a horizon step can leave a drawn person past end_time.
-    if scenario.followup < HORIZON_STEP:
-        keep = t_infect <= end_time
-        order, t_infect = order[keep], t_infect[keep]
+    keep = t_infect <= end_time
+    order, t_infect = order[keep], t_infect[keep]
     new_id = np.full(n + 1, -1, dtype=np.int64)   # new_id[-1] keeps the index case's -1
     new_id[order] = np.arange(len(order))
 

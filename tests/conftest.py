@@ -33,11 +33,15 @@ def small_trace(small_scenario):
 
 
 @pytest.fixture(scope="session")
-def ebola_trace(ebola_scenario):
-    """First accepted full-size run (~33,000 persons), shared by every module."""
+def ebola_rep(ebola_scenario):
+    """Replicate index of the first accepted full-size run."""
     rep = 0
-    while True:
-        trace = simulate_outbreak(ebola_scenario, rep)
-        if trace is not None:
-            return trace
+    while simulate_outbreak(ebola_scenario, rep) is None:
         rep += 1
+    return rep
+
+
+@pytest.fixture(scope="session")
+def ebola_trace(ebola_scenario, ebola_rep):
+    """First accepted full-size run (~33,000 persons), shared by every module."""
+    return simulate_outbreak(ebola_scenario, ebola_rep)

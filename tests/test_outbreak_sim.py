@@ -45,6 +45,9 @@ class TestScenario:
             Scenario(contact_rate=-0.1)
         with pytest.raises(ValueError):
             Scenario(p_death=1.4)
+        for followup in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="followup"):
+                Scenario(followup=followup)
 
 
 class TestSimulate:
@@ -150,12 +153,11 @@ class TestSimulate:
     def test_column_layout(self, ebola_trace):
         _assert_column_layout(ebola_trace)
 
-    def test_peak_memory_within_twice_the_trace(self, ebola_scenario):
+    def test_peak_memory_within_twice_the_trace(self, ebola_scenario, ebola_rep):
         # numpy reports its buffers to tracemalloc, so the peak is deterministic.
-        rep = next(r for r in itertools.count() if simulate_outbreak(ebola_scenario, r))
         tracemalloc.start()
         try:
-            tr = simulate_outbreak(ebola_scenario, rep)
+            tr = simulate_outbreak(ebola_scenario, ebola_rep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
