@@ -28,7 +28,6 @@ from .growth_math import (
 from .outbreak_sim import (
     OutbreakTrace,
     Scenario,
-    daily_series,
     simulate_outbreak,
 )
 
@@ -53,5 +52,4 @@ __all__ = [
     "Scenario",
     "OutbreakTrace",
     "simulate_outbreak",
-    "daily_series",
 ]

@@ -17,7 +17,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .outbreak_sim import (
     OutbreakTrace,
     Scenario,
     TraceSummary,
-    daily_series,
     ensemble_map,
     ordered_map,
     summarize_trace,
@@ -55,10 +53,6 @@ class AnalysisOptions:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
-# Days of each trace's infection series kept for the exponential-phase curve.
-EXP_PHASE_DAYS = 200
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,6 @@ class TraceAnalysis:
     cfr_raw: float
     cfr_corrected: float
     cfr_clipped: bool
-    infection_daily: Optional[np.ndarray] = field(repr=False, default=None)
 
 
 def notification_series(trace: OutbreakTrace) -> tuple[ge.CaseSeries, float, int]:
@@ -95,14 +88,14 @@ def notification_series(trace: OutbreakTrace) -> tuple[ge.CaseSeries, float, int
     threshold moment is dropped so every retained day is fully observed.
     Returns (series, day-1 start time, number of complete days).
     """
-    t0 = float(trace.notified_times()[0])
+    ts = trace.notified_times()
+    t0 = float(ts[0])
     k_complete = int(math.floor(trace.threshold_time - t0))
     if k_complete < 2:
         raise ValueError("threshold reached before two complete days of data")
-    # Notifications after the threshold fall on day k_complete + 1 or later.
-    counts = daily_series(trace, "notification", through=trace.threshold_time)[:k_complete]
-    daily = np.zeros(k_complete, dtype=np.int64)
-    daily[:len(counts)] = counts
+    # Day d holds the offsets ts - t0 in [d-1, d).  fl(ts - t0) is monotone in
+    # ts, so a notification after the threshold falls on day k_complete + 1 or later.
+    daily = np.diff(np.searchsorted(ts - t0, np.arange(k_complete + 1), "left"))
     return ge.CaseSeries(daily), t0, k_complete
 
 
@@ -205,10 +198,6 @@ def analyze_trace(
         death_delay = cfr.notification_delay(trace.scenario, trace.scenario.to_death)
         corrected = cfr.corrected_naive_cfr(counts, death_delay)
 
-    infection_daily = None
-    if trace.end_time >= EXP_PHASE_DAYS:
-        infection_daily = daily_series(trace, "infection")[:EXP_PHASE_DAYS].copy()
-
     return TraceAnalysis(
         replicate_index=replicate_index,
         summary=summary,
@@ -223,7 +212,6 @@ def analyze_trace(
         cfr_raw=counts.D_obs / counts.K,
         cfr_corrected=corrected.estimate,
         cfr_clipped=corrected.clipped,
-        infection_daily=infection_daily,
     )
 
 

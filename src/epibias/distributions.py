@@ -134,7 +134,12 @@ def discretize_centered(params: GammaParams, horizon: int) -> DiscreteDelay:
     return DiscreteDelay(probs=probs / probs.sum(), horizon=horizon)
 
 
-def discretization_horizon(params: GammaParams, mass: float = 0.9999, cap: int = 500) -> int:
-    """Smallest whole-day horizon keeping at least ``mass`` of the distribution."""
-    h = int(np.ceil(gammaincinv(params.shape, mass) * (1.0 / params.rate)))
-    return max(1, min(h, cap))
+# Mass that discretization_horizon keeps, and the longest horizon it returns.
+HORIZON_MASS = 0.9999
+HORIZON_CAP = 500
+
+
+def discretization_horizon(params: GammaParams) -> int:
+    """Smallest whole-day horizon keeping ``HORIZON_MASS``; at most ``HORIZON_CAP`` days."""
+    h = int(np.ceil(gammaincinv(params.shape, HORIZON_MASS) * (1.0 / params.rate)))
+    return max(1, min(h, HORIZON_CAP))

@@ -57,8 +57,8 @@ class ExposureModel:
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
-        if self.contact_rate <= 0:
-            raise ValueError(f"contact_rate must be positive, got {self.contact_rate}")
+        if not 0.0 < self.contact_rate < math.inf:
+            raise ValueError(f"contact_rate must be positive and finite, got {self.contact_rate}")
 
 
 @dataclass(frozen=True)
@@ -226,15 +226,13 @@ def conditional_log_likelihood(
     histories: Histories,
     p: float,
     g_params: GammaParams,
-    hessian: bool = False,
-) -> float | tuple[float, np.ndarray, np.ndarray]:
-    """Log-likelihood of onset times given exposure times.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Log-likelihood of onset times given exposure times, with its derivatives.
 
-    Sums log( sum_i p*(1-p)**(i-1) * g(s - e_i) ) over histories.
-
-    With ``hessian`` the return value is ``(ll, grad, hess)``: the gradient
-    and Hessian of the log-likelihood in (logit p, log mean, log sd) of the
-    incubation Gamma (k = mean**2/sd**2, rate lam = mean/sd**2).
+    Sums log( sum_i p*(1-p)**(i-1) * g(s - e_i) ) over histories.  Returns
+    ``(ll, grad, hess)``: the gradient and Hessian of the log-likelihood in
+    (logit p, log mean, log sd) of the incubation Gamma (k = mean**2/sd**2,
+    rate lam = mean/sd**2).
 
     Exposure i's term l_i = log(p*(1-p)**(i-1)) + log g(delta_i) has the
     score c + J z_i, affine in z_i = (i-1, log delta_i, delta_i)
@@ -271,8 +269,6 @@ def conditional_log_likelihood(
     scaled = np.exp(relative)
     sums = np.bincount(person, scaled, n)
     ll = float((shift + np.log(sums)).sum() + n * (math.log(p) + k * log_lam - gammaln(k)))
-    if not hessian:
-        return ll
 
     q = scaled / sums[person]  # the q of each person sum to 1
     qz = z * q
@@ -476,9 +472,7 @@ def _evaluate(histories: Histories, x: list) -> tuple:
     """(ll, grad, hess) at x = (logit p, log mean, log sd), as lists; (-inf, None, None) where not finite."""
     try:
         ll, grad, hess = conditional_log_likelihood(
-            histories, float(expit(x[0])), gamma_from_moments(math.exp(x[1]), math.exp(x[2])),
-            hessian=True,
-        )
+            histories, float(expit(x[0])), gamma_from_moments(math.exp(x[1]), math.exp(x[2])))
     except (ValueError, OverflowError):
         return -math.inf, None, None
     # the sum is finite only if every term is

@@ -70,8 +70,8 @@ def solve_r(R0: float, gen: GammaParams) -> float:
 
     Closed form rate * (R0**(1/shape) - 1); positive iff R0 > 1.
     """
-    if R0 <= 0:
-        raise ValueError(f"R0 must be positive, got {R0}")
+    if not 0.0 < R0 < math.inf:
+        raise ValueError(f"R0 must be positive and finite, got {R0}")
     return gen.rate * (R0 ** (1.0 / gen.shape) - 1.0)
 
 

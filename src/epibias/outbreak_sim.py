@@ -63,13 +63,15 @@ class Scenario:
     person_cap: int = 10_000_000
 
     def __post_init__(self):
-        if self.contact_rate < 0:
-            raise ValueError("contact_rate must be non-negative")
+        if not 0.0 <= self.contact_rate < math.inf:
+            raise ValueError(
+                f"contact_rate must be finite and non-negative, got {self.contact_rate}")
         if not 0.0 <= self.p_death <= 1.0:
             raise ValueError("p_death must be a probability")
         lo, hi = self.incubation_factor_range
-        if not 0.0 <= lo <= hi:
-            raise ValueError("incubation factor range must satisfy 0 <= lo <= hi")
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError("incubation_factor_range must be finite and satisfy 0 <= lo <= hi, "
+                             f"got ({lo}, {hi})")
         if self.notify_threshold < 1:
             raise ValueError("notify_threshold must be >= 1")
         if not 0.0 <= self.followup < math.inf:
@@ -294,6 +296,9 @@ def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[Outb
 # ---------------------------------------------------------------------------
 # ensemble running
 
+# Replicates ensemble_map examines before it checks the 1% acceptance floor.
+MAX_ATTEMPTS = 10_000
+
 
 def _apply(args):
     scenario, rep, fn = args
@@ -331,7 +336,6 @@ def ensemble_map(
     n_accepted: int,
     fn: Callable[[OutbreakTrace, int], object],
     threads: int = 1,
-    max_attempts: int = 10_000,
 ) -> tuple[list, int]:
     """Apply ``fn`` to the first ``n_accepted`` non-extinct replicates.
 
@@ -343,8 +347,8 @@ def ensemble_map(
     the replicates examined through the last accepted one.
 
     Raises:
-        AcceptanceError: if fewer than 1% of ``max_attempts`` replicates
-            reach the threshold.
+        AcceptanceError: if fewer than 1% of the replicates reach the
+            threshold once ``MAX_ATTEMPTS`` have been examined.
     """
     if n_accepted < 1:
         raise ValueError("n_accepted must be >= 1")
@@ -354,36 +358,13 @@ def ensemble_map(
         for examined, out in enumerate(outcomes, 1):
             if out is not None:
                 results.append(out)
-            if examined >= max_attempts and len(results) < 0.01 * examined:
+            if examined >= MAX_ATTEMPTS and len(results) < 0.01 * examined:
                 raise AcceptanceError(
                     f"only {len(results)}/{examined} replicates reached the threshold; "
                     "the scenario is unlikely to be configured as intended"
                 )
             if len(results) == n_accepted:
                 return results, examined
-
-
-_SORTED_TIMES = {
-    "notification": lambda tr: tr.notified_times(),
-    "infection": lambda tr: tr.t_infect,
-}
-
-
-def daily_series(trace: OutbreakTrace, by: str, through: Optional[float] = None) -> np.ndarray:
-    """Daily event counts, day 1 anchored at the first event of the chosen kind.
-
-    ``by`` is notification or infection; events
-    after ``through`` (default: the end of the run) are excluded.
-    """
-    if by not in _SORTED_TIMES:
-        raise ValueError(f"unknown event kind {by!r}")
-    times = _SORTED_TIMES[by](trace)
-    if through is None:
-        through = trace.end_time
-    offsets = times[:np.searchsorted(times, through, "right")] - times[:1]
-    ndays = int(offsets[-1]) + 1 if len(offsets) else 0
-    # Day d holds the offsets x in [d-1, d): exactly floor(x) == d-1 for an integer d.
-    return np.diff(np.searchsorted(offsets, np.arange(ndays + 1), "left"))
 
 
 @dataclass(frozen=True)

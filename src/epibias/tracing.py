@@ -84,12 +84,15 @@ def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPa
 def sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> TracedPairs:
     """All pairs whose infector could be observed to the end of its course.
 
-    Forward ascertainment: include every offspring of infectors infected at
-    least ``margin`` days before the end of the run (and whose infectious
-    period closed within the run), so no offspring is cut off by the
-    observation window.  This recovers the unbiased generation-time law,
-    unlike enumerating every realized pair up to the end of the run.
-    Pairs are ordered by infectee id.
+    Forward ascertainment: include every offspring of the infectors that
+    meet two conditions: they were infected at least ``margin`` days before
+    the end of the run, and their infectious period closed within the run,
+    so none of their offspring is cut off by the observation window.  This
+    removes most of the backward bias of enumerating every realized pair up
+    to the end of the run, but not all of it: the end-of-course condition
+    drops infectors with the longest courses, and with them the longest
+    generation times, so the sample's generation-time variance sits a
+    little below the law's.  Pairs are ordered by infectee id.
     """
     # Ids follow infection time: those infected by the cutoff are below P.
     P = int(np.searchsorted(trace.t_infect, trace.end_time - margin, "right"))

@@ -287,10 +287,8 @@ def lbfgsb_ml_fit(histories: Histories) -> MlFit:
     def objective(x):
         p = expit(x[0])
         try:
-            ll, grad = conditional_log_likelihood(
-                histories, p, gamma_from_moments(math.exp(x[1]), math.exp(x[2])),
-                hessian=True,
-            )[:2]
+            ll, grad, _ = conditional_log_likelihood(
+                histories, p, gamma_from_moments(math.exp(x[1]), math.exp(x[2])))
         except (ValueError, OverflowError):
             return 1e12, np.zeros(3)
         if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
@@ -476,24 +474,12 @@ def heap_simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional
 # as stored) with ``searchsorted``; these are its earlier full-pass versions.
 
 
-_EVENT_TIMES = {
-    "notification": lambda tr: tr.t_symptom,
-    "infection": lambda tr: tr.t_infect,
-}
+def mask_daily_series(trace: OutbreakTrace, through: float) -> np.ndarray:
+    """Daily notification counts, day 1 anchored at the first notification.
 
-
-def mask_daily_series(trace: OutbreakTrace, by: str, through: Optional[float] = None) -> np.ndarray:
-    """Daily event counts, day 1 anchored at the first event of the chosen kind.
-
-    ``by`` is notification or infection; events after ``through``
-    (default: the end of the run) are excluded.
+    Notifications after ``through`` are excluded.
     """
-    if by not in _EVENT_TIMES:
-        raise ValueError(f"unknown event kind {by!r}")
-    times = _EVENT_TIMES[by](trace)
-    if through is None:
-        through = trace.end_time
-    times = times[times <= through]
+    times = trace.t_symptom[trace.t_symptom <= through]
     if len(times) == 0:
         return np.zeros(0, dtype=np.int64)
     t0 = times.min()

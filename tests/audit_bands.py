@@ -50,7 +50,7 @@ from epibias.outbreak_sim import Scenario, ensemble_map, simulate_outbreak
 from epibias.rng import stream
 from test_acceptance import (
     MOMENT_MEAN_HALF_WIDTH, MOMENT_SD_POOLED, MOMENT_SD_POOLED_HALF_WIDTH,
-    N_EXPOSURE_REPLICATES, N_TRACES,
+    EXP_PHASE_DAYS, N_EXPOSURE_REPLICATES, N_TRACES, infection_curve,
 )
 
 SHIFT = 0.03          # planted shift, as a fraction of the statistic's audit mean
@@ -81,15 +81,11 @@ def audit_pool(config, n_traces: int):
                 "pred_a": ta.predictions["a"].ratio, "cfr": ta.cfr_corrected,
                 "dvar": ta.forward.var_s - ta.forward.var_g,
             })
-            curves.append(ta.infection_daily)
+            curves.append(infection_curve(trace))
         rep += 1
     pool = {key: np.array([row[key] for row in rows]) for key in rows[0]}
     has_curve = np.array([c is not None for c in curves])
-    width = max(len(c) for c in curves if c is not None)
-    curve = np.zeros((len(curves), width))
-    for i, c in enumerate(curves):
-        if c is not None:
-            curve[i, :len(c)] = c
+    curve = np.array([np.zeros(EXP_PHASE_DAYS) if c is None else c for c in curves], dtype=float)
     return pool, curve, has_curve, (suite_attempts, rep)
 
 

@@ -9,12 +9,13 @@ once per session.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from epibias import growth_math
-from epibias.analysis import AnalysisOptions, analyze_ensemble, exposure_study
+from epibias.analysis import EnsembleAnalysis, analyze_trace, exposure_study
 from epibias.cfr import pi_infinity, resolved_cfr_bias
 from epibias.config import load_config
 from _oracles import gamma_pdf_fn, solve_r_numeric
@@ -24,6 +25,8 @@ from epibias.outbreak_sim import Scenario, ensemble_map
 
 N_TRACES = 200
 N_EXPOSURE_REPLICATES = 200
+# Days of each trace's infection curve kept for criterion 9's exponential phase.
+EXP_PHASE_DAYS = 200
 
 # Criterion 7's band for the moment fit's pooled sd, per generator family.
 # Each centre is the pooled sd's expectation over 200 replicates of 500
@@ -46,12 +49,37 @@ def config():
     return load_config()
 
 
+def infection_curve(trace):
+    """Daily infections on the first ``EXP_PHASE_DAYS`` absolute days.
+
+    Day i counts the infection times in [i, i + 1); the index case is
+    infected at time 0.  None when the run ends before the last of them.
+    """
+    if trace.end_time < EXP_PHASE_DAYS:
+        return None
+    days = np.floor(trace.t_infect).astype(np.int64)
+    return np.bincount(days, minlength=EXP_PHASE_DAYS)[:EXP_PHASE_DAYS]
+
+
+def _analyze_with_curve(trace, rep, options):
+    return analyze_trace(trace, rep, options), infection_curve(trace)
+
+
 @pytest.fixture(scope="session")
-def ensemble(config):
+def analyzed(config):
+    """The analyzed ensemble, the infection curve of each trace, and the wall time."""
     t0 = time.perf_counter()
-    ens = analyze_ensemble(config.scenario, N_TRACES, options=config.options)
-    ens_elapsed = time.perf_counter() - t0
-    return ens, ens_elapsed
+    fn = partial(_analyze_with_curve, options=config.options)
+    results, attempts = ensemble_map(config.scenario, N_TRACES, fn)
+    ens = EnsembleAnalysis(scenario=config.scenario, options=config.options,
+                           n_attempts=attempts, traces=[ta for ta, _ in results])
+    return ens, [curve for _, curve in results], time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def ensemble(analyzed):
+    ens, _, elapsed = analyzed
+    return ens, elapsed
 
 
 @pytest.fixture(scope="session")
@@ -226,16 +254,15 @@ def test_criterion_8_cfr_corrections(config, ensemble):
     ])
 
 
-def test_criterion_9_property_suite(ensemble, config):
-    ens, _ = ensemble
+def test_criterion_9_property_suite(analyzed, config):
+    ens, curves, _ = analyzed
     mean_g = ens.values(lambda t: t.backward.mean_g)
     mean_s = ens.values(lambda t: t.backward.mean_s)
     dvar = ens.values(lambda t: t.forward.var_s - t.forward.var_g)
 
     # exponential phase: ensemble-mean daily infections on absolute days
     r_true = solve_r(config.scenario.R0(), config.scenario.implied_generation())
-    curves = [t.infection_daily for t in ens.traces if t.infection_daily is not None]
-    mean_curve = np.mean(np.array(curves), axis=0)
+    mean_curve = np.mean(np.array([c for c in curves if c is not None]), axis=0)
     days = np.arange(100, 200, dtype=float)
     slope = np.polyfit(days, np.log(mean_curve[100:200]), 1)[0]
 

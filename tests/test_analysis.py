@@ -78,11 +78,6 @@ class TestAnalyzeTrace:
         assert 0.45 < analysis.cfr_raw < 0.60
         assert 0.6 < analysis.cfr_corrected < 0.8
 
-    def test_infection_series_captured(self, analysis, ebola_trace):
-        if ebola_trace.end_time >= 200:
-            assert analysis.infection_daily is not None
-            assert len(analysis.infection_daily) == 200
-
     def test_fits_each_estimator_once(self, monkeypatch, ebola_trace):
         # The prediction stage projects the fitted r and R0 rather than
         # refitting them: c runs for the log and plain ratio, e for the

@@ -223,10 +223,22 @@ class TestCliCommands:
          ["config error", "r must be finite", "got inf"]),
         ("reproduce-paper", "n_persons = 100", "n_persons = 10", 2,
          ["config error", "[exposures] n_persons must be >= 50"]),
+        # non-finite values are config errors that name their field
+        ("bias-table", "[run]\n", "[bias_table]\nR0 = nan\n[run]\n", 2,
+         ["config error", "R0 must be positive and finite, got nan"]),
+        ("bias-table", "[run]\n", "[bias_table]\nR0 = inf\n[run]\n", 2,
+         ["config error", "R0 must be positive and finite, got inf"]),
+        ("simulate", "[scenario]\n", "[scenario]\nincubation_factor_max = inf\n", 2,
+         ["config error", "incubation_factor_range must be finite", "got (0.8, inf)"]),
+        ("simulate", "[scenario]\n", "[scenario]\ncontact_rate = nan\n", 2,
+         ["config error", "contact_rate must be finite and non-negative, got nan"]),
+        ("exposures", "n_persons = 100", "n_persons = 100\ncontact_rate = nan", 2,
+         ["config error", "contact_rate must be positive and finite, got nan"]),
     ], ids=["analysis-error", "config-value-error", "window-too-short", "stride-zero",
             "no-pairs", "horizon-past-followup", "horizon-negative", "cfr-true-zero",
             "cfr-delay-zero", "cfr-delay-infinite", "cfr-r-too-negative", "cfr-r-infinite",
-            "exposures-too-few-persons"])
+            "exposures-too-few-persons", "bias-R0-nan", "bias-R0-infinite",
+            "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan"])
     def test_error_exit_codes(self, tmp_path, capsys, command, old, new, code, words):
         cfg, out = tmp_path / "run.ini", tmp_path / "out"
         cfg.write_text(SMALL_RUN_CONFIG.replace(old, new))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincinv
 
 from _oracles import discretize, quad_laplace
 from epibias.distributions import (
+    HORIZON_CAP,
+    HORIZON_MASS,
     DiscreteDelay,
     GammaParams,
     cdf,
@@ -99,11 +101,11 @@ class TestAgainstScipyStats:
         np.testing.assert_array_max_ulp(cdf(g, t), stats.gamma.cdf(t, **ref), maxulp=2)
         assert type(cdf(g, float(t[-1]))) is float
 
-    @given(shape=SHAPES, rate=RATES, mass=st.floats(0.5, 1.0 - 1e-12))
-    def test_horizon(self, shape, rate, mass):
+    @given(shape=SHAPES, rate=RATES)
+    def test_horizon(self, shape, rate):
         g = GammaParams(shape, rate)
-        q = stats.gamma.ppf(mass, a=shape, scale=1.0 / rate)
-        assert discretization_horizon(g, mass) == max(1, min(int(np.ceil(q)), 500))
+        q = stats.gamma.ppf(HORIZON_MASS, a=shape, scale=1.0 / rate)
+        assert discretization_horizon(g) == max(1, min(int(np.ceil(q)), HORIZON_CAP))
 
 
 class TestLaplace:
@@ -239,7 +241,7 @@ class TestDiscretizeCentered:
         from epibias.distributions import discretize_centered
 
         g = GammaParams(shape, shape / mean)
-        d = discretize_centered(g, discretization_horizon(g, 1.0 - 1e-12, cap=100_000))
+        d = discretize_centered(g, int(np.ceil(gammaincinv(shape, 1.0 - 1e-12) / g.rate)))
         p0 = gammainc(shape, g.rate) - g.mean() * gammainc(shape + 1.0, g.rate)
         assert abs(d.mean() * (1.0 - p0) / g.mean() - 1.0) < 1e-8
 

@@ -207,10 +207,10 @@ DERIVATIVE_POINTS = given(
 )
 
 
-def ll_at(data, x, **kw):
-    """Log-likelihood of ``GRADIENT_SETS[data]`` at x = (logit p, log mean, log sd)."""
+def ll_at(data, x):
+    """(ll, grad, hess) of ``GRADIENT_SETS[data]`` at x = (logit p, log mean, log sd)."""
     g = gamma_from_moments(math.exp(x[1]), math.exp(x[2]))
-    return conditional_log_likelihood(GRADIENT_SETS[data], expit(x[0]), g, **kw)
+    return conditional_log_likelihood(GRADIENT_SETS[data], expit(x[0]), g)
 
 
 def central_difference(f, x, j):
@@ -228,21 +228,21 @@ class TestLikelihood:
             stats.gamma.pdf(6.0, a=g.shape, scale=1.0 / g.rate)
         )
         assert math.isclose(
-            conditional_log_likelihood(hist, 0.4, g), expected, rel_tol=1e-12
+            conditional_log_likelihood(hist, 0.4, g)[0], expected, rel_tol=1e-12
         )
 
     def test_certain_infection_limit(self):
         hist = histories_from_records([ExposureHistory((0.0, 2.0, 3.0), 7.0)])
         g = gamma_from_moments(11.4, 8.1)
         expected = math.log(stats.gamma.pdf(7.0, a=g.shape, scale=1.0 / g.rate))
-        assert math.isclose(conditional_log_likelihood(hist, 1.0, g), expected, rel_tol=1e-12)
+        assert math.isclose(conditional_log_likelihood(hist, 1.0, g)[0], expected, rel_tol=1e-12)
 
     def test_two_exposure_hand_value(self):
         # exponential incubation: log(0.5*exp(-(s-e1)) + 0.25*exp(-(s-e2)))
         hist = histories_from_records([ExposureHistory((0.0, 1.0), 3.0)])
         g = GammaParams(1.0, 1.0)
         expected = math.log(0.5 * math.exp(-3.0) + 0.25 * math.exp(-2.0))
-        assert math.isclose(conditional_log_likelihood(hist, 0.5, g), expected, rel_tol=1e-12)
+        assert math.isclose(conditional_log_likelihood(hist, 0.5, g)[0], expected, rel_tol=1e-12)
 
     def test_later_exposure_far_likelier_than_the_first(self):
         # The second exposure's term exceeds the first's by ~985, more than
@@ -255,9 +255,7 @@ class TestLikelihood:
         log_g = stats.gamma(a=2.0, scale=0.1).logpdf
         expected = np.logaddexp(math.log(0.5) + log_g(100.0), math.log(0.25) + log_g(1.0))
         expected += math.log(0.5) + log_g(0.3)
-        assert math.isclose(conditional_log_likelihood(hist, 0.5, g), expected, rel_tol=1e-12)
-        assert conditional_log_likelihood(hist, 0.5, g, hessian=True)[0] == (
-            conditional_log_likelihood(hist, 0.5, g))
+        assert math.isclose(conditional_log_likelihood(hist, 0.5, g)[0], expected, rel_tol=1e-12)
 
     def test_symptoms_before_exposure_rejected(self):
         hist = Histories(
@@ -278,10 +276,9 @@ class TestLikelihood:
     @example(data="single", logit_p=16.0, log_mean=math.log(11.4), log_cv=math.log(2.0))
     def test_gradient_matches_central_differences(self, data, logit_p, log_mean, log_cv):
         x = np.array([logit_p, log_mean, log_mean + log_cv])
-        value, grad, _ = ll_at(data, x, hessian=True)
-        assert value == ll_at(data, x)
+        value, grad, _ = ll_at(data, x)
         for j in range(3):
-            fd = central_difference(lambda y: ll_at(data, y), x, j)
+            fd = central_difference(lambda y: ll_at(data, y)[0], x, j)
             assert abs(fd - grad[j]) <= 1e-5 * abs(grad[j]) + 1e-10 * abs(value), j
 
     @DERIVATIVE_POINTS
@@ -294,11 +291,10 @@ class TestLikelihood:
         # Each Hessian column against central differences of the analytic
         # gradient, which the test above checks.
         def grad(y):
-            return ll_at(data, y, hessian=True)[1]
+            return ll_at(data, y)[1]
 
         x = np.array([logit_p, log_mean, log_mean + log_cv])
-        value, _, hess = ll_at(data, x, hessian=True)
-        assert value == ll_at(data, x)
+        value, _, hess = ll_at(data, x)
         for j in range(3):
             fd = central_difference(grad, x, j)
             tol = 1e-5 * np.abs(hess[:, j]) + 1e-8 * (np.max(np.abs(hess)) + abs(value))
@@ -315,7 +311,7 @@ class TestMlFit:
 
     def test_fit_beats_generating_parameters(self, gamma_sample):
         fit = ml_fit(gamma_sample)
-        at_truth = conditional_log_likelihood(gamma_sample, 0.5, MODEL.incubation)
+        at_truth = conditional_log_likelihood(gamma_sample, 0.5, MODEL.incubation)[0]
         assert fit.log_likelihood >= at_truth - 1e-4
 
     def test_boundary_p(self):
@@ -341,15 +337,14 @@ class TestMlFit:
         calls = []
         likelihood = exposures.conditional_log_likelihood
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return likelihood(*args, **kwargs)
+        def counted(*args):
+            calls.append(args)
+            return likelihood(*args)
 
         monkeypatch.setattr(exposures, "conditional_log_likelihood", counted)
         fit = ml_fit(hist)
         assert fit.converged
         assert len(calls) == fit.n_evaluations <= 25
-        assert all(kw == {"hessian": True} for kw in calls)
 
     @pytest.mark.parametrize("failing", [1, 2, 3])
     def test_every_start_climbs_and_the_best_is_kept(self, monkeypatch, failing):

@@ -13,12 +13,12 @@ from _oracles import heap_simulate_outbreak, mc_incubation_discount
 from epibias.distributions import GammaParams
 from epibias.growth_estimators import CaseSeries, est_a_log_cumulative
 from epibias import outbreak_sim
+from epibias.analysis import notification_series
 from epibias.outbreak_sim import (
     AcceptanceError,
     OutbreakTrace,
     Scenario,
     SimulationLimitError,
-    daily_series,
     ensemble_map,
     ordered_map,
     simulate_outbreak,
@@ -48,6 +48,12 @@ class TestScenario:
         for followup in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="followup"):
                 Scenario(followup=followup)
+        for contact_rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="contact_rate"):
+                Scenario(contact_rate=contact_rate)
+        for bounds in ((0.8, math.inf), (math.nan, 1.2), (0.8, math.nan), (-0.1, 1.2)):
+            with pytest.raises(ValueError, match="incubation_factor_range"):
+                Scenario(incubation_factor_range=bounds)
 
 
 class TestSimulate:
@@ -422,8 +428,6 @@ class TestFullSizeTrace:
         assert abs(summary.resolved / notified - theory) < 0.03
 
     def test_log_cumulative_slope_near_growth_rate(self, ebola_trace):
-        from epibias.analysis import notification_series
-
         series, _, _ = notification_series(ebola_trace)
         slope = est_a_log_cumulative(series, 42)
         assert 0.027 < slope < 0.052
@@ -431,18 +435,14 @@ class TestFullSizeTrace:
 
 class TestDailySeries:
     def test_notification_sum_at_threshold(self, small_trace):
-        counts = daily_series(small_trace, "notification", through=small_trace.threshold_time)
-        assert counts.sum() == small_trace.scenario.notify_threshold
+        series, t0, k_complete = notification_series(small_trace)
+        assert series.daily.sum() == np.count_nonzero(small_trace.t_symptom < t0 + k_complete)
 
     def test_infections_lead_notifications(self, small_trace):
         tr = small_trace
         grid = np.linspace(0.0, tr.end_time, 50)
         for t in grid:
             assert (tr.t_infect <= t).sum() >= (tr.t_symptom <= t).sum()
-
-    def test_unknown_kind_rejected(self, small_trace):
-        with pytest.raises(ValueError):
-            daily_series(small_trace, "sneezes")
 
 
 class TestEnsemble:
@@ -482,13 +482,15 @@ class TestEnsemble:
         # acceptance floor (1 of 100); replicates the pool runs past it
         # must not count against the floor.
         monkeypatch.setattr(outbreak_sim, "simulate_outbreak", _only_replicate_99)
+        monkeypatch.setattr(outbreak_sim, "MAX_ATTEMPTS", 100)
         scn = Scenario(master_seed=5)
-        assert ensemble_map(scn, 1, _rep_of, threads=threads, max_attempts=100) == ([99], 100)
+        assert ensemble_map(scn, 1, _rep_of, threads=threads) == ([99], 100)
 
-    def test_hopeless_scenario_raises(self):
+    def test_hopeless_scenario_raises(self, monkeypatch):
+        monkeypatch.setattr(outbreak_sim, "MAX_ATTEMPTS", 300)
         scn = Scenario(contact_rate=0.01, notify_threshold=100, master_seed=5)
         with pytest.raises(AcceptanceError):
-            ensemble_map(scn, 1, lambda tr, rep: rep, max_attempts=300)
+            ensemble_map(scn, 1, lambda tr, rep: rep)
 
 
 class TestOrderedMap:

@@ -4,9 +4,11 @@ The library reads ``notified_order()``, ``notified_times()`` and ``t_infect``
 (rows are in infection-time order) with ``searchsorted``; ``_oracles`` keeps
 the earlier versions that mask every person.  Planted traces draw their
 delays partly on a quarter-day grid, so event times fall exactly on integer
-day offsets and symptom times tie; they have several roots, and ``through``
-falls on an event time.
+day offsets and symptom times tie; they have several roots, and the
+threshold time often falls on a symptom time.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,11 +21,9 @@ from _oracles import (
     mask_sample_forward_pairs,
     mask_summarize_trace,
 )
-from epibias.analysis import EXP_PHASE_DAYS
-from epibias.outbreak_sim import OutbreakTrace, Scenario, daily_series, summarize_trace
+from epibias.analysis import notification_series
+from epibias.outbreak_sim import OutbreakTrace, Scenario, summarize_trace
 from epibias.tracing import sample_backward_pairs, sample_forward_pairs
-
-KINDS = ("notification", "infection")
 
 
 @st.composite
@@ -56,10 +56,6 @@ def planted_traces(draw):
     scenario = Scenario(notify_threshold=draw(st.integers(1, n)))
     return OutbreakTrace(scenario, threshold_time, end_time, t_infect, infector,
                          t_inf_start, t_inf_end, t_symptom, died, t_inf_end + delays())
-
-
-def _event_times(trace, by):
-    return {"notification": trace.t_symptom, "infection": trace.t_infect}[by]
 
 
 def _assert_same_pairs(a, b):
@@ -107,18 +103,34 @@ class TestInvariants:
 
 
 class TestAgainstMaskOracles:
-    @given(tr=planted_traces(), by=st.sampled_from(KINDS), data=st.data())
-    def test_daily_series(self, tr, by, data):
-        times = _event_times(tr, by).tolist()
-        through = data.draw(st.one_of(
-            st.none(), st.sampled_from(times or [0.0]), st.floats(-1.0, 60.0)))
-        got = daily_series(tr, by, through)
-        expected = mask_daily_series(tr, by, through)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected)
-        # The analysis keeps the first EXP_PHASE_DAYS days of infections;
-        # most planted series are shorter than that.
-        assert np.array_equal(got[:EXP_PHASE_DAYS], expected[:EXP_PHASE_DAYS])
+    @given(tr=planted_traces(), data=st.data())
+    def test_notification_series(self, tr, data):
+        # Plants notifications exactly on day boundaries t0 + d and exactly
+        # at the threshold, which is often itself a day boundary.
+        ts = tr.t_symptom.copy()
+        first = int(np.argmin(ts))
+        t0 = float(ts[first])
+        threshold = data.draw(st.one_of(st.just(tr.threshold_time),
+                                        st.integers(0, 40).map(lambda d: t0 + d)))
+        planted = st.one_of(st.just(threshold), st.integers(0, 40).map(lambda d: t0 + d))
+        for i in data.draw(st.lists(st.integers(0, len(ts) - 1), max_size=8)):
+            if i != first:
+                ts[i] = data.draw(planted)
+        tr = OutbreakTrace(tr.scenario, threshold, max(tr.end_time, threshold), tr.t_infect,
+                           tr.infector, tr.t_inf_start, tr.t_inf_end, ts, tr.died, tr.t_outcome)
+
+        def oracle():
+            start = float(tr.t_symptom.min())   # below t0 where a threshold below it is planted
+            k_complete = math.floor(threshold - start)
+            if k_complete < 2:
+                raise ValueError("threshold reached before two complete days of data")
+            counts = mask_daily_series(tr, through=threshold)[:k_complete]
+            return np.pad(counts, (0, k_complete - len(counts))), start, k_complete
+
+        got, expected = _same_outcome(lambda: notification_series(tr), oracle)
+        if expected is not None:
+            assert np.array_equal(got[0].daily, expected[0])
+            assert got[1:] == expected[1:]
 
     @given(planted_traces())
     def test_summarize_trace(self, tr):
