@@ -282,29 +282,25 @@ def summarize_traces(summaries: list[TraceSummary]) -> dict[str, dict[str, float
 EXPOSURE_FAMILIES = ("gamma", "lognormal")
 
 
-def exposure_fits(task) -> list[tuple]:
-    """(ml fit, moment fit, admissible) per replicate of one exposure-study block.
+def exposure_fit(task) -> tuple:
+    """(ml fit, moment fit, admissible) of one exposure-study replicate.
 
-    ``task`` is (model, n_persons, family, master_seed, replicates); each
+    ``task`` is (model, n_persons, family, master_seed, replicate); each
     replicate draws its histories from its own stream.  The ml fit is None
     when it does not converge; an inadmissible moment fit is its raw root,
     or None when there is none.
     """
-    model, n_persons, family, master_seed, reps = task
+    model, n_persons, family, master_seed, rep = task
     key = 1_000_000 * (EXPOSURE_FAMILIES.index(family) + 1)
-    fits = []
-    for rep in reps:
-        hist = exposures.generate_histories(
-            model, n_persons, family, seed=stream(master_seed, key + rep))
-        try:
-            ml = exposures.ml_fit(hist)
-        except exposures.ConvergenceError:
-            ml = None
-        try:
-            fits.append((ml, exposures.moment_fit(hist), True))
-        except exposures.MomentFitError as err:
-            fits.append((ml, err.raw, False))
-    return fits
+    hist = exposures.generate_histories(model, n_persons, family, stream(master_seed, key + rep))
+    try:
+        ml = exposures.ml_fit(hist)
+    except exposures.ConvergenceError:
+        ml = None
+    try:
+        return ml, exposures.moment_fit(hist), True
+    except exposures.MomentFitError as err:
+        return ml, err.raw, False
 
 
 def exposure_study(
@@ -319,9 +315,9 @@ def exposure_study(
     For each of ``EXPOSURE_FAMILIES`` (the model's Gamma incubation, and a
     log-normal with matched moments) runs ``replicates`` independent
     samples of ``n_persons`` histories through both the likelihood fit and
-    the moment fit, and summarizes the estimates.  The replicates are fitted
-    in blocks by :func:`exposure_fits` on ``threads`` worker processes; each
-    draws from its own stream, so the result does not depend on ``threads``.
+    the moment fit, and summarizes the estimates.  Each replicate is fitted
+    by :func:`exposure_fit` on ``threads`` worker processes and draws from
+    its own stream, so the result does not depend on ``threads``.
 
     Moment replicates whose variance equation demands Var(T) <= 0 still
     contribute their raw root to the (p, contact rate, mean, variance)
@@ -333,10 +329,9 @@ def exposure_study(
     likelihood fit does not converge is counted in ``ml_nonconverged`` and
     left out of the ml summaries; its moment fit still runs.
     """
-    size = max(1, math.ceil(replicates / (4 * max(threads, 1))))
-    tasks = [(model, n_persons, family, master_seed, range(replicates)[lo:lo + size])
-             for family in EXPOSURE_FAMILIES for lo in range(0, replicates, size)]
-    fits = [fit for block in ordered_map(exposure_fits, tasks, threads) for fit in block]
+    tasks = [(model, n_persons, family, master_seed, rep)
+             for family in EXPOSURE_FAMILIES for rep in range(replicates)]
+    fits = list(ordered_map(exposure_fit, tasks, threads))
     out = {}
     for gi, family in enumerate(EXPOSURE_FAMILIES):
         family_fits = fits[gi * replicates:(gi + 1) * replicates]

@@ -158,6 +158,14 @@ def load_config(
         raise ConfigError(str(exc)) from exc
 
 
+def _gamma(sec, a: str, b: str, make=GammaParams) -> GammaParams:
+    """``make(sec[a], sec[b])``; a bad pair is a ConfigError naming both keys."""
+    try:
+        return make(sec.getfloat(a), sec.getfloat(b))
+    except ValueError as err:
+        raise ConfigError(f"[{sec.name}] {a}, {b} = {sec[a]}, {sec[b]}: {err}") from err
+
+
 def _build(parser: configparser.ConfigParser) -> RunConfig:
     run = parser["run"]
     if "seed" not in run or run["seed"].strip() == "":
@@ -170,19 +178,15 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     scn = parser["scenario"]
     scenario = Scenario(
         contact_rate=scn.getfloat("contact_rate"),
-        latent=GammaParams(scn.getfloat("latent_shape"), scn.getfloat("latent_rate")),
-        infectious=GammaParams(
-            scn.getfloat("infectious_shape"), scn.getfloat("infectious_rate")
-        ),
+        latent=_gamma(scn, "latent_shape", "latent_rate"),
+        infectious=_gamma(scn, "infectious_shape", "infectious_rate"),
         incubation_factor_range=(
             scn.getfloat("incubation_factor_min"),
             scn.getfloat("incubation_factor_max"),
         ),
         p_death=scn.getfloat("p_death"),
-        to_death=GammaParams(scn.getfloat("to_death_shape"), scn.getfloat("to_death_rate")),
-        to_recovery=GammaParams(
-            scn.getfloat("to_recovery_shape"), scn.getfloat("to_recovery_rate")
-        ),
+        to_death=_gamma(scn, "to_death_shape", "to_death_rate"),
+        to_recovery=_gamma(scn, "to_recovery_shape", "to_recovery_rate"),
         notify_threshold=scn.getint("notify_threshold"),
         followup=scn.getfloat("followup"),
         master_seed=seed,
@@ -191,12 +195,10 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     bt = parser["bias_table"]
     bias = BiasScenario(
         R0=bt.getfloat("R0"),
-        gen=GammaParams(bt.getfloat("gen_shape"), bt.getfloat("gen_rate")),
+        gen=_gamma(bt, "gen_shape", "gen_rate"),
         serial_cv_factor=bt.getfloat("serial_cv_factor"),
-        me_gen=gamma_from_moments(bt.getfloat("me_gen_mean"), bt.getfloat("me_gen_sd")),
-        me_biased_gen=gamma_from_moments(
-            bt.getfloat("me_biased_mean"), bt.getfloat("me_biased_sd")
-        ),
+        me_gen=_gamma(bt, "me_gen_mean", "me_gen_sd", gamma_from_moments),
+        me_biased_gen=_gamma(bt, "me_biased_mean", "me_biased_sd", gamma_from_moments),
     )
 
     est = parser["estimate"]
@@ -216,9 +218,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     exposure_model = ExposureModel(
         p=exp.getfloat("p"),
         contact_rate=exp.getfloat("contact_rate"),
-        incubation=gamma_from_moments(
-            exp.getfloat("incubation_mean"), exp.getfloat("incubation_sd")
-        ),
+        incubation=_gamma(exp, "incubation_mean", "incubation_sd", gamma_from_moments),
     )
 
     replicates, threads = int(run["replicates"]), int(run["threads"])
@@ -227,9 +227,10 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         ("[run] replicates", replicates, 1), ("[run] threads", threads, 1),
         ("[exposures] replicates", exposure_replicates, 1),
         ("[exposures] n_persons", n_persons, MIN_HISTORIES),
+        ("[bias_table] serial_cv_factor", bias.serial_cv_factor, 1),
     ):
-        if value < least:
-            raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if not least <= value < math.inf:
+            raise ConfigError(f"{name} must be >= {least} and finite, got {value}")
 
     cfr_sec = parser["cfr"]
     cfr_r, cfr_true = cfr_sec.getfloat("r"), cfr_sec.getfloat("true_cfr")

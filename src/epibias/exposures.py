@@ -120,13 +120,12 @@ class Histories:
         return _read_only(np.repeat(np.arange(len(self)), self.counts))
 
     @cached_property
-    def position(self) -> np.ndarray:
-        """i - 1 for the i-th exposure of its person."""
-        return _read_only(np.arange(len(self.exposures)) - np.repeat(self.starts, self.counts))
+    def z(self) -> np.ndarray:
+        """Rows (i - 1, log delta, delta) over all exposures, for the i-th
+        exposure e_i of a person with onset s and delta = s - e_i.
 
-    @cached_property
-    def delta(self) -> np.ndarray:
-        """Exposure-to-onset time s - e_i of every exposure.
+        The score of each exposure's likelihood term is affine in its column
+        (see :func:`conditional_log_likelihood`).
 
         Raises:
             ValueError: if an exposure does not precede its person's onset.
@@ -134,20 +133,8 @@ class Histories:
         delta = np.repeat(self.symptom_times, self.counts) - self.exposures
         if np.any(delta <= 0):
             raise ValueError("every exposure must precede the symptom time")
-        return _read_only(delta)
-
-    @cached_property
-    def log_delta(self) -> np.ndarray:
-        return _read_only(np.log(self.delta))
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        """Rows (i - 1, log delta, delta) over all exposures.
-
-        The score of each exposure's likelihood term is affine in its column
-        (see :func:`conditional_log_likelihood`).
-        """
-        return _read_only(np.vstack([self.position, self.log_delta, self.delta]))
+        position = np.arange(len(self.exposures)) - np.repeat(self.starts, self.counts)
+        return _read_only(np.vstack([position, np.log(delta), delta]))
 
     @cached_property
     def z_person(self) -> np.ndarray:

@@ -18,12 +18,13 @@ stream, and every simulated trace, differ from earlier versions.
 
 from __future__ import annotations
 
-import itertools
 import math
+import traceback
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -308,25 +309,46 @@ def _apply(args):
     return fn(trace, rep)
 
 
+# Consecutive tasks that ordered_map sends to a worker as one pool task.
+POOL_BLOCK = 16
+
+
+def _run_block(fn, block):
+    """(``fn`` of each task up to the first that raises, that exception or None)."""
+    results = []
+    for task in block:
+        try:
+            results.append(fn(task))
+        except Exception as exc:
+            exc.add_note(traceback.format_exc())  # the worker's traceback, lost in pickling
+            return results, exc
+    return results, None
+
+
 def ordered_map(fn: Callable, tasks: Iterable, threads: int) -> Iterator:
     """``fn(task)`` for each of ``tasks``, in task order; ``tasks`` may be endless.
 
-    With one thread this is ``map``.  With more, a process pool keeps
-    ``2 * threads`` tasks submitted ahead of the one being read; it shuts
-    down, cancelling the queued tasks and waiting for the running ones, when
+    With one thread this is ``map``.  With more, a process pool runs blocks
+    of ``POOL_BLOCK`` consecutive tasks and keeps ``2 * threads`` blocks in
+    flight, the one being read included.  As with ``map``, a task that
+    raises yields its block's earlier results and then raises.  The pool
+    shuts down, cancelling queued blocks and waiting for running ones, when
     the tasks run out, when a task raises, or when the generator is closed.
     """
     if threads <= 1:
         yield from map(fn, tasks)
         return
     tasks = iter(tasks)
+    blocks = iter(lambda: list(islice(tasks, POOL_BLOCK)), [])
     pool = ProcessPoolExecutor(max_workers=threads)
     try:
-        window = deque(pool.submit(fn, task) for task in itertools.islice(tasks, 2 * threads))
+        window = deque(pool.submit(_run_block, fn, b) for b in islice(blocks, 2 * threads))
         while window:
-            done = window.popleft()
-            window.extend(pool.submit(fn, task) for task in itertools.islice(tasks, 1))
-            yield done.result()
+            results, exc = window.popleft().result()
+            window.extend(pool.submit(_run_block, fn, b) for b in islice(blocks, 1))
+            yield from results
+            if exc is not None:
+                raise exc
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -353,7 +375,7 @@ def ensemble_map(
     if n_accepted < 1:
         raise ValueError("n_accepted must be >= 1")
     results = []
-    tasks = ((scenario, rep, fn) for rep in itertools.count())
+    tasks = ((scenario, rep, fn) for rep in count())
     with closing(ordered_map(_apply, tasks, threads)) as outcomes:
         for examined, out in enumerate(outcomes, 1):
             if out is not None:

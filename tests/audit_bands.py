@@ -43,7 +43,7 @@ import time
 import numpy as np
 from scipy import stats
 
-from epibias.analysis import EXPOSURE_FAMILIES, analyze_trace, exposure_fits
+from epibias.analysis import EXPOSURE_FAMILIES, analyze_trace, exposure_fit
 from epibias.config import load_config
 from epibias.growth_math import solve_r
 from epibias.outbreak_sim import Scenario, ensemble_map, simulate_outbreak
@@ -293,7 +293,7 @@ def audit_ensemble(n_traces: int, n_resamples: int) -> None:
 def exposure_pool(config, n_replicates: int, first: int):
     """Per-replicate fits of each family, on the streams of replicates ``first`` onward.
 
-    The fits are ``analysis.exposure_fits``, the exposure study's own: a
+    The fits are ``analysis.exposure_fit``, the exposure study's own: a
     replicate whose likelihood fit does not converge has NaN ml values, and
     one whose moment fit is inadmissible keeps its raw root (NaN only when
     unsolved).
@@ -303,7 +303,7 @@ def exposure_pool(config, n_replicates: int, first: int):
     nan = (math.nan,) * 3
     pool, counts = {}, {}
     for family in EXPOSURE_FAMILIES:
-        fits = exposure_fits((model, n_persons, family, config.seed, reps))
+        fits = [exposure_fit((model, n_persons, family, config.seed, rep)) for rep in reps]
         ml = np.array([nan if m is None else (m.p, m.mean, m.sd) for m, _, _ in fits])
         mom = np.array([nan if f is None else (f.p, f.mean, f.variance) for _, f, _ in fits])
         pool[family] = dict(zip(("ml_p", "ml_mean", "ml_sd", "mom_p", "mom_mean", "mom_var"),

@@ -143,7 +143,7 @@ STUDY_DIGEST = "38e75ebeee3b538d98f4510552af487fff3ce1166bf29d97ba17f603f7d22742
 
 
 class TestExposureStudy:
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_structure_and_determinism(self, threads):
         model = ExposureModel(
             p=0.5, contact_rate=0.0725, incubation=gamma_from_moments(11.4, 8.1)

@@ -234,11 +234,29 @@ class TestCliCommands:
          ["config error", "contact_rate must be finite and non-negative, got nan"]),
         ("exposures", "n_persons = 100", "n_persons = 100\ncontact_rate = nan", 2,
          ["config error", "contact_rate must be positive and finite, got nan"]),
+        # a Gamma law the config cannot make names its section and keys
+        ("simulate", "[scenario]\n", "[scenario]\nlatent_shape = nan\n", 2,
+         ["config error", "[scenario] latent_shape, latent_rate = nan, 0.2"]),
+        ("simulate", "[scenario]\n", "[scenario]\nto_death_rate = inf\n", 2,
+         ["config error", "[scenario] to_death_shape, to_death_rate = 0.444", ", inf: rate"]),
+        ("bias-table", "[run]\n", "[bias_table]\nme_gen_sd = nan\n[run]\n", 2,
+         ["config error", "[bias_table] me_gen_mean, me_gen_sd = 15.3, nan"]),
+        ("exposures", "n_persons = 100", "n_persons = 100\nincubation_sd = inf", 2,
+         ["config error", "[exposures] incubation_mean, incubation_sd = 11.4, inf"]),
+        ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = inf\n[run]\n", 2,
+         ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got inf"]),
+        ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = nan\n[run]\n", 2,
+         ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got nan"]),
+        ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = 0.9\n[run]\n", 2,
+         ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got 0.9"]),
     ], ids=["analysis-error", "config-value-error", "window-too-short", "stride-zero",
             "no-pairs", "horizon-past-followup", "horizon-negative", "cfr-true-zero",
             "cfr-delay-zero", "cfr-delay-infinite", "cfr-r-too-negative", "cfr-r-infinite",
             "exposures-too-few-persons", "bias-R0-nan", "bias-R0-infinite",
-            "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan"])
+            "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan",
+            "latent-shape-nan", "to-death-rate-infinite", "me-gen-sd-nan",
+            "incubation-sd-infinite", "serial-cv-factor-infinite", "serial-cv-factor-nan",
+            "serial-cv-factor-below-1"])
     def test_error_exit_codes(self, tmp_path, capsys, command, old, new, code, words):
         cfg, out = tmp_path / "run.ini", tmp_path / "out"
         cfg.write_text(SMALL_RUN_CONFIG.replace(old, new))

@@ -84,9 +84,14 @@ class TestHistoryTypes:
         hist = Histories(offsets, times, onsets)
         offsets[1] = 2  # the store keeps its own copy of the caller's arrays
         assert list(hist.counts) == [1, 2]
-        for name in ("offsets", "exposures", "symptom_times", "counts", "delta", "log_delta", "z"):
+        for name in ("offsets", "exposures", "symptom_times", "counts", "z"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(hist, name)[0] = 1.0
+
+    def test_exposure_at_onset_rejected(self):
+        hist = Histories(np.array([0, 1, 3]), np.array([0.0, 0.0, 9.0]), np.array([4.0, 9.0]))
+        with pytest.raises(ValueError, match="precede the symptom time"):
+            hist.z
 
 
 @pytest.fixture(scope="module")

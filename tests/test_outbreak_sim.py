@@ -15,6 +15,7 @@ from epibias.growth_estimators import CaseSeries, est_a_log_cumulative
 from epibias import outbreak_sim
 from epibias.analysis import notification_series
 from epibias.outbreak_sim import (
+    POOL_BLOCK,
     AcceptanceError,
     OutbreakTrace,
     Scenario,
@@ -486,6 +487,15 @@ class TestEnsemble:
         scn = Scenario(master_seed=5)
         assert ensemble_map(scn, 1, _rep_of, threads=threads) == ([99], 100)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_past_the_last_accepted_replicate_is_not_reached(self, monkeypatch, threads):
+        # Replicate 2 raises in the same block as the accepted 0 and 1; the
+        # map stops at replicate 1 on any worker count, so it never sees it.
+        monkeypatch.setattr(outbreak_sim, "simulate_outbreak", _every_replicate)
+        scn = Scenario(master_seed=5)
+        assert ensemble_map(scn, 2, _fail_at_replicate_2, threads=threads) == ([0, 1], 2)
+        assert not multiprocessing.active_children()
+
     def test_hopeless_scenario_raises(self, monkeypatch):
         monkeypatch.setattr(outbreak_sim, "MAX_ATTEMPTS", 300)
         scn = Scenario(contact_rate=0.01, notify_threshold=100, master_seed=5)
@@ -496,14 +506,20 @@ class TestEnsemble:
 class TestOrderedMap:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_results_in_task_order(self, threads):
-        # Even tasks sleep, so on two workers later tasks finish first.
-        assert list(ordered_map(_square, range(9), threads)) == [x * x for x in range(9)]
+        # Tasks of even blocks sleep, so on two workers later blocks finish
+        # first; the longer map spans several blocks and ends in a partial one.
+        for n_tasks in (9, 3 * POOL_BLOCK + 5):
+            squares = list(ordered_map(_square, range(n_tasks), threads))
+            assert squares == [x * x for x in range(n_tasks)]
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_task_exception_propagates(self, threads):
+        # Task 3 raises mid-block: the block's earlier results come first.
+        outcomes = ordered_map(_fail_at_3, range(20), threads)
+        assert [next(outcomes) for _ in range(3)] == [0, 1, 2]
         with pytest.raises(ValueError, match="task 3"):
-            list(ordered_map(_fail_at_3, range(20), threads))
+            next(outcomes)
         assert not multiprocessing.active_children()
 
     def test_closing_an_endless_map_stops_the_pool(self):
@@ -514,7 +530,7 @@ class TestOrderedMap:
 
 
 def _square(x):
-    time.sleep(0.02 * (x % 2 == 0))
+    time.sleep(0.005 * (x // POOL_BLOCK % 2 == 0))
     return x * x
 
 
@@ -542,6 +558,16 @@ def _threshold_of(trace, rep):
 
 def _only_replicate_99(scenario, rep):
     return "trace" if rep == 99 else None
+
+
+def _every_replicate(scenario, rep):
+    return rep
+
+
+def _fail_at_replicate_2(trace, rep):
+    if rep == 2:
+        raise ValueError("replicate 2 failed")
+    return rep
 
 
 def _rep_of(trace, rep):
