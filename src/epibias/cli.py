@@ -110,11 +110,15 @@ def cmd_estimate(config: RunConfig, outdir: Path) -> None:
     if config.out_format == "json":
         _write_json(outdir / "estimates.json", report)
     else:
-        r0 = {k: report[k] for k in ("renewal_R0_backward_weights", "renewal_R0_true_weights")}
-        rows = [[quantity, method, stats["mean"], stats["sd"], stats["q025"], stats["q975"]]
-                for quantity, group in (("r", report["growth_estimates"]), ("R0", r0),
-                                        ("prediction_ratio", report["prediction_ratios"]))
-                for method, stats in group.items()]
+        rows = []
+        for method, stats in report["growth_estimates"].items():
+            rows.append(["r", method, stats["mean"], stats["sd"], stats["q025"], stats["q975"]])
+        for name in ("renewal_R0_backward_weights", "renewal_R0_true_weights"):
+            stats = report[name]
+            rows.append(["R0", name, stats["mean"], stats["sd"], stats["q025"], stats["q975"]])
+        for method, stats in report["prediction_ratios"].items():
+            rows.append(["prediction_ratio", method, stats["mean"], stats["sd"],
+                         stats["q025"], stats["q975"]])
         _write_csv(outdir / "estimates.csv",
                    ["quantity", "method", "mean", "sd", "q025", "q975"], rows)
     print(f"estimate: analyzed {len(ens)} accepted runs; report in {outdir}")
@@ -144,7 +148,8 @@ def cmd_exposures(config: RunConfig, outdir: Path) -> None:
                 for param, stats in by_est[estimator].items():
                     rows.append([family, estimator, param, stats["mean"],
                                  stats["q025"], stats["q975"]])
-            rows.append([family, "moment", "sd_pooled", by_est["moment_sd_pooled"], "", ""])
+            rows.append([family, "moment", "sd_pooled",
+                         by_est["moment_sd_pooled"], "", ""])
         _write_csv(outdir / "exposure_estimates.csv",
                    ["generator", "estimator", "parameter", "mean", "q025", "q975"], rows)
     print(f"exposures: wrote estimator study to {outdir}")

@@ -314,15 +314,14 @@ POOL_BLOCK = 16
 
 
 def _run_block(fn, block):
-    """(``fn`` of each task up to the first that raises, that exception or None)."""
+    """(``fn`` of each task up to the first that raises, that exception, its traceback)."""
     results = []
     for task in block:
         try:
             results.append(fn(task))
         except Exception as exc:
-            exc.add_note(traceback.format_exc())  # the worker's traceback, lost in pickling
-            return results, exc
-    return results, None
+            return results, exc, traceback.format_exc()
+    return results, None, None
 
 
 def ordered_map(fn: Callable, tasks: Iterable, threads: int) -> Iterator:
@@ -330,10 +329,12 @@ def ordered_map(fn: Callable, tasks: Iterable, threads: int) -> Iterator:
 
     With one thread this is ``map``.  With more, a process pool runs blocks
     of ``POOL_BLOCK`` consecutive tasks and keeps ``2 * threads`` blocks in
-    flight, the one being read included.  As with ``map``, a task that
-    raises yields its block's earlier results and then raises.  The pool
-    shuts down, cancelling queued blocks and waiting for running ones, when
-    the tasks run out, when a task raises, or when the generator is closed.
+    flight, the one being read included, so fewer than ``POOL_BLOCK *
+    threads`` tasks leave workers idle.  As with ``map``, a task that raises
+    yields its block's earlier results and then raises, its cause holding
+    the worker's traceback.  The pool shuts down, cancelling queued blocks
+    and waiting for running ones, when the tasks run out, when a task
+    raises, or when the generator is closed.
     """
     if threads <= 1:
         yield from map(fn, tasks)
@@ -344,11 +345,11 @@ def ordered_map(fn: Callable, tasks: Iterable, threads: int) -> Iterator:
     try:
         window = deque(pool.submit(_run_block, fn, b) for b in islice(blocks, 2 * threads))
         while window:
-            results, exc = window.popleft().result()
+            results, exc, tb = window.popleft().result()
             window.extend(pool.submit(_run_block, fn, b) for b in islice(blocks, 1))
             yield from results
             if exc is not None:
-                raise exc
+                raise exc from RuntimeError(tb)  # the worker's traceback, lost in pickling
     finally:
         pool.shutdown(cancel_futures=True)
 

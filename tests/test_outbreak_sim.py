@@ -518,8 +518,10 @@ class TestOrderedMap:
         # Task 3 raises mid-block: the block's earlier results come first.
         outcomes = ordered_map(_fail_at_3, range(20), threads)
         assert [next(outcomes) for _ in range(3)] == [0, 1, 2]
-        with pytest.raises(ValueError, match="task 3"):
+        with pytest.raises(ValueError, match="task 3") as raised:
             next(outcomes)
+        if threads > 1:  # the worker's traceback is the cause
+            assert "_fail_at_3" in str(raised.value.__cause__)
         assert not multiprocessing.active_children()
 
     def test_closing_an_endless_map_stops_the_pool(self):
