@@ -4,9 +4,9 @@ Subcommands mirror the analysis areas: ``bias-table`` (closed forms),
 ``simulate`` (ensemble summaries), ``estimate`` (growth/renewal estimators
 and predictions), ``exposures`` (multiple-infector estimator study),
 ``cfr`` (delayed-observation corrections), and ``reproduce-paper`` (all of
-them).  Outputs are CSV or JSON files carrying the seed, package version,
-and config hash that produced them; identical (config, seed, version)
-triples give byte-identical files.
+them).  Each report is a CSV or JSON file; a JSON report carries the seed,
+package version, and config hash that produced it.  Identical (config,
+seed, version) triples give byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,20 +29,25 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _float6(x) -> str:
-    return f"{x:.6g}"
+def _write_report(config: RunConfig, outdir: Path, name: str, payload: dict,
+                  header: list[str] | None = None, rows: list[list] | None = None) -> None:
+    """Write one report: ``payload`` stamped with the run's ``meta`` as
+    ``<name>.json``, or ``rows`` under ``header`` as ``<name>.csv`` when the
+    format is CSV.  A report without rows is JSON in either format."""
+    if config.out_format == "csv" and rows is not None:
+        with open(outdir / f"{name}.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
+    else:
+        text = json.dumps({"meta": config.metadata(), **payload}, indent=2, sort_keys=True)
+        (outdir / f"{name}.json").write_text(text + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_float6(v) if isinstance(v, float) else v for v in row])
+def _stats_row(*labels, stats: dict) -> list:
+    """``labels`` followed by the mean, sd and central 95% range of ``stats``."""
+    return [*labels, stats["mean"], stats["sd"], stats["q025"], stats["q975"]]
 
 
 def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
@@ -54,10 +59,8 @@ def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
         "r_bias_pct": 100.0 * report.r_rel_bias,
         "note": report.note,
     } for report in growth_math.bias_table(config.bias)]
-    if config.out_format == "json":
-        _write_json(outdir / "bias_table.json", {"meta": config.metadata(), "rows": rows})
-    else:
-        _write_csv(outdir / "bias_table.csv", list(rows[0]), [list(r.values()) for r in rows])
+    _write_report(config, outdir, "bias_table", {"rows": rows},
+                  list(rows[0]), [list(r.values()) for r in rows])
     print(f"bias-table: wrote {len(rows)} rows to {outdir}")
 
 
@@ -70,7 +73,7 @@ def _summarize_and_write(trace, replicate_index: int, staging: Path):
 def cmd_simulate(config: RunConfig, outdir: Path, write_traces: bool = False) -> None:
     # Each trace is written where it is simulated, into a staging directory:
     # the pool simulates replicates past the accepted set, and only the
-    # accepted replicates' files are moved into traces/.
+    # accepted replicates' files replace the traces of an earlier run.
     fn = summarize_trace
     staging = outdir / "traces.partial"
     if write_traces:
@@ -84,19 +87,19 @@ def cmd_simulate(config: RunConfig, outdir: Path, write_traces: bool = False) ->
         if write_traces:
             trace_dir = outdir / "traces"
             trace_dir.mkdir(exist_ok=True)
+            for stale in trace_dir.glob("trace_*.csv"):
+                stale.unlink()
             for summary in summaries:
                 name = f"trace_{summary.replicate_index:04d}.csv"
                 (staging / name).replace(trace_dir / name)
     finally:
         if write_traces:
             shutil.rmtree(staging, ignore_errors=True)
-    payload = {
-        "meta": config.metadata(),
-        "n_accepted": len(summaries),
-        "n_attempts": attempts,
-        **analysis.summarize_traces(summaries),
-    }
-    _write_json(outdir / "ensemble_summary.json", payload)
+    stats = analysis.summarize_traces(summaries)
+    _write_report(config, outdir, "ensemble_summary",
+                  {"n_accepted": len(summaries), "n_attempts": attempts, **stats},
+                  ["quantity", "mean", "sd", "q025", "q975"],
+                  [_stats_row(name, stats=s) for name, s in stats.items()])
     print(f"simulate: {len(summaries)} accepted of {attempts} attempts; summary in {outdir}")
 
 
@@ -106,21 +109,15 @@ def cmd_estimate(config: RunConfig, outdir: Path) -> None:
         threads=config.threads,
     )
     report = analysis.ensemble_report(ens)
-    report["meta"] = config.metadata()
-    if config.out_format == "json":
-        _write_json(outdir / "estimates.json", report)
-    else:
-        rows = []
-        for method, stats in report["growth_estimates"].items():
-            rows.append(["r", method, stats["mean"], stats["sd"], stats["q025"], stats["q975"]])
-        for name in ("renewal_R0_backward_weights", "renewal_R0_true_weights"):
-            stats = report[name]
-            rows.append(["R0", name, stats["mean"], stats["sd"], stats["q025"], stats["q975"]])
-        for method, stats in report["prediction_ratios"].items():
-            rows.append(["prediction_ratio", method, stats["mean"], stats["sd"],
-                         stats["q025"], stats["q975"]])
-        _write_csv(outdir / "estimates.csv",
-                   ["quantity", "method", "mean", "sd", "q025", "q975"], rows)
+    rows = []
+    for method, stats in report["growth_estimates"].items():
+        rows.append(_stats_row("r", method, stats=stats))
+    for name in ("renewal_R0_backward_weights", "renewal_R0_true_weights"):
+        rows.append(_stats_row("R0", name, stats=report[name]))
+    for method, stats in report["prediction_ratios"].items():
+        rows.append(_stats_row("prediction_ratio", method, stats=stats))
+    _write_report(config, outdir, "estimates", report,
+                  ["quantity", "method", "mean", "sd", "q025", "q975"], rows)
     print(f"estimate: analyzed {len(ens)} accepted runs; report in {outdir}")
 
 
@@ -138,20 +135,16 @@ def cmd_exposures(config: RunConfig, outdir: Path) -> None:
         "sd": config.exposure_model.incubation.sd(),
         "contact_rate": config.exposure_model.contact_rate,
     }
-    if config.out_format == "json":
-        _write_json(outdir / "exposure_estimates.json",
-                    {"meta": config.metadata(), "truth": truth, "study": study})
-    else:
-        rows = []
-        for family, by_est in study.items():
-            for estimator in ("ml", "moment"):
-                for param, stats in by_est[estimator].items():
-                    rows.append([family, estimator, param, stats["mean"],
-                                 stats["q025"], stats["q975"]])
-            rows.append([family, "moment", "sd_pooled",
-                         by_est["moment_sd_pooled"], "", ""])
-        _write_csv(outdir / "exposure_estimates.csv",
-                   ["generator", "estimator", "parameter", "mean", "q025", "q975"], rows)
+    rows = []
+    for family, by_est in study.items():
+        for estimator in ("ml", "moment"):
+            for param, stats in by_est[estimator].items():
+                rows.append([family, estimator, param, stats["mean"],
+                             stats["q025"], stats["q975"]])
+        rows.append([family, "moment", "sd_pooled",
+                     by_est["moment_sd_pooled"], "", ""])
+    _write_report(config, outdir, "exposure_estimates", {"truth": truth, "study": study},
+                  ["generator", "estimator", "parameter", "mean", "q025", "q975"], rows)
     print(f"exposures: wrote estimator study to {outdir}")
 
 
@@ -164,7 +157,6 @@ def cmd_cfr(config: RunConfig, outdir: Path) -> None:
     rho = cfr_mod.pi_infinity(r, recovery)
     resolved = cfr_mod.resolved_cfr_bias(config.cfr_true, r, death, recovery)
     payload = {
-        "meta": config.metadata(),
         "r": r,
         "true_cfr": config.cfr_true,
         "observed_death_fraction": pi,
@@ -174,12 +166,8 @@ def cmd_cfr(config: RunConfig, outdir: Path) -> None:
         "resolved_estimator_expectation": resolved,
         "resolved_relative_bias": resolved / config.cfr_true - 1.0,
     }
-    if config.out_format == "json":
-        _write_json(outdir / "cfr_report.json", payload)
-    else:
-        _write_csv(outdir / "cfr_report.csv",
-                   ["quantity", "value"],
-                   [[k, v] for k, v in payload.items() if k != "meta"])
+    _write_report(config, outdir, "cfr_report", payload,
+                  ["quantity", "value"], [list(item) for item in payload.items()])
     print(f"cfr: report in {outdir}")
 
 
@@ -188,8 +176,7 @@ def cmd_reproduce(config: RunConfig, outdir: Path) -> None:
     cmd_cfr(config, outdir)
     cmd_exposures(config, outdir)
     cmd_estimate(config, outdir)
-    _write_json(outdir / "bundle.json", {
-        "meta": config.metadata(),
+    _write_report(config, outdir, "bundle", {
         "contents": ["bias_table", "cfr_report", "exposure_estimates", "estimates"],
     })
     print(f"reproduce-paper: full bundle in {outdir}")

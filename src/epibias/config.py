@@ -158,12 +158,33 @@ def load_config(
         raise ConfigError(str(exc)) from exc
 
 
+def _error(sec, keys, err: ValueError) -> ConfigError:
+    """``err`` as a ConfigError that names ``[section] keys = values`` first."""
+    names, values = ", ".join(keys), ", ".join(sec[k] for k in keys)
+    return ConfigError(f"[{sec.name}] {names} = {values}: {err}")
+
+
 def _gamma(sec, a: str, b: str, make=GammaParams) -> GammaParams:
     """``make(sec[a], sec[b])``; a bad pair is a ConfigError naming both keys."""
     try:
         return make(sec.getfloat(a), sec.getfloat(b))
     except ValueError as err:
-        raise ConfigError(f"[{sec.name}] {a}, {b} = {sec[a]}, {sec[b]}: {err}") from err
+        raise _error(sec, (a, b), err) from err
+
+
+def _make(make, sec, keys: dict, **fields):
+    """``make(**fields)``; a field it rejects is a ConfigError naming its keys in ``sec``.
+
+    Each check in ``make`` starts its message with the field's name.  A
+    field is read from ``keys[field]``, or else from the key of its name.
+    """
+    try:
+        return make(**fields)
+    except ValueError as err:
+        field = str(err).split(" ", 1)[0]
+        if field not in fields:
+            raise
+        raise _error(sec, keys.get(field, (field,)), err) from err
 
 
 def _build(parser: configparser.ConfigParser) -> RunConfig:
@@ -176,7 +197,9 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(f"format must be json or csv, got {out_format!r}")
 
     scn = parser["scenario"]
-    scenario = Scenario(
+    scenario = _make(
+        Scenario, scn,
+        {"incubation_factor_range": ("incubation_factor_min", "incubation_factor_max")},
         contact_rate=scn.getfloat("contact_rate"),
         latent=_gamma(scn, "latent_shape", "latent_rate"),
         infectious=_gamma(scn, "infectious_shape", "infectious_rate"),
@@ -202,7 +225,8 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     )
 
     est = parser["estimate"]
-    options = AnalysisOptions(
+    options = _make(
+        AnalysisOptions, est, {"n_pairs": ("sample_pairs",)},
         n_pairs=est.getint("sample_pairs"),
         stride=est.getint("stride"),
         window=est.getint("window"),
@@ -215,7 +239,8 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         )
 
     exp = parser["exposures"]
-    exposure_model = ExposureModel(
+    exposure_model = _make(
+        ExposureModel, exp, {},
         p=exp.getfloat("p"),
         contact_rate=exp.getfloat("contact_rate"),
         incubation=_gamma(exp, "incubation_mean", "incubation_sd", gamma_from_moments),

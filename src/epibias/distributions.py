@@ -44,28 +44,22 @@ class GammaParams:
 
 @dataclass(frozen=True)
 class DiscreteDelay:
-    """Daily delay probabilities p(s) for s = 1..horizon.
+    """Daily delay probabilities p(s) for s = 1..len(probs).
 
     ``probs[i]`` is the probability of day ``i + 1``.  Entries are
     non-negative and sum to 1 (within 1e-12).
     """
 
     probs: np.ndarray
-    horizon: int
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        if self.horizon < 1 or len(probs) != self.horizon:
-            raise ValueError("horizon must match the length of probs")
         if np.any(probs < 0):
             raise ValueError("delay probabilities must be non-negative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"delay probabilities must sum to 1, got {probs.sum()!r}")
-
-    def mean(self) -> float:
-        return float(np.arange(1, self.horizon + 1) @ self.probs)
 
 
 def gamma_from_moments(mean: float, sd: float) -> GammaParams:
@@ -131,7 +125,7 @@ def discretize_centered(params: GammaParams, horizon: int) -> DiscreteDelay:
     rising = cum1[1:-1] - cum1[:-2] - (k - 1.0) * (cum0[1:-1] - cum0[:-2])
     falling = (k + 1.0) * (cum0[2:] - cum0[1:-1]) - (cum1[2:] - cum1[1:-1])
     probs = np.maximum(rising + falling, 0.0)  # rounding can leave far-tail masses below 0
-    return DiscreteDelay(probs=probs / probs.sum(), horizon=horizon)
+    return DiscreteDelay(probs=probs / probs.sum())
 
 
 # Mass that discretization_horizon keeps, and the longest horizon it returns.

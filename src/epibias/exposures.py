@@ -5,9 +5,8 @@ symptom-onset time s; any of the exposures could have been the infecting
 one.  Conditioning on the exposure times, the likelihood of the observed
 onset is sum_i p*(1-p)**(i-1) * g(s - e_i), with p the per-contact infection
 probability and g the incubation density.  The module generates synthetic
-exposure histories, fits (p, incubation mean, incubation sd) by maximum
-likelihood or by a four-moment system, and quantifies the bias of the
-keep-only-single-exposure shortcut.
+exposure histories and fits (p, incubation mean, incubation sd) by maximum
+likelihood or by a four-moment system.
 """
 
 from __future__ import annotations
@@ -59,30 +58,6 @@ class ExposureModel:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if not 0.0 < self.contact_rate < math.inf:
             raise ValueError(f"contact_rate must be positive and finite, got {self.contact_rate}")
-
-
-@dataclass(frozen=True)
-class LogNormalParams:
-    """Minimal log-normal (for incubation-misspecification experiments)."""
-
-    mu: float
-    sigma: float
-
-    @classmethod
-    def from_moments(cls, mean: float, sd: float) -> "LogNormalParams":
-        if mean <= 0 or sd <= 0:
-            raise ValueError("moments must be positive")
-        s2 = math.log1p((sd / mean) ** 2)
-        return cls(mu=math.log(mean) - 0.5 * s2, sigma=math.sqrt(s2))
-
-    def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma**2)
-
-    def sd(self) -> float:
-        return math.sqrt((math.exp(self.sigma**2) - 1.0)) * self.mean()
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.lognormal(self.mu, self.sigma, size=size)
 
 
 class Histories:
@@ -175,8 +150,9 @@ def generate_histories(
     if incubation_family == "gamma":
         T = rng.gamma(model.incubation.shape, 1.0 / model.incubation.rate, n)
     elif incubation_family == "lognormal":
-        ln = LogNormalParams.from_moments(model.incubation.mean(), model.incubation.sd())
-        T = ln.sample(rng, n)
+        mean, sd = model.incubation.mean(), model.incubation.sd()
+        s2 = math.log1p((sd / mean) ** 2)
+        T = rng.lognormal(math.log(mean) - 0.5 * s2, math.sqrt(s2), n)
     else:
         raise ValueError(f"unknown incubation family {incubation_family!r}")
 
@@ -552,26 +528,3 @@ def invert_moment_system(moments) -> MomentFit:
             raw=fit,
         )
     return fit
-
-
-def single_exposure_shift(
-    model: ExposureModel, gen: GammaParams
-) -> tuple[float, GammaParams]:
-    """Mean incubation among single-exposure cases, and the distorted
-    generation-time distribution it induces.
-
-    Restricting to cases with exactly one possible infector conditions on no
-    further contact arriving before symptoms, which tilts the incubation
-    density by exp(-mu*t); for a Gamma incubation the conditional mean is
-    shape/(rate + mu) < E(T).  Estimates built from such cases shift the
-    generation-time mean down by E(T) minus that conditional mean, while the
-    standard deviation is taken as unchanged.
-    """
-    inc = model.incubation
-    conditional_mean = inc.shape / (inc.rate + model.contact_rate)
-    shift = inc.mean() - conditional_mean
-    new_mean = gen.mean() - shift
-    if new_mean <= 0:
-        raise ValueError("shift exceeds the generation-time mean")
-    return float(conditional_mean), gamma_from_moments(new_mean, gen.sd())
-

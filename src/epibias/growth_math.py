@@ -132,10 +132,10 @@ def serial_inflation_bias(link: GrowthLink, c: float) -> BiasReport:
 def multiple_exposure_bias(link: GrowthLink, biased_gen: GammaParams) -> BiasReport:
     """Bias from fitting with the single-exposure-only generation distribution.
 
-    ``biased_gen`` is the mean-shifted distribution produced by
-    :func:`epibias.exposures.single_exposure_shift` (or any distorted
-    alternative); the report simply re-solves the growth-rate equation
-    with it.
+    ``biased_gen`` is the generation distribution fitted from
+    single-exposure cases only (``[bias_table] me_biased_mean`` and
+    ``me_biased_sd``); the report simply re-solves the growth-rate
+    equation with it.
     """
     r_biased = solve_r(link.R0, biased_gen)
     R0_biased = solve_R0(link.r, biased_gen)

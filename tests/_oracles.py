@@ -8,9 +8,11 @@ one person at a time, likelihood fits by scipy's L-BFGS-B from three
 starts, outbreaks one infection at a time from an event queue, per-trace
 counts by masking every person, and expectations by brute-force Monte
 Carlo, so a bug in a formula cannot hide behind itself.  The
-exposure-history records and their builders, and
-the plain interval binning ``discretize``, are test fixtures: the library
-itself is columnar only and bins delays with ``discretize_centered``.
+exposure-history records and their builders, the plain interval binning
+``discretize``, and ``single_exposure_shift`` (the closed form behind the
+paper's single-exposure generation-time mean, which no command computes)
+are test fixtures: the library itself is columnar only, bins delays with
+``discretize_centered``, and reads that mean from the config.
 """
 
 import heapq
@@ -23,13 +25,7 @@ from scipy import integrate, optimize, stats
 from scipy.special import expit, logit
 
 from epibias.distributions import DiscreteDelay, GammaParams, cdf, gamma_from_moments
-from epibias.exposures import (
-    ExposureModel,
-    Histories,
-    LogNormalParams,
-    MlFit,
-    conditional_log_likelihood,
-)
+from epibias.exposures import ExposureModel, Histories, MlFit, conditional_log_likelihood
 from epibias.outbreak_sim import OutbreakTrace, Scenario, SimulationLimitError, TraceSummary
 from epibias.rng import stream
 from epibias.tracing import TracedPairs, _pairs_of
@@ -161,11 +157,16 @@ def renewal_expected(series_daily: np.ndarray, weights: DiscreteDelay, t: int) -
     Sum over lags s of p(s) * I(t-s); lags reaching before day 1 contribute
     nothing (their mass is simply absent, no renormalization).
     """
-    s_max = min(weights.horizon, t - 1)
+    s_max = min(len(weights.probs), t - 1)
     if s_max < 1:
         return 0.0
     lags = np.arange(1, s_max + 1)
     return float(weights.probs[:s_max] @ series_daily[t - 1 - lags])
+
+
+def delay_mean(delay: DiscreteDelay) -> float:
+    """Mean lag in days of a daily delay, summed one day at a time."""
+    return float(sum(s * p for s, p in enumerate(delay.probs, start=1)))
 
 
 def mc_incubation_discount(rng, r, lat_shape, lat_rate, u_lo, u_hi, n=1_000_000):
@@ -228,6 +229,28 @@ def calibrate_contact_rate(p: float, single_fraction: float, incubation: GammaPa
     return incubation.rate * math.expm1(math.log(p / single_fraction) / incubation.shape)
 
 
+def single_exposure_shift(
+    model: ExposureModel, gen: GammaParams
+) -> tuple[float, GammaParams]:
+    """Mean incubation among single-exposure cases, and the distorted
+    generation-time distribution it induces.
+
+    Restricting to cases with exactly one possible infector conditions on no
+    further contact arriving before symptoms, which tilts the incubation
+    density by exp(-mu*t); for a Gamma incubation the conditional mean is
+    shape/(rate + mu) < E(T).  Estimates built from such cases shift the
+    generation-time mean down by E(T) minus that conditional mean, while the
+    standard deviation is taken as unchanged.
+    """
+    inc = model.incubation
+    conditional_mean = inc.shape / (inc.rate + model.contact_rate)
+    shift = inc.mean() - conditional_mean
+    new_mean = gen.mean() - shift
+    if new_mean <= 0:
+        raise ValueError("shift exceeds the generation-time mean")
+    return float(conditional_mean), gamma_from_moments(new_mean, gen.sd())
+
+
 def loop_generate_histories(
     model: ExposureModel,
     n: int,
@@ -245,9 +268,10 @@ def loop_generate_histories(
         raise ValueError("n must be >= 1")
     if incubation_family == "gamma":
         T = rng.gamma(model.incubation.shape, 1.0 / model.incubation.rate, n)
-    elif incubation_family == "lognormal":
-        ln = LogNormalParams.from_moments(model.incubation.mean(), model.incubation.sd())
-        T = ln.sample(rng, n)
+    elif incubation_family == "lognormal":  # with the Gamma's mean and sd
+        mean, sd = model.incubation.mean(), model.incubation.sd()
+        s2 = math.log1p((sd / mean) ** 2)
+        T = rng.lognormal(math.log(mean) - 0.5 * s2, math.sqrt(s2), n)
     else:
         raise ValueError(f"unknown incubation family {incubation_family!r}")
 
@@ -349,7 +373,7 @@ def discretize(params: GammaParams, horizon: int) -> DiscreteDelay:
             f"horizon {horizon} keeps only {total:.6f} of the mass; extend it"
         )
     probs = np.diff(cum)
-    return DiscreteDelay(probs=probs / probs.sum(), horizon=horizon)
+    return DiscreteDelay(probs=probs / probs.sum())
 
 
 def heap_simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[OutbreakTrace]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -9,8 +10,11 @@ import pytest
 
 import epibias
 from epibias import outbreak_sim
+from epibias.analysis import TRACE_SUMMARY_FIELDS, AnalysisOptions
 from epibias.cli import main
 from epibias.config import ConfigError, DEFAULT_CONFIG, load_config
+from epibias.growth_math import BiasScenario
+from epibias.outbreak_sim import Scenario
 
 SMALL_RUN_CONFIG = """
 [scenario]
@@ -44,6 +48,14 @@ class TestConfig:
         assert math.isclose(cfg.scenario.R0(), 1.7, rel_tol=1e-12)
         assert cfg.bias.serial_cv_factor == 1.026
         assert len(cfg.config_hash) == 64
+
+    def test_builtin_config_matches_dataclass_defaults(self):
+        # The acceptance suite builds these from the dataclass defaults, and
+        # the commands from the built-in config: both must be one scenario.
+        cfg = load_config()
+        assert cfg.scenario == Scenario(master_seed=cfg.seed)
+        assert cfg.options == AnalysisOptions()
+        assert cfg.bias == BiasScenario()
 
     def test_override_precedence(self, small_config):
         cfg = load_config(path=str(small_config), seed=7, replicates=5)
@@ -155,6 +167,12 @@ class TestCliCommands:
             return simulate(scenario, rep)
 
         monkeypatch.setattr(outbreak_sim, "simulate_outbreak", counted)
+        # an earlier run with more replicates leaves traces this run replaces
+        assert main([
+            "simulate", "--config", str(small_config), "--out", str(tmp_path),
+            "--write-traces", "--replicates", "4",
+        ]) == 0
+        calls.clear()
         assert main([
             "simulate", "--config", str(small_config), "--out", str(tmp_path),
             "--write-traces", "--threads", str(threads),
@@ -170,6 +188,20 @@ class TestCliCommands:
             rep = int(path.stem.removeprefix("trace_"))
             simulate(scenario, rep).to_csv(tmp_path / "reference.csv")
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_simulate_csv(self, tmp_path, small_config):
+        for fmt in ("json", "csv"):
+            assert main(["simulate", "--config", str(small_config),
+                         "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+        assert [p.name for p in (tmp_path / "csv").iterdir()] == ["ensemble_summary.csv"]
+        payload = json.loads((tmp_path / "json" / "ensemble_summary.json").read_text())
+        with open(tmp_path / "csv" / "ensemble_summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["quantity", "mean", "sd", "q025", "q975"]
+        assert [row[0] for row in rows[1:]] == list(TRACE_SUMMARY_FIELDS)
+        for name, *values in rows[1:]:
+            stats = payload[name]
+            assert values == [f"{stats[k]:.6g}" for k in ("mean", "sd", "q025", "q975")]
 
     def test_estimate_small(self, tmp_path, small_config):
         assert main([
@@ -205,7 +237,7 @@ class TestCliCommands:
         ("estimate", "window = 20", "window = 1", 2, ["config error", "window must be >= 2"]),
         ("estimate", "stride = 3", "stride = 0", 2, ["config error", "stride must be >= 1"]),
         ("estimate", "sample_pairs = 30", "sample_pairs = 0", 2,
-         ["config error", "n_pairs must be >= 1"]),
+         ["config error", "[estimate] sample_pairs = 0: n_pairs must be >= 1"]),
         ("estimate", "window = 20", "window = 20\nhorizon = 60", 2,
          ["config error", "[estimate] horizon (60)", "[scenario] followup (42)"]),
         ("estimate", "window = 20", "window = 20\nhorizon = -5", 2,
@@ -234,6 +266,13 @@ class TestCliCommands:
          ["config error", "contact_rate must be finite and non-negative, got nan"]),
         ("exposures", "n_persons = 100", "n_persons = 100\ncontact_rate = nan", 2,
          ["config error", "contact_rate must be positive and finite, got nan"]),
+        # a value that a check rejects names its section and key
+        ("exposures", "n_persons = 100", "n_persons = 100\ncontact_rate = 0", 2,
+         ["config error", "[exposures] contact_rate = 0: contact_rate must be positive"]),
+        ("simulate", "[scenario]\n", "[scenario]\nincubation_factor_min = 2\n", 2,
+         ["config error", "[scenario] incubation_factor_min, incubation_factor_max = 2, 1.2: "]),
+        ("simulate", "notify_threshold = 150", "notify_threshold = 0", 2,
+         ["config error", "[scenario] notify_threshold = 0: notify_threshold must be >= 1"]),
         # a Gamma law the config cannot make names its section and keys
         ("simulate", "[scenario]\n", "[scenario]\nlatent_shape = nan\n", 2,
          ["config error", "[scenario] latent_shape, latent_rate = nan, 0.2"]),
@@ -254,6 +293,8 @@ class TestCliCommands:
             "cfr-delay-zero", "cfr-delay-infinite", "cfr-r-too-negative", "cfr-r-infinite",
             "exposures-too-few-persons", "bias-R0-nan", "bias-R0-infinite",
             "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan",
+            "exposures-contact-rate-zero", "incubation-factor-min-above-max",
+            "notify-threshold-zero",
             "latent-shape-nan", "to-death-rate-infinite", "me-gen-sd-nan",
             "incubation-sd-infinite", "serial-cv-factor-infinite", "serial-cv-factor-nan",
             "serial-cv-factor-below-1"])

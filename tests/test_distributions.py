@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammainc, gammaincinv
 
-from _oracles import discretize, quad_laplace
+from _oracles import delay_mean, discretize, quad_laplace
 from epibias.distributions import (
     HORIZON_CAP,
     HORIZON_MASS,
@@ -190,7 +190,7 @@ class TestDiscretize:
     def test_mean_close_to_continuous(self):
         # Assigning the mass of (s-1, s] to day s shifts the mean up by ~half a day.
         d = discretize(GammaParams(3.0, 0.2), 60)
-        assert abs(d.mean() - 15.0) <= 0.6
+        assert abs(delay_mean(d) - 15.0) <= 0.6
 
     def test_exponential_first_day(self):
         d = discretize(GammaParams(1.0, 1.0), 20)
@@ -216,7 +216,7 @@ class TestDiscretizeCentered:
         from epibias.distributions import discretize_centered
 
         d = discretize_centered(GammaParams(3.0, 0.2), 80)
-        assert abs(d.mean() - 15.0) < 0.02
+        assert abs(delay_mean(d) - 15.0) < 0.02
         assert abs(d.probs.sum() - 1.0) < 1e-12
         assert np.all(d.probs >= 0)
 
@@ -243,7 +243,7 @@ class TestDiscretizeCentered:
         g = GammaParams(shape, shape / mean)
         d = discretize_centered(g, int(np.ceil(gammaincinv(shape, 1.0 - 1e-12) / g.rate)))
         p0 = gammainc(shape, g.rate) - g.mean() * gammainc(shape + 1.0, g.rate)
-        assert abs(d.mean() * (1.0 - p0) / g.mean() - 1.0) < 1e-8
+        assert abs(delay_mean(d) * (1.0 - p0) / g.mean() - 1.0) < 1e-8
 
     def test_truncating_horizon_rejected(self):
         from epibias.distributions import discretize_centered
@@ -255,12 +255,12 @@ class TestDiscretizeCentered:
 class TestDiscreteDelay:
     def test_validates_sum(self):
         with pytest.raises(ValueError):
-            DiscreteDelay(probs=np.array([0.5, 0.4]), horizon=2)
+            DiscreteDelay(probs=np.array([0.5, 0.4]))
 
     def test_validates_sign(self):
         with pytest.raises(ValueError):
-            DiscreteDelay(probs=np.array([1.2, -0.2]), horizon=2)
+            DiscreteDelay(probs=np.array([1.2, -0.2]))
 
     def test_mean(self):
-        d = DiscreteDelay(probs=np.array([0.25, 0.75]), horizon=2)
-        assert d.mean() == 1.75
+        # probs[0] is day 1
+        assert delay_mean(DiscreteDelay(probs=np.array([0.25, 0.75]))) == 1.75

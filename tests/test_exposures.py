@@ -16,6 +16,7 @@ from _oracles import (
     lbfgsb_ml_fit,
     loop_generate_histories,
     quad_tilted_mean,
+    single_exposure_shift,
 )
 from epibias import exposures
 from epibias.analysis import EXPOSURE_FAMILIES
@@ -25,7 +26,6 @@ from epibias.exposures import (
     ConvergenceError,
     ExposureModel,
     Histories,
-    LogNormalParams,
     MomentFitError,
     conditional_log_likelihood,
     generate_histories,
@@ -34,7 +34,6 @@ from epibias.exposures import (
     moment_fit,
     moment_system,
     sample_moments,
-    single_exposure_shift,
 )
 from epibias.rng import stream
 
@@ -170,18 +169,6 @@ class TestGenerator:
             assert np.array_equal(hist.symptom_times, ref.symptom_times)
             # both consumed the same stretch of the stream
             assert rng.random() == oracle_rng.random()
-
-
-class TestLogNormal:
-    def test_moment_matching(self):
-        ln = LogNormalParams.from_moments(11.4, 8.1)
-        assert math.isclose(ln.mean(), 11.4, rel_tol=1e-12)
-        assert math.isclose(ln.sd(), 8.1, rel_tol=1e-12)
-
-    def test_sampler_moments(self):
-        ln = LogNormalParams.from_moments(5.0, 2.0)
-        draws = ln.sample(stream(35, 0), 400_000)
-        assert abs(draws.mean() - 5.0) < 0.02
 
 
 def _single_exposure_only(hist):
@@ -536,6 +523,15 @@ class TestSingleExposureShift:
             model = ExposureModel(p=0.5, contact_rate=mu, incubation=MODEL.incubation)
             cond_mean, _ = single_exposure_shift(model, self.GEN)
             assert cond_mean < MODEL.incubation.mean()
+
+    def test_matches_generated_single_exposure_cases(self):
+        # A single-exposure person was infected at its only contact and met
+        # no one before symptoms, so its first-contact-to-symptom time is the
+        # incubation time tilted by exp(-mu*t).
+        hist = generate_histories(MODEL, 100_000, "gamma", seed=stream(48, 0))
+        S = hist.first_to_symptom()[hist.counts == 1]
+        cond_mean, _ = single_exposure_shift(MODEL, self.GEN)
+        assert abs(S.mean() - cond_mean) < 3 * S.std(ddof=1) / math.sqrt(len(S))
 
 
 class TestHeuristics:

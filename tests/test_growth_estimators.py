@@ -124,7 +124,7 @@ class TestRenewalPressure:
 
     def test_single_day_and_horizon_past_the_series(self, renewal_setup):
         _, weights, _ = renewal_setup
-        assert weights.horizon == 80
+        assert len(weights.probs) == 80
         assert renewal_pressure(np.array([5.0]), weights).tolist() == [5.0 * weights.probs[0]]
         daily = np.arange(1.0, 31.0)
         expected = [renewal_expected(daily, weights, t) for t in range(2, 32)]
