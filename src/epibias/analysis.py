@@ -187,11 +187,9 @@ def analyze_trace(
     with _stage("cfr", replicate_index):
         notified = trace.notified_order()[:summary.total_infected - summary.unnotified]
         died_by_T = trace.died[notified] & (trace.t_outcome[notified] <= trace.threshold_time)
-        d_obs = int(np.count_nonzero(died_by_T))
         counts = cfr.CfrCounts(
             K=len(notified),
-            D_obs=d_obs,
-            R_obs=summary.resolved - d_obs,
+            D_obs=int(np.count_nonzero(died_by_T)),
             T=trace.threshold_time,
             r=r_estimates["a"],
         )

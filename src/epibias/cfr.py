@@ -3,7 +3,8 @@
 While notifications grow exponentially at rate r, only a fraction of the
 deaths (or recoveries) destined to happen among the notified cases has
 already been observed.  That fraction is the discounted mass
-pi = E[exp(-r*D)] of the notification-to-outcome delay D, which makes the
+pi = E[exp(-r*D)] = ``laplace(D, r)`` of the notification-to-outcome delay
+D, which makes the
 naive estimator deaths/notified biased low by the factor pi and makes the
 resolved-cases estimator deaths/(deaths+recoveries) biased whenever the
 death and recovery delays differ.  For Gamma delays every fraction has a
@@ -27,24 +28,12 @@ class CfrCounts:
 
     K: int
     D_obs: int
-    R_obs: int
     T: float
     r: float
 
     def __post_init__(self):
-        if min(self.K, self.D_obs, self.R_obs) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.D_obs + self.R_obs > self.K:
-            raise ValueError("resolved cases cannot exceed notified cases")
-
-
-def pi_infinity(r: float, delay: GammaParams) -> float:
-    """Long-run observed fraction of delayed events, E[exp(-r*D)].
-
-    For an exponential delay with mean m this is 1/(1 + r*m); among Gamma
-    delays with a fixed mean it decreases with the shape parameter.
-    """
-    return laplace(delay, r)
+        if not 0 <= self.D_obs <= self.K:
+            raise ValueError("deaths must be between 0 and the notified cases")
 
 
 _SERIES_BELOW = 0.05  # |r|*T below which pi_finite sums its series
@@ -62,7 +51,7 @@ def pi_finite(T: float, r: float, delay: GammaParams) -> float:
     over the partial moments M_j = (k)_j / lambda**j * P(k+j, lambda*T) and
     D = (1 - exp(-rT))/r, or T at r = 0 (the window average of F); the
     truncation error is below (|r|*T)**8/9! < 1e-16.  Non-decreasing in T,
-    with limit :func:`pi_infinity`.  Raises ValueError for T < 0 or
+    with limit ``laplace(delay, r)``.  Raises ValueError for T < 0 or
     r <= -lambda, where the tilt (lambda/(lambda+r))**k diverges.  For
     r < 0 the by-parts numerator and denominator are multiplied by exp(rT),
     so exp(-rT) cannot overflow.
@@ -89,8 +78,6 @@ def pi_finite(T: float, r: float, delay: GammaParams) -> float:
 @dataclass(frozen=True)
 class CfrEstimate:
     estimate: float
-    raw: float
-    correction: float
     clipped: bool
 
 
@@ -105,12 +92,8 @@ def corrected_naive_cfr(counts: CfrCounts, delay_to_death: GammaParams) -> CfrEs
     factor = pi_finite(counts.T, counts.r, delay_to_death)
     if factor <= 0.0:
         raise ValueError("observed fraction is zero at this horizon")
-    raw = counts.D_obs / counts.K
-    est = raw / factor
-    clipped = est > 1.0
-    return CfrEstimate(
-        estimate=min(est, 1.0), raw=raw, correction=factor, clipped=clipped
-    )
+    est = counts.D_obs / counts.K / factor
+    return CfrEstimate(estimate=min(est, 1.0), clipped=est > 1.0)
 
 
 def notification_delay(scenario, outcome: GammaParams) -> GammaParams:
@@ -145,6 +128,6 @@ def resolved_cfr_bias(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"true CFR must be in [0, 1], got {p}")
-    pi = pi_infinity(r, to_death)
-    rho = pi_infinity(r, to_recovery)
+    pi = laplace(to_death, r)
+    rho = laplace(to_recovery, r)
     return p * pi / (p * pi + (1.0 - p) * rho)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, analysis, cfr as cfr_mod, growth_math
 from .config import ConfigError, DEFAULT_CONFIG, RunConfig, load_config
-from .distributions import GammaParams
+from .distributions import GammaParams, laplace
 from .outbreak_sim import ensemble_map, summarize_trace
 
 EXIT_OK = 0
@@ -153,8 +153,8 @@ def cmd_cfr(config: RunConfig, outdir: Path) -> None:
     death = GammaParams(1.0, 1.0 / config.cfr_death_delay_mean)
     recovery = GammaParams(1.0, 1.0 / config.cfr_recovery_delay_mean)
     r = config.cfr_r
-    pi = cfr_mod.pi_infinity(r, death)
-    rho = cfr_mod.pi_infinity(r, recovery)
+    pi = laplace(death, r)
+    rho = laplace(recovery, r)
     resolved = cfr_mod.resolved_cfr_bias(config.cfr_true, r, death, recovery)
     payload = {
         "r": r,

@@ -164,10 +164,19 @@ def _error(sec, keys, err: ValueError) -> ConfigError:
     return ConfigError(f"[{sec.name}] {names} = {values}: {err}")
 
 
+def _value(sec, key: str, parse=float):
+    """``parse(sec[key])``; a value it cannot parse is a ConfigError naming the key."""
+    try:
+        return parse(sec[key])
+    except ValueError as err:
+        raise _error(sec, (key,), err) from err
+
+
 def _gamma(sec, a: str, b: str, make=GammaParams) -> GammaParams:
     """``make(sec[a], sec[b])``; a bad pair is a ConfigError naming both keys."""
+    x, y = _value(sec, a), _value(sec, b)
     try:
-        return make(sec.getfloat(a), sec.getfloat(b))
+        return make(x, y)
     except ValueError as err:
         raise _error(sec, (a, b), err) from err
 
@@ -191,35 +200,36 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     run = parser["run"]
     if "seed" not in run or run["seed"].strip() == "":
         raise ConfigError("a seed is required; set [run] seed or pass --seed")
-    seed = int(run["seed"])
+    seed = _value(run, "seed", int)
     out_format = run.get("format", "json").strip().lower()
     if out_format not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {out_format!r}")
+        raise ConfigError(f"[run] format must be json or csv, got {out_format!r}")
 
     scn = parser["scenario"]
     scenario = _make(
         Scenario, scn,
         {"incubation_factor_range": ("incubation_factor_min", "incubation_factor_max")},
-        contact_rate=scn.getfloat("contact_rate"),
+        contact_rate=_value(scn, "contact_rate"),
         latent=_gamma(scn, "latent_shape", "latent_rate"),
         infectious=_gamma(scn, "infectious_shape", "infectious_rate"),
         incubation_factor_range=(
-            scn.getfloat("incubation_factor_min"),
-            scn.getfloat("incubation_factor_max"),
+            _value(scn, "incubation_factor_min"),
+            _value(scn, "incubation_factor_max"),
         ),
-        p_death=scn.getfloat("p_death"),
+        p_death=_value(scn, "p_death"),
         to_death=_gamma(scn, "to_death_shape", "to_death_rate"),
         to_recovery=_gamma(scn, "to_recovery_shape", "to_recovery_rate"),
-        notify_threshold=scn.getint("notify_threshold"),
-        followup=scn.getfloat("followup"),
+        notify_threshold=_value(scn, "notify_threshold", int),
+        followup=_value(scn, "followup"),
         master_seed=seed,
     )
 
     bt = parser["bias_table"]
-    bias = BiasScenario(
-        R0=bt.getfloat("R0"),
+    bias = _make(
+        BiasScenario, bt, {},
+        R0=_value(bt, "R0"),
         gen=_gamma(bt, "gen_shape", "gen_rate"),
-        serial_cv_factor=bt.getfloat("serial_cv_factor"),
+        serial_cv_factor=_value(bt, "serial_cv_factor"),
         me_gen=_gamma(bt, "me_gen_mean", "me_gen_sd", gamma_from_moments),
         me_biased_gen=_gamma(bt, "me_biased_mean", "me_biased_sd", gamma_from_moments),
     )
@@ -227,10 +237,10 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     est = parser["estimate"]
     options = _make(
         AnalysisOptions, est, {"n_pairs": ("sample_pairs",)},
-        n_pairs=est.getint("sample_pairs"),
-        stride=est.getint("stride"),
-        window=est.getint("window"),
-        horizon=est.getint("horizon"),
+        n_pairs=_value(est, "sample_pairs", int),
+        stride=_value(est, "stride", int),
+        window=_value(est, "window", int),
+        horizon=_value(est, "horizon", int),
     )
     if options.horizon > scenario.followup:
         raise ConfigError(
@@ -241,14 +251,16 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     exp = parser["exposures"]
     exposure_model = _make(
         ExposureModel, exp, {},
-        p=exp.getfloat("p"),
-        contact_rate=exp.getfloat("contact_rate"),
+        p=_value(exp, "p"),
+        contact_rate=_value(exp, "contact_rate"),
         incubation=_gamma(exp, "incubation_mean", "incubation_sd", gamma_from_moments),
     )
 
-    replicates, threads = int(run["replicates"]), int(run["threads"])
-    exposure_replicates, n_persons = exp.getint("replicates"), exp.getint("n_persons")
+    replicates, threads = _value(run, "replicates", int), _value(run, "threads", int)
+    exposure_replicates = _value(exp, "replicates", int)
+    n_persons = _value(exp, "n_persons", int)
     for name, value, least in (
+        ("[run] seed", seed, 0),
         ("[run] replicates", replicates, 1), ("[run] threads", threads, 1),
         ("[exposures] replicates", exposure_replicates, 1),
         ("[exposures] n_persons", n_persons, MIN_HISTORIES),
@@ -258,9 +270,9 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
             raise ConfigError(f"{name} must be >= {least} and finite, got {value}")
 
     cfr_sec = parser["cfr"]
-    cfr_r, cfr_true = cfr_sec.getfloat("r"), cfr_sec.getfloat("true_cfr")
-    death_mean = cfr_sec.getfloat("death_delay_mean")
-    recovery_mean = cfr_sec.getfloat("recovery_delay_mean")
+    cfr_r, cfr_true = _value(cfr_sec, "r"), _value(cfr_sec, "true_cfr")
+    death_mean = _value(cfr_sec, "death_delay_mean")
+    recovery_mean = _value(cfr_sec, "recovery_delay_mean")
     if not 0.0 < cfr_true <= 1.0:
         raise ConfigError(f"[cfr] true_cfr must be in (0, 1], got {cfr_true}")
     if not (0.0 < death_mean < math.inf and 0.0 < recovery_mean < math.inf):

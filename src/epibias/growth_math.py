@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .distributions import GammaParams, gamma_from_moments, laplace
+from .distributions import GammaParams, gamma_from_moments
 
 
 class BiasSource(enum.Enum):
@@ -25,32 +25,6 @@ class BiasSource(enum.Enum):
     SERIAL_INFLATION = "serial_inflation"
     MULTIPLE_EXPOSURE = "multiple_exposure"
     COMBINED = "combined"
-
-
-@dataclass(frozen=True)
-class GrowthLink:
-    """A consistent (R0, r, generation distribution) triple.
-
-    Consistency means 1 = R0 * E[exp(-r*G)] within 1e-10; ``from_R0``
-    builds a valid link from R0.
-    """
-
-    R0: float
-    r: float
-    gen: GammaParams
-
-    def __post_init__(self):
-        if self.R0 < 0:
-            raise ValueError(f"R0 must be non-negative, got {self.R0}")
-        resid = self.R0 * laplace(self.gen, self.r) - 1.0
-        if abs(resid) > 1e-10:
-            raise ValueError(
-                f"(R0, r, gen) inconsistent: R0*E[exp(-rG)] - 1 = {resid:.3e}"
-            )
-
-    @classmethod
-    def from_R0(cls, R0: float, gen: GammaParams) -> "GrowthLink":
-        return cls(R0=R0, r=solve_r(R0, gen), gen=gen)
 
 
 @dataclass(frozen=True)
@@ -85,26 +59,26 @@ def solve_R0(r: float, gen: GammaParams) -> float:
     return (1.0 + r / gen.rate) ** gen.shape
 
 
-def backward_dist(link: GrowthLink) -> GammaParams:
+def backward_dist(gen: GammaParams, r: float) -> GammaParams:
     """Generation-time distribution as seen backwards from infectees.
 
-    During exponential growth the tracing-observed density is
+    During exponential growth at rate r the tracing-observed density is
     exp(-r*t) * R0 * f(t); for Gamma generation times this is again Gamma,
     with the rate increased by r, hence a strictly smaller mean for R0 > 1.
     """
-    return GammaParams(shape=link.gen.shape, rate=link.gen.rate + link.r)
+    return GammaParams(shape=gen.shape, rate=gen.rate + r)
 
 
-def backward_bias(link: GrowthLink) -> BiasReport:
+def backward_bias(R0: float, gen: GammaParams) -> BiasReport:
     """Bias from fitting the growth-rate equation with backward generation times.
 
-    r_biased = R0**(1/shape) * r  (always >= r), and
-    R0_biased = (1 - (r/(rate+r))**2)**shape * R0  (always <= R0).
+    With r = solve_r(R0, gen), r_biased = R0**(1/shape) * r  (always >= r),
+    and R0_biased = (1 - (r/(rate+r))**2)**shape * R0  (always <= R0).
     """
-    alpha, lam = link.gen.shape, link.gen.rate
-    r_biased = link.R0 ** (1.0 / alpha) * link.r
-    R0_biased = (1.0 - (link.r / (lam + link.r)) ** 2) ** alpha * link.R0
-    return _report(BiasSource.BACKWARD, link, r_biased, R0_biased)
+    r = solve_r(R0, gen)
+    r_biased = R0 ** (1.0 / gen.shape) * r
+    R0_biased = (1.0 - (r / (gen.rate + r)) ** 2) ** gen.shape * R0
+    return _report(BiasSource.BACKWARD, R0, r, r_biased, R0_biased)
 
 
 def inflated_dist(gen: GammaParams, c: float) -> GammaParams:
@@ -115,7 +89,7 @@ def inflated_dist(gen: GammaParams, c: float) -> GammaParams:
     return GammaParams(shape=gen.shape / c2, rate=gen.rate / c2)
 
 
-def serial_inflation_bias(link: GrowthLink, c: float) -> BiasReport:
+def serial_inflation_bias(R0: float, gen: GammaParams, c: float) -> BiasReport:
     """Bias from replacing generation times by serial intervals.
 
     Serial intervals share the generation-time mean but carry a coefficient
@@ -123,13 +97,10 @@ def serial_inflation_bias(link: GrowthLink, c: float) -> BiasReport:
     Gamma(shape/c^2, rate/c^2).  r_biased increases and R0_biased decreases
     in c; c = 1 reproduces the truth.
     """
-    dist = inflated_dist(link.gen, c)
-    r_biased = solve_r(link.R0, dist)
-    R0_biased = solve_R0(link.r, dist)
-    return _report(BiasSource.SERIAL_INFLATION, link, r_biased, R0_biased)
+    return _resolved(BiasSource.SERIAL_INFLATION, R0, gen, inflated_dist(gen, c))
 
 
-def multiple_exposure_bias(link: GrowthLink, biased_gen: GammaParams) -> BiasReport:
+def multiple_exposure_bias(R0: float, gen: GammaParams, biased_gen: GammaParams) -> BiasReport:
     """Bias from fitting with the single-exposure-only generation distribution.
 
     ``biased_gen`` is the generation distribution fitted from
@@ -137,14 +108,18 @@ def multiple_exposure_bias(link: GrowthLink, biased_gen: GammaParams) -> BiasRep
     ``me_biased_sd``); the report simply re-solves the growth-rate
     equation with it.
     """
-    r_biased = solve_r(link.R0, biased_gen)
-    R0_biased = solve_R0(link.r, biased_gen)
-    return _report(BiasSource.MULTIPLE_EXPOSURE, link, r_biased, R0_biased)
+    return _resolved(BiasSource.MULTIPLE_EXPOSURE, R0, gen, biased_gen)
 
 
-def _report(source, link, r_biased, R0_biased) -> BiasReport:
-    if link.r != 0:
-        r_rel = r_biased / link.r - 1.0
+def _resolved(source, R0: float, gen: GammaParams, biased_gen: GammaParams) -> BiasReport:
+    """The growth-rate equation of (R0, gen) re-solved both ways with ``biased_gen``."""
+    r = solve_r(R0, gen)
+    return _report(source, R0, r, solve_r(R0, biased_gen), solve_R0(r, biased_gen))
+
+
+def _report(source, R0, r, r_biased, R0_biased) -> BiasReport:
+    if r != 0:
+        r_rel = r_biased / r - 1.0
     else:
         r_rel = 0.0 if r_biased == 0 else math.inf
     return BiasReport(
@@ -152,7 +127,7 @@ def _report(source, link, r_biased, R0_biased) -> BiasReport:
         r_biased=r_biased,
         R0_biased=R0_biased,
         r_rel_bias=r_rel,
-        R0_rel_bias=R0_biased / link.R0 - 1.0,
+        R0_rel_bias=R0_biased / R0 - 1.0,
     )
 
 
@@ -171,6 +146,10 @@ class BiasScenario:
     me_gen: GammaParams = field(default_factory=lambda: gamma_from_moments(15.3, 9.3))
     me_biased_gen: GammaParams = field(default_factory=lambda: gamma_from_moments(12.0, 9.3))
 
+    def __post_init__(self):
+        if not 0.0 < self.R0 < math.inf:
+            raise ValueError(f"R0 must be positive and finite, got {self.R0}")
+
 
 def bias_table(scenario: BiasScenario) -> list[BiasReport]:
     """The four-row bias table: three sources plus their combined effect.
@@ -180,13 +159,11 @@ def bias_table(scenario: BiasScenario) -> list[BiasReport]:
     (R0, gen) link.  Factors are combined unrounded, so the combined row
     can differ by a point or two from tables built from rounded rows.
     """
-    link = GrowthLink.from_R0(scenario.R0, scenario.gen)
-    me_link = GrowthLink.from_R0(scenario.R0, scenario.me_gen)
-
+    R0 = scenario.R0
     rows = [
-        backward_bias(link),
-        serial_inflation_bias(link, scenario.serial_cv_factor),
-        multiple_exposure_bias(me_link, scenario.me_biased_gen),
+        backward_bias(R0, scenario.gen),
+        serial_inflation_bias(R0, scenario.gen, scenario.serial_cv_factor),
+        multiple_exposure_bias(R0, scenario.me_gen, scenario.me_biased_gen),
     ]
     r_factor = 1.0
     R0_factor = 1.0
@@ -196,8 +173,8 @@ def bias_table(scenario: BiasScenario) -> list[BiasReport]:
     rows.append(
         BiasReport(
             source=BiasSource.COMBINED,
-            r_biased=link.r * r_factor,
-            R0_biased=link.R0 * R0_factor,
+            r_biased=solve_r(R0, scenario.gen) * r_factor,
+            R0_biased=R0 * R0_factor,
             r_rel_bias=r_factor - 1.0,
             R0_rel_bias=R0_factor - 1.0,
             note="product of unrounded per-source factors",

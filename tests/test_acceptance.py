@@ -16,10 +16,10 @@ import pytest
 
 from epibias import growth_math
 from epibias.analysis import EnsembleAnalysis, analyze_trace, exposure_study
-from epibias.cfr import pi_infinity, resolved_cfr_bias
+from epibias.cfr import resolved_cfr_bias
 from epibias.config import load_config
 from _oracles import gamma_pdf_fn, solve_r_numeric
-from epibias.distributions import GammaParams
+from epibias.distributions import GammaParams, laplace
 from epibias.growth_math import BiasScenario, BiasSource, bias_table, solve_r
 from epibias.outbreak_sim import Scenario, ensemble_map
 
@@ -240,8 +240,8 @@ def test_criterion_8_cfr_corrections(config, ensemble):
     # Exponential delays with means 9 and 17 days.
     death = GammaParams(1.0, 1.0 / 9.0)
     recovery = GammaParams(1.0, 1.0 / 17.0)
-    pi = pi_infinity(config.cfr_r, death)
-    rho = pi_infinity(config.cfr_r, recovery)
+    pi = laplace(death, config.cfr_r)
+    rho = laplace(recovery, config.cfr_r)
     resolved = resolved_cfr_bias(config.cfr_true, config.cfr_r, death, recovery)
     ens, _ = ensemble
     corrected = ens.values(lambda t: t.cfr_corrected)

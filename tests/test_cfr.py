@@ -12,10 +12,9 @@ from epibias.cfr import (
     corrected_naive_cfr,
     notification_delay,
     pi_finite,
-    pi_infinity,
     resolved_cfr_bias,
 )
-from epibias.distributions import GammaParams, cdf, gamma_from_moments
+from epibias.distributions import GammaParams, cdf, gamma_from_moments, laplace
 from epibias.outbreak_sim import Scenario
 from epibias.rng import stream
 
@@ -27,25 +26,25 @@ R_DOUBLING_20 = 0.0347
 
 class TestPiInfinity:
     def test_death_multiplier(self):
-        pi = pi_infinity(R_DOUBLING_20, DEATH)
+        pi = laplace(DEATH, R_DOUBLING_20)
         assert math.isclose(pi, 1.0 / (1.0 + R_DOUBLING_20 * 9.0), rel_tol=1e-14)
         assert round(pi, 2) == 0.76
 
     def test_no_growth_no_bias(self):
-        assert pi_infinity(0.0, GammaParams(2.7, 0.31)) == 1.0
+        assert laplace(GammaParams(2.7, 0.31), 0.0) == 1.0
 
     def test_recovery_multiplier(self):
-        assert round(pi_infinity(R_DOUBLING_20, RECOVERY), 2) == 0.63
+        assert round(laplace(RECOVERY, R_DOUBLING_20), 2) == 0.63
 
     def test_decreasing_in_r(self):
-        vals = [pi_infinity(r, DEATH) for r in np.linspace(0.0, 0.3, 50)]
+        vals = [laplace(DEATH, r) for r in np.linspace(0.0, 0.3, 50)]
         assert np.all(np.diff(vals) < 0)
 
     def test_shape_effect_at_fixed_mean(self):
         # Exponential delays are the most observable; higher shapes hide more.
         last = math.inf
         for shape in [0.5, 1.0, 2.0, 4.0, 8.0]:
-            val = pi_infinity(0.05, GammaParams(shape, shape / 9.0))
+            val = laplace(GammaParams(shape, shape / 9.0), 0.05)
             assert val < last or shape == 0.5
             if shape > 0.5:
                 assert val < last
@@ -53,7 +52,7 @@ class TestPiInfinity:
 
     def test_matches_quadrature(self):
         g = GammaParams(4.0 / 9.0, 1.0 / 9.0)
-        assert abs(pi_infinity(0.0387, g) - quad_laplace(g.shape, g.rate, 0.0387)) < 1e-8
+        assert abs(laplace(g, 0.0387) - quad_laplace(g.shape, g.rate, 0.0387)) < 1e-8
 
 
 class TestPiFinite:
@@ -62,12 +61,12 @@ class TestPiFinite:
 
     def test_converges_to_limit(self):
         assert abs(pi_finite(300.0, R_DOUBLING_20, DEATH)
-                   - pi_infinity(R_DOUBLING_20, DEATH)) < 1e-4
+                   - laplace(DEATH, R_DOUBLING_20)) < 1e-4
 
     def test_monotone_in_horizon(self):
         vals = [pi_finite(T, R_DOUBLING_20, DEATH) for T in np.linspace(1.0, 250.0, 40)]
         assert np.all(np.diff(vals) > 0)
-        assert vals[-1] <= pi_infinity(R_DOUBLING_20, DEATH)
+        assert vals[-1] <= laplace(DEATH, R_DOUBLING_20)
 
     def test_zero_growth_limit(self):
         # Without growth the observed fraction is the window average of the CDF.
@@ -127,7 +126,7 @@ class TestPiFiniteClosedForm:
         assume(r > -0.5 * delay.rate)
         lo, hi = pi_finite(min(T1, T2), r, delay), pi_finite(max(T1, T2), r, delay)
         assert 0.0 <= lo <= hi * (1.0 + 1e-12)
-        assert hi <= pi_infinity(r, delay) * (1.0 + 1e-12)
+        assert hi <= laplace(delay, r) * (1.0 + 1e-12)
 
     @given(
         shape=st.sampled_from(GRID_SHAPES), T=st.floats(0.1, 1000.0),
@@ -154,29 +153,29 @@ class TestPiFiniteClosedForm:
 
 class TestCorrectedNaive:
     def test_recovers_true_rate(self):
-        counts = CfrCounts(K=1000, D_obs=532, R_obs=100, T=500.0, r=R_DOUBLING_20)
+        counts = CfrCounts(K=1000, D_obs=532, T=500.0, r=R_DOUBLING_20)
         est = corrected_naive_cfr(counts, DEATH)
         assert abs(est.estimate - 0.70) < 0.005
         assert not est.clipped
 
     def test_zero_deaths(self):
-        counts = CfrCounts(K=1000, D_obs=0, R_obs=10, T=100.0, r=R_DOUBLING_20)
+        counts = CfrCounts(K=1000, D_obs=0, T=100.0, r=R_DOUBLING_20)
         assert corrected_naive_cfr(counts, DEATH).estimate == 0.0
 
     def test_no_growth_large_horizon_is_identity(self):
-        counts = CfrCounts(K=1000, D_obs=700, R_obs=300, T=5000.0, r=0.0)
-        est = corrected_naive_cfr(counts, DEATH)
-        assert abs(est.correction - 1.0) < 2e-3
-        assert abs(est.estimate - 0.7) < 2e-3
+        assert abs(pi_finite(5000.0, 0.0, DEATH) - 1.0) < 2e-3
+        counts = CfrCounts(K=1000, D_obs=700, T=5000.0, r=0.0)
+        assert abs(corrected_naive_cfr(counts, DEATH).estimate - 0.7) < 2e-3
 
     def test_clipping_flagged(self):
-        counts = CfrCounts(K=100, D_obs=90, R_obs=0, T=30.0, r=0.2)
+        counts = CfrCounts(K=100, D_obs=90, T=30.0, r=0.2)
         est = corrected_naive_cfr(counts, DEATH)
         assert est.clipped and est.estimate == 1.0
 
     def test_count_validation(self):
-        with pytest.raises(ValueError):
-            CfrCounts(K=10, D_obs=8, R_obs=5, T=10.0, r=0.05)
+        for d_obs in (11, -1):
+            with pytest.raises(ValueError):
+                CfrCounts(K=10, D_obs=d_obs, T=10.0, r=0.05)
 
 
 class TestResolvedEstimator:

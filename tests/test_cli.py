@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import math
@@ -32,6 +33,14 @@ replicates = 2
 [run]
 replicates = 2
 """
+
+
+def _default_keys() -> dict[str, list[str]]:
+    """Every key of the built-in config by section, spelled as written there."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read_string(DEFAULT_CONFIG)
+    return {section: list(parser[section]) for section in parser.sections()}
 
 
 @pytest.fixture()
@@ -101,6 +110,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be >= 1"):
             load_config(path=str(path))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match=r"\[run\] seed must be >= 0"):
+            load_config(seed=-1)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in _default_keys().items() for key in keys
+        if (section, key) != ("run", "format")
+    ])
+    def test_unparsable_value_names_its_key(self, tmp_path, section, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = abc\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path=str(path))
+        assert str(err.value).startswith(f"[{section}] {key} = abc"), err.value
 
     def test_invalid_scenario_value(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -260,6 +284,12 @@ class TestCliCommands:
          ["config error", "R0 must be positive and finite, got nan"]),
         ("bias-table", "[run]\n", "[bias_table]\nR0 = inf\n[run]\n", 2,
          ["config error", "R0 must be positive and finite, got inf"]),
+        # [bias_table] R0 is checked for every command, not only bias-table
+        ("cfr", "[run]\n", "[bias_table]\nR0 = 0\n[run]\n", 2,
+         ["config error", "[bias_table] R0 = 0: R0 must be positive and finite"]),
+        # a negative seed fails before the first report is written
+        ("reproduce-paper", "[run]\n", "[run]\nseed = -1\n", 2,
+         ["config error", "[run] seed must be >= 0"]),
         ("simulate", "[scenario]\n", "[scenario]\nincubation_factor_max = inf\n", 2,
          ["config error", "incubation_factor_range must be finite", "got (0.8, inf)"]),
         ("simulate", "[scenario]\n", "[scenario]\ncontact_rate = nan\n", 2,
@@ -292,6 +322,7 @@ class TestCliCommands:
             "no-pairs", "horizon-past-followup", "horizon-negative", "cfr-true-zero",
             "cfr-delay-zero", "cfr-delay-infinite", "cfr-r-too-negative", "cfr-r-infinite",
             "exposures-too-few-persons", "bias-R0-nan", "bias-R0-infinite",
+            "cfr-bias-R0-zero", "seed-negative",
             "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan",
             "exposures-contact-rate-zero", "incubation-factor-min-above-max",
             "notify-threshold-zero",

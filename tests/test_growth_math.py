@@ -12,7 +12,6 @@ from epibias.distributions import GammaParams, gamma_from_moments
 from epibias.growth_math import (
     BiasScenario,
     BiasSource,
-    GrowthLink,
     backward_bias,
     backward_dist,
     bias_table,
@@ -110,68 +109,59 @@ class TestSolveRNumeric:
                        - solve_r(R0, g)) < 1e-8
 
 
-class TestGrowthLink:
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            GrowthLink(R0=1.7, r=0.05, gen=GEN)
-
-    def test_constructors_agree(self):
-        a = GrowthLink.from_R0(1.7, GEN)
-        b = GrowthLink(R0=solve_R0(a.r, GEN), r=a.r, gen=GEN)
-        assert math.isclose(a.R0, b.R0, rel_tol=1e-12)
-
-
 class TestBackward:
     def test_distribution(self):
-        link = GrowthLink.from_R0(1.7, GEN)
-        b = backward_dist(link)
+        r = solve_r(1.7, GEN)
+        b = backward_dist(GEN, r)
         assert b.shape == 3.0
-        assert math.isclose(b.rate, 0.2 + link.r, rel_tol=1e-14)
+        assert math.isclose(b.rate, 0.2 + r, rel_tol=1e-14)
         assert abs(b.mean() - 12.57) < 0.01
         assert abs(b.variance() - 52.7) < 0.1
 
     def test_unchanged_at_criticality(self):
-        link = GrowthLink.from_R0(1.0, GEN)
-        assert backward_dist(link) == GEN
+        assert backward_dist(GEN, solve_r(1.0, GEN)) == GEN
 
     def test_mean_contracts_for_supercritical(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
             g = GammaParams(rng.uniform(0.3, 10.0), rng.uniform(0.01, 2.0))
-            link = GrowthLink.from_R0(rng.uniform(1.01, 5.0), g)
-            assert backward_dist(link).mean() < g.mean()
+            r = solve_r(rng.uniform(1.01, 5.0), g)
+            assert backward_dist(g, r).mean() < g.mean()
 
     def test_bias_values(self):
-        link = GrowthLink.from_R0(1.7, GEN)
-        rep = backward_bias(link)
+        rep = backward_bias(1.7, GEN)
         assert abs(rep.r_biased - 0.0462) < 2e-4
         assert abs(100 * rep.r_rel_bias - 19.0) < 0.5
         assert abs(rep.R0_biased - 1.57) < 5e-3
         assert abs(100 * rep.R0_rel_bias - (-8.0)) < 0.5
 
     def test_zero_bias_at_criticality(self):
-        rep = backward_bias(GrowthLink.from_R0(1.0, GEN))
+        rep = backward_bias(1.0, GEN)
         assert rep.r_rel_bias == 0.0
         assert rep.R0_rel_bias == 0.0
 
     def test_markov_sir_identity(self):
         # Exponential generation times: the biased rate is exactly R0 * r.
-        link = GrowthLink.from_R0(2.0, GammaParams(1.0, 0.2))
-        rep = backward_bias(link)
-        assert math.isclose(rep.r_biased, link.R0 * link.r, rel_tol=1e-12)
+        g = GammaParams(1.0, 0.2)
+        rep = backward_bias(2.0, g)
+        assert math.isclose(rep.r_biased, 2.0 * solve_r(2.0, g), rel_tol=1e-12)
 
-    def test_consistent_with_generic_solvers(self):
-        for R0 in (1.2, 1.7, 3.0):
-            link = GrowthLink.from_R0(R0, GEN)
-            b = backward_dist(link)
-            rep = backward_bias(link)
-            assert math.isclose(rep.r_biased, solve_r(R0, b), rel_tol=1e-12)
-            assert math.isclose(rep.R0_biased, solve_R0(link.r, b), rel_tol=1e-12)
+    @given(shape=st.floats(0.3, 10.0), rate=st.floats(0.01, 2.0),
+           R0=st.floats(1.0, 5.0, exclude_min=True))
+    def test_consistent_with_generic_solvers(self, shape, rate, R0):
+        # The closed-form row is the growth-rate equation re-solved both
+        # ways with the backward law.
+        g = GammaParams(shape, rate)
+        r = solve_r(R0, g)
+        b = backward_dist(g, r)
+        rep = backward_bias(R0, g)
+        assert math.isclose(rep.r_biased, solve_r(R0, b), rel_tol=1e-12)
+        assert math.isclose(rep.R0_biased, solve_R0(r, b), rel_tol=1e-12)
 
 
 class TestSerialInflation:
     def test_no_inflation_no_bias(self):
-        rep = serial_inflation_bias(GrowthLink.from_R0(1.7, GEN), 1.0)
+        rep = serial_inflation_bias(1.7, GEN, 1.0)
         assert abs(rep.r_rel_bias) < 1e-14
         assert abs(rep.R0_rel_bias) < 1e-14
 
@@ -180,12 +170,12 @@ class TestSerialInflation:
         [(1.1, -0.9, 1.9), (1.2, -1.8, 4.1), (1.5, -4.8, 12.3), (2.0, -9.6, 32.9)],
     )
     def test_ladder(self, c, expected_R0_pct, expected_r_pct):
-        rep = serial_inflation_bias(GrowthLink.from_R0(1.7, GEN), c)
+        rep = serial_inflation_bias(1.7, GEN, c)
         assert abs(100 * rep.R0_rel_bias - expected_R0_pct) < 0.15
         assert abs(100 * rep.r_rel_bias - expected_r_pct) < 0.15
 
     def test_small_inflation(self):
-        rep = serial_inflation_bias(GrowthLink.from_R0(1.7, GEN), 1.026)
+        rep = serial_inflation_bias(1.7, GEN, 1.026)
         assert abs(100 * rep.R0_rel_bias - (-0.2)) < 0.1
         assert abs(100 * rep.r_rel_bias - 0.5) < 0.1
 
@@ -195,37 +185,33 @@ class TestSerialInflation:
         assert math.isclose(1.0 / math.sqrt(d.shape), 1.7 / math.sqrt(GEN.shape), rel_tol=1e-14)
 
     def test_monotone_in_c(self):
-        link = GrowthLink.from_R0(1.7, GEN)
         cs = np.linspace(1.0, 3.0, 41)
-        r_vals = [serial_inflation_bias(link, c).r_biased for c in cs]
-        R_vals = [serial_inflation_bias(link, c).R0_biased for c in cs]
+        r_vals = [serial_inflation_bias(1.7, GEN, c).r_biased for c in cs]
+        R_vals = [serial_inflation_bias(1.7, GEN, c).R0_biased for c in cs]
         assert np.all(np.diff(r_vals) > 0)
         assert np.all(np.diff(R_vals) < 0)
 
     def test_rejects_deflation(self):
         with pytest.raises(ValueError):
-            serial_inflation_bias(GrowthLink.from_R0(1.7, GEN), 0.9)
+            serial_inflation_bias(1.7, GEN, 0.9)
 
 
 class TestMultipleExposure:
     def test_study_values(self):
-        link = GrowthLink.from_R0(1.7, ME_GEN)
-        rep = multiple_exposure_bias(link, ME_BIASED)
+        rep = multiple_exposure_bias(1.7, ME_GEN, ME_BIASED)
         assert abs(rep.r_biased - 0.0522) < 2e-4
         assert abs(100 * rep.r_rel_bias - 36.0) < 0.5
         assert abs(rep.R0_biased - 1.50) < 5e-3
         assert abs(100 * rep.R0_rel_bias - (-12.0)) < 0.5
 
     def test_no_distortion_no_bias(self):
-        link = GrowthLink.from_R0(1.7, ME_GEN)
-        rep = multiple_exposure_bias(link, ME_GEN)
+        rep = multiple_exposure_bias(1.7, ME_GEN, ME_GEN)
         assert abs(rep.r_rel_bias) < 1e-14
         assert abs(rep.R0_rel_bias) < 1e-14
 
     def test_against_numeric_solver(self):
-        link = GrowthLink.from_R0(1.7, GEN)
         biased = gamma_from_moments(12.6, math.sqrt(75.0))
-        rep = multiple_exposure_bias(link, biased)
+        rep = multiple_exposure_bias(1.7, GEN, biased)
         numeric = solve_r_numeric(1.7, gamma_pdf_fn(biased.shape, biased.rate))
         assert abs(rep.r_biased - numeric) < 1e-8
 

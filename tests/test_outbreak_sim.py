@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from _oracles import heap_simulate_outbreak, mc_incubation_discount
-from epibias.distributions import GammaParams
+from epibias.distributions import GammaParams, laplace
 from epibias.growth_estimators import CaseSeries, est_a_log_cumulative
 from epibias import outbreak_sim
 from epibias.analysis import notification_series
@@ -416,14 +416,14 @@ class TestFullSizeTrace:
     def test_resolved_fraction_matches_delay_theory(self, ebola_trace):
         # resolved/notified at the threshold is the mixture of the discounted
         # notification-to-outcome masses for deaths and recoveries
-        from epibias.cfr import notification_delay, pi_infinity
+        from epibias.cfr import notification_delay
 
         summary = summarize_trace(ebola_trace, 0)
         scn = ebola_trace.scenario
         r = scn.infectious.rate * (scn.R0() ** (1.0 / 3.0) - 1.0)
         theory = (
-            scn.p_death * pi_infinity(r, notification_delay(scn, scn.to_death))
-            + (1 - scn.p_death) * pi_infinity(r, notification_delay(scn, scn.to_recovery))
+            scn.p_death * laplace(notification_delay(scn, scn.to_death), r)
+            + (1 - scn.p_death) * laplace(notification_delay(scn, scn.to_recovery), r)
         )
         notified = summary.total_infected - summary.unnotified
         assert abs(summary.resolved / notified - theory) < 0.03

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epibias.distributions import GammaParams
-from epibias.growth_math import GrowthLink, backward_dist
+from epibias.growth_math import backward_dist, solve_r
 from epibias.outbreak_sim import OutbreakTrace, Scenario
 from epibias.rng import stream
 from epibias.tracing import (
@@ -154,8 +154,8 @@ class TestIntervalMoments:
         assert (mg, vg, ms, vs) == (5.0, 0.0, 4.0, 0.0)
 
     def test_theory_target(self):
-        link = GrowthLink.from_R0(1.7, GammaParams(3.0, 0.2))
-        assert abs(backward_dist(link).mean() - 12.57) < 0.01
+        gen = GammaParams(3.0, 0.2)
+        assert abs(backward_dist(gen, solve_r(1.7, gen)).mean() - 12.57) < 0.01
 
     def test_needs_two_pairs(self):
         with pytest.raises(ValueError):
