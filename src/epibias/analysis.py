@@ -155,8 +155,7 @@ def analyze_trace(
         backward = IntervalStats(*tracing.interval_moments(pairs), n=len(pairs))
         forward_pairs = tracing.sample_forward_pairs(trace)
         forward = IntervalStats(*tracing.interval_moments(forward_pairs), n=len(forward_pairs))
-        _, n_dropped = tracing.split_positive(pairs.S)
-        serial_fit = tracing.fit_gamma_to_intervals(pairs, "S")
+        serial_fit = tracing.fit_gamma_to_intervals(pairs)
         backward_weights = discretize_centered(serial_fit, discretization_horizon(serial_fit))
 
     with _stage("growth fits", replicate_index):
@@ -202,7 +201,7 @@ def analyze_trace(
         backward=backward,
         forward=forward,
         serial_fit=serial_fit,
-        serial_fit_dropped=n_dropped,
+        serial_fit_dropped=int(np.count_nonzero(pairs.S <= 0)),
         r_estimates=r_estimates,
         R0_backward_weights=R0_backward,
         R0_true_weights=R0_true,
@@ -278,6 +277,8 @@ def summarize_traces(summaries: list[TraceSummary]) -> dict[str, dict[str, float
 
 # Incubation families of the exposure study, in stream order.
 EXPOSURE_FAMILIES = ("gamma", "lognormal")
+# Replicate rep of family i draws from stream EXPOSURE_FAMILY_STREAMS * (i + 1) + rep.
+EXPOSURE_FAMILY_STREAMS = 1_000_000
 
 
 def exposure_fit(task) -> tuple:
@@ -289,7 +290,7 @@ def exposure_fit(task) -> tuple:
     or None when there is none.
     """
     model, n_persons, family, master_seed, rep = task
-    key = 1_000_000 * (EXPOSURE_FAMILIES.index(family) + 1)
+    key = EXPOSURE_FAMILY_STREAMS * (EXPOSURE_FAMILIES.index(family) + 1)
     hist = exposures.generate_histories(model, n_persons, family, stream(master_seed, key + rep))
     try:
         ml = exposures.ml_fit(hist)

@@ -104,6 +104,7 @@ def cmd_simulate(config: RunConfig, outdir: Path, write_traces: bool = False) ->
 
 
 def cmd_estimate(config: RunConfig, outdir: Path) -> None:
+    config.check_estimate()
     ens = analysis.analyze_ensemble(
         config.scenario, config.replicates, options=config.options,
         threads=config.threads,
@@ -172,6 +173,7 @@ def cmd_cfr(config: RunConfig, outdir: Path) -> None:
 
 
 def cmd_reproduce(config: RunConfig, outdir: Path) -> None:
+    config.check_estimate()  # before the first report is written
     cmd_bias_table(config, outdir)
     cmd_cfr(config, outdir)
     cmd_exposures(config, outdir)
@@ -190,24 +192,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"epibias {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, summary, replicates=True, threads=True):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="INI config file (defaults are built in)")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--replicates", type=int, help="ensemble size override")
-        p.add_argument("--threads", type=int,
-                       help="worker processes for ensembles and the exposure study")
+        if replicates:
+            p.add_argument("--replicates", type=int, help="[run] replicates override")
+        if threads:
+            p.add_argument("--threads", type=int,
+                           help="worker processes for ensembles and the exposure study")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=["csv", "json"], help="output format")
+        return p
 
-    add_common(sub.add_parser("bias-table", help="closed-form bias table"))
-    p_sim = sub.add_parser("simulate", help="run the outbreak ensemble")
-    add_common(p_sim)
-    p_sim.add_argument("--write-traces", action="store_true",
-                       help="also write one CSV per accepted run")
-    add_common(sub.add_parser("estimate", help="growth/renewal estimators and predictions"))
-    add_common(sub.add_parser("exposures", help="multiple-infector estimator study"))
-    add_common(sub.add_parser("cfr", help="case-fatality corrections"))
-    add_common(sub.add_parser("reproduce-paper", help="run every analysis"))
+    command("bias-table", "closed-form bias table", replicates=False, threads=False)
+    command("simulate", "run the outbreak ensemble").add_argument(
+        "--write-traces", action="store_true", help="also write one CSV per accepted run")
+    command("estimate", "growth/renewal estimators and predictions")
+    command("exposures", "multiple-infector estimator study", replicates=False)
+    command("cfr", "case-fatality corrections", replicates=False, threads=False)
+    command("reproduce-paper", "run every analysis")
     p_cfg = sub.add_parser("default-config", help="print the built-in config")
     p_cfg.set_defaults(command="default-config")
     return parser
@@ -223,8 +227,8 @@ def main(argv=None) -> int:
         config = load_config(
             path=args.config,
             seed=args.seed,
-            replicates=args.replicates,
-            threads=args.threads,
+            replicates=getattr(args, "replicates", None),
+            threads=getattr(args, "threads", None),
             out_format=args.format,
         )
     except ConfigError as exc:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import __version__
-from .analysis import AnalysisOptions
+from .analysis import EXPOSURE_FAMILY_STREAMS, AnalysisOptions
 from .distributions import GammaParams, gamma_from_moments
 from .exposures import MIN_HISTORIES, ExposureModel
 from .growth_math import BiasScenario
@@ -105,6 +105,15 @@ class RunConfig:
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text.encode()).hexdigest()
+
+    def check_estimate(self) -> None:
+        """Raise unless ``estimate`` can run on this config; ``simulate`` needs neither check."""
+        self.scenario.implied_generation()
+        n, stride = self.options.n_pairs, self.options.stride
+        if n * stride > self.scenario.notify_threshold:
+            raise ConfigError(f"[estimate] sample_pairs, stride = {n}, {stride}: the backward "
+                              f"sample needs {n * stride} notified cases, more than [scenario] "
+                              f"notify_threshold = {self.scenario.notify_threshold}")
 
     def metadata(self) -> dict:
         return {
@@ -268,6 +277,9 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     ):
         if not least <= value < math.inf:
             raise ConfigError(f"{name} must be >= {least} and finite, got {value}")
+    if exposure_replicates > EXPOSURE_FAMILY_STREAMS:
+        raise ConfigError(f"[exposures] replicates must be <= {EXPOSURE_FAMILY_STREAMS}, the "
+                          f"streams of one incubation family, got {exposure_replicates}")
 
     cfr_sec = parser["cfr"]
     cfr_r, cfr_true = _value(cfr_sec, "r"), _value(cfr_sec, "true_cfr")

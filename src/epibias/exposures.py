@@ -14,34 +14,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln, logit, zeta
 
 from .distributions import GammaParams, gamma_from_moments
-from .rng import stream
 
 
 class ConvergenceError(RuntimeError):
-    """Optimizer failed; carries the best parameters seen so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """No start of the likelihood fit converged."""
 
 
 class MomentFitError(RuntimeError):
     """Moment system has no admissible solution.
 
     When the root exists but is inadmissible (e.g. a negative variance) it
-    rides along in ``raw``, with its equation residuals in ``residuals``, so
-    replicate studies can aggregate it; both are None when there is no root.
+    rides along in ``raw``, so replicate studies can aggregate it; ``raw`` is
+    None when there is no root.
     """
 
-    def __init__(self, message, residuals=None, raw=None):
+    def __init__(self, message, raw=None):
         super().__init__(message)
-        self.residuals = residuals
         self.raw = raw
 
 
@@ -133,10 +126,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def generate_histories(
     model: ExposureModel,
     n: int,
-    incubation_family: str = "gamma",
-    seed: Union[int, np.random.Generator] = 0,
+    incubation_family: str,
+    seed: np.random.Generator,
 ) -> Histories:
-    """Draw ``n`` synthetic exposure histories from the model.
+    """Draw ``n`` synthetic exposure histories from the model with the generator ``seed``.
 
     Contacts arrive as a Poisson process at the model's contact rate, with
     time zero at the first contact; the infecting contact has a geometric
@@ -144,22 +137,21 @@ def generate_histories(
     chosen family (log-normal matches the Gamma's mean and variance); and
     exposures keep accumulating until symptoms appear.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else stream(seed, 0)
     if n < 1:
         raise ValueError("n must be >= 1")
     if incubation_family == "gamma":
-        T = rng.gamma(model.incubation.shape, 1.0 / model.incubation.rate, n)
+        T = seed.gamma(model.incubation.shape, 1.0 / model.incubation.rate, n)
     elif incubation_family == "lognormal":
         mean, sd = model.incubation.mean(), model.incubation.sd()
         s2 = math.log1p((sd / mean) ** 2)
-        T = rng.lognormal(math.log(mean) - 0.5 * s2, math.sqrt(s2), n)
+        T = seed.lognormal(math.log(mean) - 0.5 * s2, math.sqrt(s2), n)
     else:
         raise ValueError(f"unknown incubation family {incubation_family!r}")
 
     mu = model.contact_rate
-    I = rng.geometric(model.p, n)                   # index of the infecting contact
-    W = rng.gamma((I - 1).astype(float), 1.0 / mu)  # its arrival time (0 when I=1)
-    M = rng.poisson(mu * T)                         # contacts between infection and symptoms
+    I = seed.geometric(model.p, n)                   # index of the infecting contact
+    W = seed.gamma((I - 1).astype(float), 1.0 / mu)  # its arrival time (0 when I=1)
+    M = seed.poisson(mu * T)                         # contacts between infection and symptoms
     sympt = W + T
 
     counts = I + M
@@ -176,7 +168,7 @@ def generate_histories(
     # run, and one sort orders each run within itself.
     run_sizes = np.column_stack([np.maximum(I - 2, 0), M]).ravel()
     run = np.repeat(np.arange(2 * n), run_sizes)  # the run of each draw
-    scaled = np.column_stack([W, T]).ravel()[run] * rng.random(len(run))
+    scaled = np.column_stack([W, T]).ravel()[run] * seed.random(len(run))
     scaled = scaled[np.lexsort((scaled, run))]
     shift = np.column_stack([np.zeros(n), W]).ravel()[run]
     # a run's first slot in flat, less its first index among the draws
@@ -261,9 +253,7 @@ class MlFit:
     mean: float
     sd: float
     log_likelihood: float
-    converged: bool
     n_evaluations: int
-    message: str
 
 
 _LOGIT_CAP = 16.0  # p within 1e-7 of the boundary counts as boundary
@@ -298,7 +288,7 @@ def ml_fit(histories: Histories) -> MlFit:
     converged.  A p estimate at the cap is reported as the boundary value 1.
 
     Raises:
-        ConvergenceError: if no start converges; carries the best fit found.
+        ConvergenceError: if no start converges.
     """
     if len(histories) < MIN_HISTORIES:
         raise ValueError(f"need at least {MIN_HISTORIES} histories, got {len(histories)}")
@@ -322,18 +312,15 @@ def ml_fit(histories: Histories) -> MlFit:
         if best is None or ll > best[1]:
             best = x, ll, message
     x, ll, message = best
-    fit = MlFit(
+    if not converged:
+        raise ConvergenceError(f"no start converged: {message}")
+    return MlFit(
         p=1.0 if x[0] >= _LOGIT_CAP - 1e-6 else float(expit(x[0])),
         mean=float(math.exp(x[1])),
         sd=float(math.exp(x[2])),
         log_likelihood=ll,
-        converged=converged,
         n_evaluations=evaluations,
-        message=message,
     )
-    if not converged:
-        raise ConvergenceError(f"no start converged: {message}", best=fit)
-    return fit
 
 
 def _newton(histories: Histories, x0) -> tuple[list, float, bool, int, str]:
@@ -450,7 +437,6 @@ class MomentFit:
     contact_rate: float
     mean: float
     variance: float
-    residual: float
 
     @property
     def sd(self) -> float:
@@ -467,19 +453,6 @@ def sample_moments(histories: Histories) -> tuple[float, float, float, float]:
     )
 
 
-def moment_system(params, moments) -> np.ndarray:
-    """Residuals of the four moment equations at (p, mu, mean, variance)."""
-    p, mu, m, v = params
-    EC, VarC, ES, VarS = moments
-    a = (1.0 - p) / p
-    return np.array([
-        1.0 / p + mu * m - EC,
-        a / p + mu * m + mu * mu * v - VarC,
-        a / mu + m - ES,
-        (a + a / p) / mu**2 + v - VarS,
-    ])
-
-
 def moment_fit(histories: Histories) -> MomentFit:
     """Distribution-free moment estimator of (p, contact rate, E(T), Var(T)).
 
@@ -493,9 +466,16 @@ def moment_fit(histories: Histories) -> MomentFit:
 
 
 def invert_moment_system(moments) -> MomentFit:
-    """Root (p, mu, mean, variance) of :func:`moment_system`, in closed form.
+    """Root (p, mu, mean, variance) of the four moment equations, in closed form.
 
-    The system is exactly identified.  With a = (1-p)/p:
+    ``moments`` is (EC, VarC, ES, VarS), as :func:`sample_moments` returns.
+    With a = (1-p)/p, contacts at rate mu and an incubation time of the
+    given mean and variance, the four equations are
+
+        EC = 1/p + mu*mean,   VarC = a/p + mu*mean + mu**2 * variance,
+        ES = a/mu + mean,     VarS = (a + a/p)/mu**2 + variance.
+
+    The system is exactly identified, with the root
 
         mu = (EC - 1)/ES,  a = (mu**2 * VarS - VarC + EC - 1)/2,
         p = 1/(1 + a),  mean = ES - a/mu,  variance = VarS - a*(a + 2)/mu**2.
@@ -515,16 +495,11 @@ def invert_moment_system(moments) -> MomentFit:
             f"contact rate (mu = {mu:.4g}, 1 + a = {1.0 + a:.4g})"
         )
     p, m, v = 1.0 / (1.0 + a), ES - a / mu, VarS - a * (a + 2.0) / mu**2
-    residuals = moment_system((p, mu, m, v), moments)
-    fit = MomentFit(
-        p=float(p), contact_rate=float(mu), mean=float(m), variance=float(v),
-        residual=float(np.max(np.abs(residuals))),
-    )
+    fit = MomentFit(p=float(p), contact_rate=float(mu), mean=float(m), variance=float(v))
     if not (p <= 1.0 and v > 0.0):
         raise MomentFitError(
             "no admissible solution (needs p in (0, 1], a positive contact "
             "rate, and a positive incubation variance)",
-            residuals=residuals,
             raw=fit,
         )
     return fit

@@ -34,7 +34,7 @@ from .rng import stream
 
 
 class SimulationLimitError(RuntimeError):
-    """Raised when a run exceeds the configured person cap."""
+    """Raised when a run exceeds ``PERSON_CAP`` persons."""
 
 
 class AcceptanceError(RuntimeError):
@@ -47,8 +47,8 @@ class Scenario:
 
     Defaults reproduce the Ebola-like parameter set: contact rate 0.34/day
     over a mean-5-day infectious period gives R0 = 1.7, and equal latent and
-    infectious rates make the implied generation-time distribution
-    Gamma(3, 0.2) (mean 15 days).
+    infectious rates with an exponential infectious period make the implied
+    generation time Gamma(3, 0.2) (mean 15 days), as the estimators need.
     """
 
     contact_rate: float = 0.34
@@ -61,7 +61,6 @@ class Scenario:
     notify_threshold: int = 4500
     followup: float = 42.0
     master_seed: int = 0
-    person_cap: int = 10_000_000
 
     def __post_init__(self):
         if not 0.0 <= self.contact_rate < math.inf:
@@ -85,14 +84,18 @@ class Scenario:
     def implied_generation(self) -> GammaParams:
         """Generation-time distribution implied by the SEIR course.
 
-        Valid in the equal-rates case, where latency and transmission stages
-        chain into a single Gamma with the summed shape.
+        Infections occur at a constant rate over the infectious period D,
+        so an infection's offset into D has density P(D > t)/E[D].  For an
+        exponential D that is D's own law, and with equal latent and
+        infectious rates the two stages chain into one Gamma.
         """
-        if not math.isclose(self.latent.rate, self.infectious.rate, rel_tol=1e-12):
+        if not (self.infectious.shape == 1.0
+                and math.isclose(self.latent.rate, self.infectious.rate, rel_tol=1e-12)):
             raise ValueError(
-                "closed-form generation time needs equal latent/infectious rates"
-            )
-        return GammaParams(self.latent.shape + self.infectious.shape, self.latent.rate)
+                "[scenario] infectious_shape, latent_rate, infectious_rate = "
+                f"{self.infectious.shape:g}, {self.latent.rate:g}, {self.infectious.rate:g}: a "
+                "closed-form generation time needs infectious_shape 1 and equal rates")
+        return GammaParams(self.latent.shape + 1.0, self.latent.rate)
 
 
 class OutbreakTrace:
@@ -173,6 +176,7 @@ class OutbreakTrace:
 
 # Days the expansion horizon advances by while the threshold is not yet reached.
 HORIZON_STEP = 10.0
+PERSON_CAP = 10_000_000  # most persons one run may simulate
 # Rows that OutbreakTrace.to_csv formats at a time.
 CSV_BLOCK_ROWS = 8192
 
@@ -199,7 +203,7 @@ def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[Outb
 
     Raises:
         SimulationLimitError: if a batch would take the run past
-            ``scenario.person_cap`` persons; checked before the batch is drawn.
+            ``PERSON_CAP`` persons; checked before the batch is drawn.
     """
     rng = stream(scenario.master_seed, replicate_index)
     lat_shape, lat_scale = scenario.latent.shape, 1.0 / scenario.latent.rate
@@ -210,7 +214,7 @@ def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[Outb
     contact_rate = scenario.contact_rate
     p_death = scenario.p_death
     threshold = scenario.notify_threshold
-    cap = scenario.person_cap
+    cap = PERSON_CAP
 
     pending_t = np.zeros(1)                      # infection times not yet drawn
     pending_parent = np.full(1, -1, dtype=np.int64)

@@ -111,15 +111,8 @@ def interval_moments(pairs: TracedPairs) -> tuple[float, float, float, float]:
     )
 
 
-def split_positive(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(positive values, count dropped); Gamma fits need a positive support."""
-    values = np.asarray(values, dtype=float)
-    keep = values > 0
-    return values[keep], int((~keep).sum())
-
-
-def fit_gamma_to_intervals(pairs: TracedPairs, which: str = "G") -> GammaParams:
-    """Method-of-moments Gamma fit to generation times ("G") or serials ("S").
+def fit_gamma_to_intervals(pairs: TracedPairs) -> GammaParams:
+    """Method-of-moments Gamma fit to the serial intervals ``pairs.S``.
 
     Non-positive intervals are outside the Gamma support and are dropped
     before fitting (raw moments via :func:`interval_moments` keep them).
@@ -127,9 +120,7 @@ def fit_gamma_to_intervals(pairs: TracedPairs, which: str = "G") -> GammaParams:
     Raises:
         ValueError: fewer than 10 usable intervals, or zero variance.
     """
-    if which not in ("G", "S"):
-        raise ValueError(f"which must be 'G' or 'S', got {which!r}")
-    used, _ = split_positive(getattr(pairs, which))
+    used = pairs.S[pairs.S > 0]
     if len(used) < 10:
         raise ValueError(f"only {len(used)} usable intervals; need at least 10")
     sd = used.std(ddof=1)

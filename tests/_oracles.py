@@ -18,7 +18,7 @@ are test fixtures: the library itself is columnar only, bins delays with
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy import integrate, optimize, stats
@@ -26,6 +26,7 @@ from scipy.special import expit, logit
 
 from epibias.distributions import DiscreteDelay, GammaParams, cdf, gamma_from_moments
 from epibias.exposures import ExposureModel, Histories, MlFit, conditional_log_likelihood
+from epibias import outbreak_sim
 from epibias.outbreak_sim import OutbreakTrace, Scenario, SimulationLimitError, TraceSummary
 from epibias.rng import stream
 from epibias.tracing import TracedPairs, _pairs_of
@@ -104,6 +105,24 @@ def solve_r_numeric(
         )
     root = optimize.brentq(residual, lower, upper, xtol=1e-14, rtol=8.9e-16)
     return float(root)
+
+
+def moment_system(params, moments) -> np.ndarray:
+    """Residuals of the four moment equations at (p, mu, mean, variance).
+
+    ``moments`` is (E(C), Var(C), E(S), Var(S)) of the contact count C and
+    the first-contact-to-symptom time S; the equations are the exposure
+    model's values of those moments.
+    """
+    p, mu, m, v = params
+    EC, VarC, ES, VarS = moments
+    a = (1.0 - p) / p
+    return np.array([
+        1.0 / p + mu * m - EC,
+        a / p + mu * m + mu * mu * v - VarC,
+        a / mu + m - ES,
+        (a + a / p) / mu**2 + v - VarS,
+    ])
 
 
 def invert_exposure_moments(EC, VarC, ES, VarS):
@@ -254,8 +273,8 @@ def single_exposure_shift(
 def loop_generate_histories(
     model: ExposureModel,
     n: int,
-    incubation_family: str = "gamma",
-    seed: Union[int, np.random.Generator] = 0,
+    incubation_family: str,
+    rng: np.random.Generator,
 ) -> Histories:
     """``generate_histories`` one person at a time, with one draw per run.
 
@@ -263,7 +282,6 @@ def loop_generate_histories(
     first, then the M contacts during incubation; the library draws them
     all at once in the same order and must give the same histories.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else stream(seed, 0)
     if n < 1:
         raise ValueError("n must be >= 1")
     if incubation_family == "gamma":
@@ -331,7 +349,6 @@ def lbfgsb_ml_fit(histories: Histories) -> MlFit:
     cap = 16.0
     bounds = [(-cap, cap), (math.log(1e-3), math.log(1e4)), (math.log(1e-3), math.log(1e4))]
     best = None
-    any_converged = False
     evaluations = 0
     for x0 in starts:
         res = optimize.minimize(
@@ -341,15 +358,12 @@ def lbfgsb_ml_fit(histories: Histories) -> MlFit:
         evaluations += res.nfev
         if best is None or res.fun < best.fun:
             best = res
-        any_converged = any_converged or res.success
     return MlFit(
         p=1.0 if best.x[0] >= cap - 1e-6 else float(expit(best.x[0])),
         mean=float(math.exp(best.x[1])),
         sd=float(math.exp(best.x[2])),
         log_likelihood=float(-best.fun),
-        converged=any_converged,
         n_evaluations=evaluations,
-        message=str(best.message),
     )
 
 
@@ -393,7 +407,7 @@ def heap_simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional
     contact_rate = scenario.contact_rate
     p_death = scenario.p_death
     threshold = scenario.notify_threshold
-    cap = scenario.person_cap
+    cap = outbreak_sim.PERSON_CAP
 
     gamma = rng.gamma
     uniform = rng.uniform

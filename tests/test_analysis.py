@@ -21,7 +21,8 @@ from epibias import exposures, growth_estimators
 from epibias.exposures import ExposureModel, MomentFit, MomentFitError
 from epibias.distributions import gamma_from_moments
 from epibias.rng import stream
-from epibias.outbreak_sim import POOL_BLOCK
+from epibias.outbreak_sim import POOL_BLOCK, Scenario, simulate_outbreak
+from epibias.tracing import sample_backward_pairs
 from golden import load_golden, platform_key
 from _oracles import delay_mean
 
@@ -71,6 +72,20 @@ class TestAnalyzeTrace:
     def test_backward_sample_size(self, analysis):
         assert analysis.backward.n == 500
         assert analysis.backward.mean_g < 15.0
+
+    def test_serial_fit_drops_nonpositive_serials(self):
+        # The fit leaves out the backward sample's serial intervals <= 0,
+        # which a Gamma cannot take, and reports how many it left out.  A
+        # wide incubation factor lets infectees show symptoms first.
+        scenario = Scenario(incubation_factor_range=(0.0, 2.0), notify_threshold=300,
+                            followup=20.0, master_seed=20140801)
+        trace = simulate_outbreak(scenario, 0)
+        options = AnalysisOptions(n_pairs=100, stride=3, window=20, horizon=20)
+        result = analyze_trace(trace, 0, options)
+        S = sample_backward_pairs(trace, 100, 3).S
+        assert result.serial_fit_dropped == np.count_nonzero(S <= 0) > 0
+        kept = S[S > 0]
+        assert result.serial_fit == gamma_from_moments(kept.mean(), kept.std(ddof=1))
 
     def test_predictions_scored(self, analysis):
         for m in ("a", "b", "c", "d", "e"):
@@ -174,7 +189,7 @@ class TestExposureStudy:
         def fails_once(hist):
             calls.append(None)
             if len(calls) == 2:
-                raise exposures.ConvergenceError("no start converged", best=None)
+                raise exposures.ConvergenceError("no start converged")
             return ml_fit(hist)
 
         monkeypatch.setattr(exposures, "ml_fit", fails_once)
@@ -190,7 +205,7 @@ class TestExposureStudy:
     def test_every_moment_fit_inadmissible(self, monkeypatch):
         # A family whose moment fits are all inadmissible still summarizes:
         # the raw roots feed the moment columns, the admissible sd is empty.
-        raw = MomentFit(p=0.4, contact_rate=0.07, mean=11.0, variance=-3.0, residual=0.0)
+        raw = MomentFit(p=0.4, contact_rate=0.07, mean=11.0, variance=-3.0)
 
         def inadmissible(hist):
             raise MomentFitError("no admissible solution", raw=raw)

@@ -251,10 +251,10 @@ class TestCliCommands:
                      "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("command, old, new, code, words", [
-        # a threshold of 150 cannot give 500 backward pairs at stride 9: the
-        # simulated trace, not the config's parsing, fails the analysis
-        ("estimate", "sample_pairs = 30\nstride = 3", "sample_pairs = 500\nstride = 9", 3,
-         ["runtime error", "stage 'contact tracing'", "replicate 0", "need 4500"]),
+        # a 200-day window is longer than the complete days before the
+        # threshold: the simulated trace, not the config, fails the analysis
+        ("estimate", "window = 20", "window = 200", 3,
+         ["runtime error", "stage 'growth fits'", "replicate 0", "window 200 exceeds"]),
         ("estimate", "[scenario]\n", "[scenario]\np_death = 1.5\n", 2,
          ["config error", "p_death"]),
         # [estimate] values that no trace can satisfy fail before any simulation
@@ -266,6 +266,21 @@ class TestCliCommands:
          ["config error", "[estimate] horizon (60)", "[scenario] followup (42)"]),
         ("estimate", "window = 20", "window = 20\nhorizon = -5", 2,
          ["config error", "horizon must be >= 0"]),
+        # a threshold of 150 cannot give 500 backward pairs at stride 9
+        ("estimate", "sample_pairs = 30\nstride = 3", "sample_pairs = 500\nstride = 9", 2,
+         ["config error", "[estimate] sample_pairs, stride = 500, 9",
+          "[scenario] notify_threshold = 150"]),
+        # the estimators need a closed-form generation time, checked before
+        # anything is simulated or written
+        ("estimate", "[scenario]\n", "[scenario]\ninfectious_shape = 2\ncontact_rate = 0.17\n", 2,
+         ["config error", "[scenario] infectious_shape, latent_rate, infectious_rate = 2, "]),
+        ("reproduce-paper", "[scenario]\n",
+         "[scenario]\ninfectious_shape = 2\ncontact_rate = 0.17\n", 2,
+         ["config error", "[scenario] infectious_shape, latent_rate, infectious_rate = 2, "]),
+        ("estimate", "[scenario]\n", "[scenario]\nlatent_rate = 0.25\n", 2,
+         ["config error", "infectious_shape, latent_rate, infectious_rate = 1, 0.25, 0.2"]),
+        ("reproduce-paper", "[scenario]\n", "[scenario]\nlatent_rate = 0.25\n", 2,
+         ["config error", "infectious_shape, latent_rate, infectious_rate = 1, 0.25, 0.2"]),
         # [cfr] and [exposures] values fail before the first report is written
         ("reproduce-paper", "[run]\n", "[cfr]\ntrue_cfr = 0\n[run]\n", 2,
          ["config error", "true_cfr must be in (0, 1]"]),
@@ -279,6 +294,10 @@ class TestCliCommands:
          ["config error", "r must be finite", "got inf"]),
         ("reproduce-paper", "n_persons = 100", "n_persons = 10", 2,
          ["config error", "[exposures] n_persons must be >= 50"]),
+        # more replicates than one family's streams would reuse the next family's
+        ("reproduce-paper", "n_persons = 100\nreplicates = 2",
+         "n_persons = 100\nreplicates = 1000001", 2,
+         ["config error", "[exposures] replicates must be <= 1000000", "got 1000001"]),
         # non-finite values are config errors that name their field
         ("bias-table", "[run]\n", "[bias_table]\nR0 = nan\n[run]\n", 2,
          ["config error", "R0 must be positive and finite, got nan"]),
@@ -319,9 +338,13 @@ class TestCliCommands:
         ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = 0.9\n[run]\n", 2,
          ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got 0.9"]),
     ], ids=["analysis-error", "config-value-error", "window-too-short", "stride-zero",
-            "no-pairs", "horizon-past-followup", "horizon-negative", "cfr-true-zero",
+            "no-pairs", "horizon-past-followup", "horizon-negative",
+            "backward-sample-past-threshold", "estimate-infectious-shape-2",
+            "reproduce-infectious-shape-2", "estimate-unequal-rates", "reproduce-unequal-rates",
+            "cfr-true-zero",
             "cfr-delay-zero", "cfr-delay-infinite", "cfr-r-too-negative", "cfr-r-infinite",
-            "exposures-too-few-persons", "bias-R0-nan", "bias-R0-infinite",
+            "exposures-too-few-persons", "exposures-replicates-past-streams",
+            "bias-R0-nan", "bias-R0-infinite",
             "cfr-bias-R0-zero", "seed-negative",
             "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan",
             "exposures-contact-rate-zero", "incubation-factor-min-above-max",
@@ -336,6 +359,24 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
         assert list(out.glob("*")) == []
+
+    def test_simulate_takes_any_infectious_period(self, tmp_path, small_config):
+        # Only the estimators need a closed-form generation time.
+        small_config.write_text(SMALL_RUN_CONFIG.replace(
+            "[scenario]\n", "[scenario]\ninfectious_shape = 2\ncontact_rate = 0.17\n"))
+        assert main(["simulate", "--config", str(small_config), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command, flag", [
+        ("bias-table", "--replicates"), ("bias-table", "--threads"),
+        ("cfr", "--replicates"), ("cfr", "--threads"), ("exposures", "--replicates"),
+    ])
+    def test_flag_a_command_does_not_read_is_rejected(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_:
+            main([command, flag, "1", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = tmp_path / "hopeless.ini"

@@ -38,7 +38,13 @@ class TestScenario:
 
     def test_implied_generation_needs_equal_rates(self):
         scn = Scenario(latent=GammaParams(2.0, 0.25))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="latent_rate, infectious_rate = 1, 0.25, 0.2"):
+            scn.implied_generation()
+
+    def test_implied_generation_needs_an_exponential_infectious_period(self):
+        # An infection's offset into a Gamma(2) infectious period is not Gamma(2).
+        scn = Scenario(infectious=GammaParams(2.0, 0.2), contact_rate=0.17)
+        with pytest.raises(ValueError, match=r"\[scenario\] infectious_shape, .* = 2, 0.2, 0.2"):
             scn.implied_generation()
 
     def test_validation(self):
@@ -93,8 +99,9 @@ class TestSimulate:
         assert np.all(tr.t_symptom >= tr.t_infect)
         assert np.all(tr.t_outcome >= tr.t_inf_end)
 
-    def test_person_cap(self):
-        scn = Scenario(person_cap=50, master_seed=20140801)
+    def test_person_cap(self, monkeypatch):
+        monkeypatch.setattr(outbreak_sim, "PERSON_CAP", 50)
+        scn = Scenario(master_seed=20140801)
         with pytest.raises(SimulationLimitError):
             for rep in range(20):
                 simulate_outbreak(scn, rep)
@@ -117,7 +124,8 @@ class TestSimulate:
 
         monkeypatch.setattr(outbreak_sim, "stream", lambda seed, rep: Recording(stream(seed, rep)))
         cap = 5000
-        scn = Scenario(contact_rate=1.0, notify_threshold=1_000_000, person_cap=cap, master_seed=3)
+        monkeypatch.setattr(outbreak_sim, "PERSON_CAP", cap)
+        scn = Scenario(contact_rate=1.0, notify_threshold=1_000_000, master_seed=3)
         with pytest.raises(SimulationLimitError, match="replicate"):
             for rep in range(20):   # R0 = 5: almost every run grows without bound
                 simulate_outbreak(scn, rep)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from epibias.distributions import GammaParams
+from epibias.distributions import GammaParams, gamma_from_moments
 from epibias.growth_math import backward_dist, solve_r
 from epibias.outbreak_sim import OutbreakTrace, Scenario
 from epibias.rng import stream
@@ -15,7 +15,6 @@ from epibias.tracing import (
     interval_moments,
     sample_backward_pairs,
     sample_forward_pairs,
-    split_positive,
 )
 
 
@@ -165,32 +164,20 @@ class TestIntervalMoments:
 class TestGammaFit:
     def test_recovers_known_distribution(self):
         draws = stream(21, 0).gamma(3.0, 1.0 / 0.2, size=100_000)
-        fit = fit_gamma_to_intervals(_pairs(draws, draws), "G")
+        fit = fit_gamma_to_intervals(_pairs(draws, draws))
         assert abs(fit.shape - 3.0) < 0.06
         assert abs(fit.rate - 0.2) < 0.004
 
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError):
-            fit_gamma_to_intervals(_pairs([5.0] * 20, 5.0), "G")
+            fit_gamma_to_intervals(_pairs([5.0] * 20, 5.0))
 
     def test_too_few_usable_rejected(self):
         with pytest.raises(ValueError):
-            fit_gamma_to_intervals(_pairs(5.0 + np.arange(20), -1.0), "S")
+            fit_gamma_to_intervals(_pairs(5.0 + np.arange(20), -1.0))
 
-    def test_backward_fit_near_theory(self, ebola_trace):
-        fit = fit_gamma_to_intervals(sample_backward_pairs(ebola_trace, 500, 9), "G")
+    def test_backward_fit_near_theory(self, backward_pairs):
+        mean_g, var_g, _, _ = interval_moments(backward_pairs)
+        fit = gamma_from_moments(mean_g, math.sqrt(var_g))
         assert abs(fit.shape - 3.0) < 0.7
         assert abs(fit.rate - 0.2387) < 0.05
-
-    def test_which_validated(self):
-        with pytest.raises(ValueError):
-            fit_gamma_to_intervals(_pairs([5.0] * 20, 4.0), "X")
-
-
-class TestHelpers:
-    def test_split_positive_accounting(self):
-        values = np.array([3.0, -1.0, 0.0, 2.5, 4.0])
-        used, dropped = split_positive(values)
-        assert len(used) + dropped == len(values)
-        assert dropped == 2
-        assert np.all(used > 0)
