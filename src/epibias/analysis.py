@@ -1,14 +1,13 @@
 """Per-trace analysis pipeline and ensemble aggregation.
 
 Bundles, for each accepted simulation run, everything the reports need:
-the trace's counts at the threshold (its ``TraceSummary``, which the
-``simulate`` and ``estimate`` reports summarize with the same
-:func:`summarize_traces` block), backward-sampled interval moments
-and their Gamma fit, growth-rate estimates from the notification series,
-renewal-model R0 estimates under biased and true weights, forward
-predictions scored against the realized continuation, and the corrected
-case-fatality estimate.  Results are small, picklable records so ensembles
-can be mapped across processes.
+the trace's counts at the threshold (its ``TraceSummary``), backward-sampled
+interval moments and their Gamma fit, growth-rate estimates from the
+notification series, renewal-model R0 estimates under biased and true
+weights, forward predictions scored against the realized continuation, and
+the corrected case-fatality estimate.  ``REPORTED`` lists which of them the
+``estimate`` report summarizes.  Results are small, picklable records so
+ensembles can be mapped across processes.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -153,10 +153,12 @@ def analyze_trace(
     with _stage("contact tracing", replicate_index):
         pairs = tracing.sample_backward_pairs(trace, options.n_pairs, options.stride)
         backward = IntervalStats(*tracing.interval_moments(pairs), n=len(pairs))
-        forward_pairs = tracing.sample_forward_pairs(trace)
-        forward = IntervalStats(*tracing.interval_moments(forward_pairs), n=len(forward_pairs))
         serial_fit = tracing.fit_gamma_to_intervals(pairs)
         backward_weights = discretize_centered(serial_fit, discretization_horizon(serial_fit))
+
+    with _stage("forward sample", replicate_index):
+        forward_pairs = tracing.sample_forward_pairs(trace)
+        forward = IntervalStats(*tracing.interval_moments(forward_pairs), n=len(forward_pairs))
 
     with _stage("growth fits", replicate_index):
         series, t0, k_complete = notification_series(trace)
@@ -328,6 +330,8 @@ def exposure_study(
     likelihood fit does not converge is counted in ``ml_nonconverged`` and
     left out of the ml summaries; its moment fit still runs.
     """
+    if replicates > EXPOSURE_FAMILY_STREAMS:
+        raise ValueError(f"replicates must be <= {EXPOSURE_FAMILY_STREAMS}, got {replicates}")
     tasks = [(model, n_persons, family, master_seed, rep)
              for family in EXPOSURE_FAMILIES for rep in range(replicates)]
     fits = list(ordered_map(exposure_fit, tasks, threads))
@@ -352,20 +356,30 @@ def exposure_study(
     return out
 
 
+# The estimate report's summarized quantities: (quantity, group, key, getter on
+# TraceAnalysis).  Each is summarized into report[group][key], or report[key]
+# when group is None, and written as the CSV row (quantity, key), in this order.
+REPORTED = (
+    *(("trace", None, name, attrgetter(f"summary.{name}")) for name in TRACE_SUMMARY_FIELDS),
+    *(("backward", None, f"backward_{m}", attrgetter(f"backward.{m}"))
+      for m in ("mean_g", "var_g", "mean_s", "var_s")),
+    *(("r", "growth_estimates", m, lambda t, m=m: t.r_estimates[m])
+      for m in ("a", "b", "c", "c_plain_ratio", "d")),
+    ("R0", None, "renewal_R0_backward_weights", attrgetter("R0_backward_weights")),
+    ("R0", None, "renewal_R0_true_weights", attrgetter("R0_true_weights")),
+    *(("prediction_ratio", "prediction_ratios", m, lambda t, m=m: t.predictions[m].ratio)
+      for m in ("a", "b", "c", "d", "e")),
+    *(("cfr", None, key, attrgetter(key)) for key in ("cfr_raw", "cfr_corrected")),
+    ("serial_fit", None, "serial_fit_dropped", attrgetter("serial_fit_dropped")),
+)
+
+
 def ensemble_report(analysis: EnsembleAnalysis) -> dict:
-    """JSON-ready summary of an analyzed ensemble."""
+    """JSON-ready summary of an analyzed ensemble: one block per ``REPORTED`` entry."""
     scn = analysis.scenario
     gen = scn.implied_generation()
     r_true = solve_r(scn.R0(), gen)
-    methods = {
-        m: summarize(analysis.values(lambda t, m=m: t.r_estimates[m]))
-        for m in ("a", "b", "c", "c_plain_ratio", "d")
-    }
-    predictions = {
-        m: summarize(analysis.values(lambda t, m=m: t.predictions[m].ratio))
-        for m in ("a", "b", "c", "d", "e")
-    }
-    return {
+    report = {
         "n_accepted": len(analysis),
         "n_attempts": analysis.n_attempts,
         "options": {
@@ -380,20 +394,9 @@ def ensemble_report(analysis: EnsembleAnalysis) -> dict:
         "true_r": r_true,
         "true_R0": scn.R0(),
         "prediction_factor_true": math.exp(r_true * analysis.options.horizon),
-        **summarize_traces([t.summary for t in analysis.traces]),
         "deterministic_threshold_time": math.log(scn.notify_threshold) / r_true,
-        "backward_mean_g": summarize(analysis.values(lambda t: t.backward.mean_g)),
-        "backward_var_g": summarize(analysis.values(lambda t: t.backward.var_g)),
-        "backward_mean_s": summarize(analysis.values(lambda t: t.backward.mean_s)),
-        "backward_var_s": summarize(analysis.values(lambda t: t.backward.var_s)),
-        "growth_estimates": methods,
-        "renewal_R0_backward_weights": summarize(
-            analysis.values(lambda t: t.R0_backward_weights)
-        ),
-        "renewal_R0_true_weights": summarize(analysis.values(lambda t: t.R0_true_weights)),
-        "prediction_ratios": predictions,
-        "cfr_raw": summarize(analysis.values(lambda t: t.cfr_raw)),
-        "cfr_corrected": summarize(analysis.values(lambda t: t.cfr_corrected)),
         "cfr_clipped": int(analysis.values(lambda t: t.cfr_clipped).sum()),
-        "serial_fit_dropped": summarize(analysis.values(lambda t: t.serial_fit_dropped)),
     }
+    for _, group, key, get in REPORTED:
+        (report.setdefault(group, {}) if group else report)[key] = summarize(analysis.values(get))
+    return report

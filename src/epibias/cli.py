@@ -31,9 +31,9 @@ EXIT_RUNTIME = 3
 
 def _write_report(config: RunConfig, outdir: Path, name: str, payload: dict,
                   header: list[str] | None = None, rows: list[list] | None = None) -> None:
-    """Write one report: ``payload`` stamped with the run's ``meta`` as
-    ``<name>.json``, or ``rows`` under ``header`` as ``<name>.csv`` when the
-    format is CSV.  A report without rows is JSON in either format."""
+    """Write one report: ``payload`` stamped with the run's ``meta`` as ``<name>.json``
+    (NaN and infinity as null), or ``rows`` under ``header`` as ``<name>.csv`` when
+    the format is CSV.  A report without rows is JSON in either format."""
     if config.out_format == "csv" and rows is not None:
         with open(outdir / f"{name}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -41,7 +41,9 @@ def _write_report(config: RunConfig, outdir: Path, name: str, payload: dict,
             for row in rows:
                 w.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
     else:
-        text = json.dumps({"meta": config.metadata(), **payload}, indent=2, sort_keys=True)
+        payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        text = json.dumps({"meta": config.metadata(), **payload}, indent=2, sort_keys=True,
+                          allow_nan=False)
         (outdir / f"{name}.json").write_text(text + "\n")
 
 
@@ -110,13 +112,8 @@ def cmd_estimate(config: RunConfig, outdir: Path) -> None:
         threads=config.threads,
     )
     report = analysis.ensemble_report(ens)
-    rows = []
-    for method, stats in report["growth_estimates"].items():
-        rows.append(_stats_row("r", method, stats=stats))
-    for name in ("renewal_R0_backward_weights", "renewal_R0_true_weights"):
-        rows.append(_stats_row("R0", name, stats=report[name]))
-    for method, stats in report["prediction_ratios"].items():
-        rows.append(_stats_row("prediction_ratio", method, stats=stats))
+    rows = [_stats_row(quantity, key, stats=(report[group] if group else report)[key])
+            for quantity, group, key, _ in analysis.REPORTED]
     _write_report(config, outdir, "estimates", report,
                   ["quantity", "method", "mean", "sd", "q025", "q975"], rows)
     print(f"estimate: analyzed {len(ens)} accepted runs; report in {outdir}")

@@ -17,7 +17,7 @@ from epibias.analysis import (
     summarize,
     true_weights,
 )
-from epibias import exposures, growth_estimators
+from epibias import analysis as analysis_mod, exposures, growth_estimators
 from epibias.exposures import ExposureModel, MomentFit, MomentFitError
 from epibias.distributions import gamma_from_moments
 from epibias.rng import stream
@@ -220,3 +220,16 @@ class TestExposureStudy:
         assert block["moment_sd_admissible"]["n"] == 0
         assert math.isnan(block["moment_sd_admissible"]["mean"])
         assert block["moment_sd_pooled"] == 0.0
+
+    def test_replicates_past_one_familys_streams_rejected(self, monkeypatch):
+        # A fourth replicate would draw the next family's stream 0; the call
+        # fails before it fits anything.
+        monkeypatch.setattr(analysis_mod, "EXPOSURE_FAMILY_STREAMS", 3)
+        fits = []
+        monkeypatch.setattr(analysis_mod, "exposure_fit", fits.append)
+        model = ExposureModel(
+            p=0.5, contact_rate=0.0725, incubation=gamma_from_moments(11.4, 8.1)
+        )
+        with pytest.raises(ValueError, match="replicates must be <= 3, got 4"):
+            exposure_study(model, 200, 4, master_seed=11)
+        assert fits == []

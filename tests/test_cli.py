@@ -11,7 +11,7 @@ import pytest
 
 import epibias
 from epibias import outbreak_sim
-from epibias.analysis import TRACE_SUMMARY_FIELDS, AnalysisOptions
+from epibias.analysis import REPORTED, TRACE_SUMMARY_FIELDS, AnalysisOptions
 from epibias.cli import main
 from epibias.config import ConfigError, DEFAULT_CONFIG, load_config
 from epibias.growth_math import BiasScenario
@@ -238,6 +238,52 @@ class TestCliCommands:
         assert payload["cfr_clipped"] in (0, 1, 2)
         assert "meta" in payload
 
+    def test_estimate_reports_each_table_entry_once(self, tmp_path, small_config):
+        # Every summary block of estimates.json comes from one REPORTED entry,
+        # and the CSV holds one row per entry with the block's statistics.
+        for fmt in ("json", "csv"):
+            assert main(["estimate", "--config", str(small_config),
+                         "--out", str(tmp_path / fmt), "--format", fmt]) == 0
+        payload = json.loads((tmp_path / "json" / "estimates.json").read_text())
+        blocks = {}
+
+        def collect(obj, path):
+            if set(obj) == {"n", "mean", "sd", "min", "max", "q025", "q975"}:
+                blocks[path] = obj
+            for key, value in obj.items():
+                if isinstance(value, dict):
+                    collect(value, (*path, key))
+
+        collect(payload, ())
+        paths = [(group, key) if group else (key,) for _, group, key, _ in REPORTED]
+        assert sorted(blocks) == sorted(paths) and len(set(paths)) == len(paths) == 26
+        with open(tmp_path / "csv" / "estimates.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["quantity", "method", "mean", "sd", "q025", "q975"]
+        assert [row[:2] for row in rows[1:]] == [[q, key] for q, _, key, _ in REPORTED]
+        for path, (_, _, *values) in zip(paths, rows[1:]):
+            stats = blocks[path]
+            assert values == [f"{stats[k]:.6g}" for k in ("mean", "sd", "q025", "q975")]
+
+    def test_json_reports_write_undefined_statistics_as_null(self, tmp_path):
+        # Below 100 notifications the times to and from the 100th are
+        # undefined; a strict parser must still read the report.
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[scenario]\nnotify_threshold = 50\nfollowup = 0\n"
+                       "[estimate]\nhorizon = 0\n[run]\nreplicates = 3\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        def strict(token):
+            raise ValueError(f"{token} is not JSON")
+
+        text = (tmp_path / "ensemble_summary.json").read_text()
+        payload = json.loads(text, parse_constant=strict)
+        for name in ("time_to_first_100", "time_100_to_threshold"):
+            stats = payload[name]
+            assert stats["n"] == 3
+            assert all(stats[k] is None for k in ("mean", "sd", "min", "max", "q025", "q975"))
+        assert payload["threshold_time"]["mean"] > 0
+
     def test_exposures_small(self, tmp_path, small_config):
         assert main([
             "exposures", "--config", str(small_config), "--out", str(tmp_path),
@@ -255,6 +301,12 @@ class TestCliCommands:
         # threshold: the simulated trace, not the config, fails the analysis
         ("estimate", "window = 20", "window = 200", 3,
          ["runtime error", "stage 'growth fits'", "replicate 0", "window 200 exceeds"]),
+        # the backward sample suffices, but a run without follow-up ends
+        # within the forward sample's 60-day margin, so that sample is empty
+        ("estimate", "notify_threshold = 150\n\n[estimate]\nsample_pairs = 30\nstride = 3\n"
+         "window = 20", "notify_threshold = 50\nfollowup = 0\n\n[estimate]\nsample_pairs = 20\n"
+         "stride = 2\nwindow = 10\nhorizon = 0", 3,
+         ["runtime error", "stage 'forward sample'", "replicate 0", "need at least two pairs"]),
         ("estimate", "[scenario]\n", "[scenario]\np_death = 1.5\n", 2,
          ["config error", "p_death"]),
         # [estimate] values that no trace can satisfy fail before any simulation
@@ -337,8 +389,8 @@ class TestCliCommands:
          ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got nan"]),
         ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = 0.9\n[run]\n", 2,
          ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got 0.9"]),
-    ], ids=["analysis-error", "config-value-error", "window-too-short", "stride-zero",
-            "no-pairs", "horizon-past-followup", "horizon-negative",
+    ], ids=["analysis-error", "forward-sample-error", "config-value-error", "window-too-short",
+            "stride-zero", "no-pairs", "horizon-past-followup", "horizon-negative",
             "backward-sample-past-threshold", "estimate-infectious-shape-2",
             "reproduce-infectious-shape-2", "estimate-unequal-rates", "reproduce-unequal-rates",
             "cfr-true-zero",
