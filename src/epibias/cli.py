@@ -4,9 +4,9 @@ Subcommands mirror the analysis areas: ``bias-table`` (closed forms),
 ``simulate`` (ensemble summaries), ``estimate`` (growth/renewal estimators
 and predictions), ``exposures`` (multiple-infector estimator study),
 ``cfr`` (delayed-observation corrections), and ``reproduce-paper`` (all of
-them).  Each report is a CSV or JSON file; a JSON report carries the seed,
-package version, and config hash that produced it.  Identical (config,
-seed, version) triples give byte-identical files.
+them).  Each report is a JSON file that carries the seed, package version,
+and config hash that produced it, and a CSV of its rows beside it.
+Identical (config, seed, version) triples give byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,19 +32,18 @@ EXIT_RUNTIME = 3
 def _write_report(config: RunConfig, outdir: Path, name: str, payload: dict,
                   header: list[str] | None = None, rows: list[list] | None = None) -> None:
     """Write one report: ``payload`` stamped with the run's ``meta`` as ``<name>.json``
-    (NaN and infinity as null), or ``rows`` under ``header`` as ``<name>.csv`` when
-    the format is CSV.  A report without rows is JSON in either format."""
-    if config.out_format == "csv" and rows is not None:
+    (NaN and infinity as null), and ``rows`` under ``header`` as ``<name>.csv``
+    when there are rows.  The CSV carries no ``meta``: its stamp is in the JSON."""
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    text = json.dumps({"meta": config.metadata(), **payload}, indent=2, sort_keys=True,
+                      allow_nan=False)
+    (outdir / f"{name}.json").write_text(text + "\n")
+    if rows is not None:
         with open(outdir / f"{name}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             for row in rows:
                 w.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
-    else:
-        payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
-        text = json.dumps({"meta": config.metadata(), **payload}, indent=2, sort_keys=True,
-                          allow_nan=False)
-        (outdir / f"{name}.json").write_text(text + "\n")
 
 
 def _stats_row(*labels, stats: dict) -> list:
@@ -199,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int,
                            help="worker processes for ensembles and the exposure study")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
         return p
 
     command("bias-table", "closed-form bias table", replicates=False, threads=False)
@@ -226,7 +224,6 @@ def main(argv=None) -> int:
             seed=args.seed,
             replicates=getattr(args, "replicates", None),
             threads=getattr(args, "threads", None),
-            out_format=args.format,
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ DEFAULT_CONFIG = """\
 seed = 20140801
 replicates = 1000
 threads = 1
-format = json
 
 [scenario]
 contact_rate = 0.34
@@ -89,7 +88,6 @@ class RunConfig:
     seed: int
     replicates: int
     threads: int
-    out_format: str
     scenario: Scenario
     bias: BiasScenario
     options: AnalysisOptions
@@ -107,8 +105,13 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text.encode()).hexdigest()
 
     def check_estimate(self) -> None:
-        """Raise unless ``estimate`` can run on this config; ``simulate`` needs neither check."""
+        """Raise unless ``estimate`` can run on this config; ``simulate`` needs none of them."""
         self.scenario.implied_generation()
+        if self.options.horizon > self.scenario.followup:
+            raise ConfigError(
+                f"[estimate] horizon ({self.options.horizon}) must not exceed [scenario] followup "
+                f"({self.scenario.followup:g}): predictions are scored on the follow-up"
+            )
         n, stride = self.options.n_pairs, self.options.stride
         if n * stride > self.scenario.notify_threshold:
             raise ConfigError(f"[estimate] sample_pairs, stride = {n}, {stride}: the backward "
@@ -143,23 +146,30 @@ def load_config(
     seed: int | None = None,
     replicates: int | None = None,
     threads: int | None = None,
-    out_format: str | None = None,
 ) -> RunConfig:
     """Parse a config file (defaults when ``path`` is None) with CLI overrides."""
     parser = configparser.ConfigParser()
     parser.read_string(DEFAULT_CONFIG)
     if path is not None:
-        read = parser.read(path)
+        known = {name: set(sec) for name, sec in parser.items()}
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
+        for name, sec in parser.items():  # [DEFAULT] first: every section shows its keys
+            if name not in known:
+                raise ConfigError(f"{path}: unknown section [{name}]")
+            for key in sec:
+                if key not in known[name]:
+                    raise ConfigError(f"{path}: unknown key [{name}] {key}")
     if seed is not None:
         parser["run"]["seed"] = str(int(seed))
     if replicates is not None:
         parser["run"]["replicates"] = str(int(replicates))
     if threads is not None:
         parser["run"]["threads"] = str(int(threads))
-    if out_format is not None:
-        parser["run"]["format"] = out_format
 
     try:
         return _build(parser)
@@ -210,9 +220,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     if "seed" not in run or run["seed"].strip() == "":
         raise ConfigError("a seed is required; set [run] seed or pass --seed")
     seed = _value(run, "seed", int)
-    out_format = run.get("format", "json").strip().lower()
-    if out_format not in ("json", "csv"):
-        raise ConfigError(f"[run] format must be json or csv, got {out_format!r}")
 
     scn = parser["scenario"]
     scenario = _make(
@@ -251,11 +258,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         window=_value(est, "window", int),
         horizon=_value(est, "horizon", int),
     )
-    if options.horizon > scenario.followup:
-        raise ConfigError(
-            f"[estimate] horizon ({options.horizon}) must not exceed [scenario] followup "
-            f"({scenario.followup:g}): predictions are scored on the follow-up"
-        )
 
     exp = parser["exposures"]
     exposure_model = _make(
@@ -298,7 +300,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         seed=seed,
         replicates=replicates,
         threads=threads,
-        out_format=out_format,
         scenario=scenario,
         bias=bias,
         options=options,

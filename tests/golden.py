@@ -1,12 +1,12 @@
 """Golden SHA-256 digests of the CLI's output files and of default-size traces.
 
 ``reproduce-paper`` and ``simulate --write-traces`` run on the small config
-of ``test_cli.SMALL_RUN_CONFIG`` at 1 and at 2 worker processes, and
-``reproduce-paper --format csv`` at 1; every file they write is hashed.  The
-small config's threshold of 150 needs only a few simulator batches, so the
-first ``N_DEFAULT_TRACES`` accepted traces of the default scenario are hashed
-too (every column, ``threshold_time`` and ``notified_order()``), which covers
-the long tail of a ~33,000-person run, and so is the canonical JSON of
+of ``test_cli.SMALL_RUN_CONFIG`` at 1 and at 2 worker processes; every file
+they write, JSON and CSV reports and traces, is hashed.  The small config's
+threshold of 150 needs only a few simulator batches, so the first
+``N_DEFAULT_TRACES`` accepted traces of the default scenario are hashed too
+(every column, ``threshold_time`` and ``notified_order()``), which covers the
+long tail of a ~33,000-person run, and so is the canonical JSON of
 ``analyze_trace`` on each of them under the three option variants of the
 benchmark's ``reanalyze`` workload.
 The pinned digests in ``golden.json`` are keyed by the numpy and scipy
@@ -56,13 +56,14 @@ def platform_key() -> str:
     return f"numpy {np.__version__}, scipy {scipy.__version__}, {platform.machine()}"
 
 
-def _digests(workdir: Path, threads: int, commands: list[list[str]]) -> dict[str, str]:
-    """Run each command on the small config; SHA-256 of every file under ``workdir/out``."""
+def run_digests(workdir: Path, threads: int) -> dict[str, str]:
+    """SHA-256 of every file ``reproduce-paper`` and ``simulate --write-traces`` write
+    on the small config, by path under ``workdir/out``."""
     config = workdir / "small.ini"
     config.write_text(SMALL_RUN_CONFIG)
     out = workdir / "out"
     common = ["--config", str(config), "--out", str(out), "--threads", str(threads)]
-    for command in commands:
+    for command in (["reproduce-paper"], ["simulate", "--write-traces"]):
         argv = [*command, *common]
         if main(argv) != 0:
             raise RuntimeError(f"epibias {' '.join(argv)} failed")
@@ -70,16 +71,6 @@ def _digests(workdir: Path, threads: int, commands: list[list[str]]) -> dict[str
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*")) if path.is_file()
     }
-
-
-def run_digests(workdir: Path, threads: int) -> dict[str, str]:
-    """SHA-256 of every file ``reproduce-paper`` and ``simulate --write-traces`` write."""
-    return _digests(workdir, threads, [["reproduce-paper"], ["simulate", "--write-traces"]])
-
-
-def csv_digests(workdir: Path) -> dict[str, str]:
-    """SHA-256 of every file ``reproduce-paper --format csv`` writes on 1 worker."""
-    return _digests(workdir, 1, [["reproduce-paper", "--format", "csv"]])
 
 
 def default_traces() -> list:
@@ -139,9 +130,7 @@ def compute() -> dict:
     for threads in THREADS:
         with tempfile.TemporaryDirectory() as tmp:
             digests[str(threads)] = run_digests(Path(tmp), threads)
-    with tempfile.TemporaryDirectory() as tmp:
-        csv = csv_digests(Path(tmp))
-    return {"key": platform_key(), "digests": digests, "csv": csv,
+    return {"key": platform_key(), "digests": digests,
             "traces": trace_digests(), "analysis": analysis_digests()}
 
 

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,7 +118,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key", [
         (section, key) for section, keys in _default_keys().items() for key in keys
-        if (section, key) != ("run", "format")
     ])
     def test_unparsable_value_names_its_key(self, tmp_path, section, key):
         path = tmp_path / "bad.ini"
@@ -131,6 +131,41 @@ class TestConfig:
         path.write_text("[scenario]\ncontact_rate = -1\n")
         with pytest.raises(ConfigError):
             load_config(path=str(path))
+
+    @pytest.mark.parametrize("text, words", [
+        (b"seed = 5\n[run]\n", ["no section headers", "line: 1"]),
+        (b"[run]\nseed = 5\nseed = 6\n", ["[line  3]", "option 'seed' in section 'run'"]),
+        (b"[run]\nseed\n", ["parsing errors", "[line  2]"]),
+        (b"[run]\nseed = 5\xff\n", ["can't decode byte 0xff"]),
+    ], ids=["key-before-section", "duplicate-key", "key-without-equals", "invalid-utf-8"])
+    def test_malformed_file_is_a_config_error(self, tmp_path, capsys, text, words):
+        path, out = tmp_path / "bad.ini", tmp_path / "out"
+        path.write_bytes(text)
+        assert main(["cfr", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: "), err
+        assert all(w in err for w in words), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, name", [
+        ("[scenario]\nnotfy_threshold = 150\n", "unknown key [scenario] notfy_threshold"),
+        ("[estimat]\nwindow = 5\n", "unknown section [estimat]"),
+        ("[unused]\n", "unknown section [unused]"),
+        # configparser copies [DEFAULT] keys into every section
+        ("[DEFAULT]\nseed = 5\n", "unknown key [DEFAULT] seed"),
+        # keys are compared after configparser's lower-casing: R0 is r0
+        ("[bias_table]\nR0 = 1.7\nR1 = 2\n", "unknown key [bias_table] r1"),
+        ("[run]\nformat = csv\n", "unknown key [run] format"),
+    ], ids=["misspelled-key", "misspelled-section", "empty-section", "default-section",
+            "upper-case-key", "run-format"])
+    def test_unknown_setting_is_a_config_error(self, tmp_path, capsys, text, name):
+        path, out = tmp_path / "bad.ini", tmp_path / "out"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {name}")):
+            load_config(path=str(path))
+        assert main(["cfr", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: {path}: {name}\n" == capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliCommands:
@@ -150,7 +185,7 @@ class TestCliCommands:
         assert "config_hash" in payload["meta"]
 
     def test_bias_table_csv(self, tmp_path):
-        assert main(["bias-table", "--out", str(tmp_path), "--format", "csv"]) == 0
+        assert main(["bias-table", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "bias_table.csv").read_text().splitlines()
         assert lines[0].startswith("source,")
         assert len(lines) == 5
@@ -214,12 +249,9 @@ class TestCliCommands:
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_simulate_csv(self, tmp_path, small_config):
-        for fmt in ("json", "csv"):
-            assert main(["simulate", "--config", str(small_config),
-                         "--out", str(tmp_path / fmt), "--format", fmt]) == 0
-        assert [p.name for p in (tmp_path / "csv").iterdir()] == ["ensemble_summary.csv"]
-        payload = json.loads((tmp_path / "json" / "ensemble_summary.json").read_text())
-        with open(tmp_path / "csv" / "ensemble_summary.csv", newline="") as fh:
+        assert main(["simulate", "--config", str(small_config), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "ensemble_summary.json").read_text())
+        with open(tmp_path / "ensemble_summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["quantity", "mean", "sd", "q025", "q975"]
         assert [row[0] for row in rows[1:]] == list(TRACE_SUMMARY_FIELDS)
@@ -241,10 +273,8 @@ class TestCliCommands:
     def test_estimate_reports_each_table_entry_once(self, tmp_path, small_config):
         # Every summary block of estimates.json comes from one REPORTED entry,
         # and the CSV holds one row per entry with the block's statistics.
-        for fmt in ("json", "csv"):
-            assert main(["estimate", "--config", str(small_config),
-                         "--out", str(tmp_path / fmt), "--format", fmt]) == 0
-        payload = json.loads((tmp_path / "json" / "estimates.json").read_text())
+        assert main(["estimate", "--config", str(small_config), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "estimates.json").read_text())
         blocks = {}
 
         def collect(obj, path):
@@ -257,7 +287,7 @@ class TestCliCommands:
         collect(payload, ())
         paths = [(group, key) if group else (key,) for _, group, key, _ in REPORTED]
         assert sorted(blocks) == sorted(paths) and len(set(paths)) == len(paths) == 26
-        with open(tmp_path / "csv" / "estimates.csv", newline="") as fh:
+        with open(tmp_path / "estimates.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["quantity", "method", "mean", "sd", "q025", "q975"]
         assert [row[:2] for row in rows[1:]] == [[q, key] for q, _, key, _ in REPORTED]
@@ -269,8 +299,7 @@ class TestCliCommands:
         # Below 100 notifications the times to and from the 100th are
         # undefined; a strict parser must still read the report.
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[scenario]\nnotify_threshold = 50\nfollowup = 0\n"
-                       "[estimate]\nhorizon = 0\n[run]\nreplicates = 3\n")
+        cfg.write_text("[scenario]\nnotify_threshold = 50\nfollowup = 0\n[run]\nreplicates = 3\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
         def strict(token):
@@ -315,6 +344,8 @@ class TestCliCommands:
         ("estimate", "sample_pairs = 30", "sample_pairs = 0", 2,
          ["config error", "[estimate] sample_pairs = 0: n_pairs must be >= 1"]),
         ("estimate", "window = 20", "window = 20\nhorizon = 60", 2,
+         ["config error", "[estimate] horizon (60)", "[scenario] followup (42)"]),
+        ("reproduce-paper", "window = 20", "window = 20\nhorizon = 60", 2,
          ["config error", "[estimate] horizon (60)", "[scenario] followup (42)"]),
         ("estimate", "window = 20", "window = 20\nhorizon = -5", 2,
          ["config error", "horizon must be >= 0"]),
@@ -390,7 +421,8 @@ class TestCliCommands:
         ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = 0.9\n[run]\n", 2,
          ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got 0.9"]),
     ], ids=["analysis-error", "forward-sample-error", "config-value-error", "window-too-short",
-            "stride-zero", "no-pairs", "horizon-past-followup", "horizon-negative",
+            "stride-zero", "no-pairs", "horizon-past-followup",
+            "reproduce-horizon-past-followup", "horizon-negative",
             "backward-sample-past-threshold", "estimate-infectious-shape-2",
             "reproduce-infectious-shape-2", "estimate-unequal-rates", "reproduce-unequal-rates",
             "cfr-true-zero",
@@ -412,6 +444,30 @@ class TestCliCommands:
         assert all(w in err for w in words), err
         assert list(out.glob("*")) == []
 
+    def test_simulate_reads_no_estimate_value(self, tmp_path, small_config):
+        # The default horizon of 42 is past a follow-up of 0, which only the
+        # estimators score their predictions on.
+        small_config.write_text(SMALL_RUN_CONFIG.replace("[scenario]\n",
+                                                         "[scenario]\nfollowup = 0\n"))
+        argv = ["--config", str(small_config), "--out", str(tmp_path)]
+        assert main(["estimate", *argv]) == 2
+        assert main(["simulate", *argv]) == 0
+
+    @pytest.mark.parametrize("command, names", [
+        ("bias-table", ["bias_table"]), ("cfr", ["cfr_report"]),
+        ("simulate", ["ensemble_summary"]), ("exposures", ["exposure_estimates"]),
+        ("estimate", ["estimates"]),
+        ("reproduce-paper", ["bias_table", "cfr_report", "estimates", "exposure_estimates"]),
+    ], ids=["bias-table", "cfr", "simulate", "exposures", "estimate", "reproduce-paper"])
+    def test_each_report_is_written_as_json_and_csv(self, tmp_path, small_config,
+                                                    command, names):
+        assert main([command, "--config", str(small_config), "--out", str(tmp_path / "out")]) == 0
+        # the bundle index has no rows, so it is the one report without a CSV
+        expected = [f"{n}.{ext}" for n in names for ext in ("csv", "json")]
+        if command == "reproduce-paper":
+            expected.append("bundle.json")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(expected)
+
     def test_simulate_takes_any_infectious_period(self, tmp_path, small_config):
         # Only the estimators need a closed-form generation time.
         small_config.write_text(SMALL_RUN_CONFIG.replace(
@@ -421,6 +477,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("command, flag", [
         ("bias-table", "--replicates"), ("bias-table", "--threads"),
         ("cfr", "--replicates"), ("cfr", "--threads"), ("exposures", "--replicates"),
+        # every report is written as JSON and CSV: there is no output format to choose
+        ("simulate", "--format"), ("reproduce-paper", "--format"),
     ])
     def test_flag_a_command_does_not_read_is_rejected(self, tmp_path, capsys, command, flag):
         out = tmp_path / "out"

@@ -8,8 +8,7 @@ everywhere.
 import pytest
 
 from golden import (
-    THREADS, analysis_digests, csv_digests, load_golden, platform_key, run_digests,
-    trace_digests,
+    THREADS, analysis_digests, load_golden, platform_key, run_digests, trace_digests,
 )
 
 
@@ -56,7 +55,3 @@ def test_default_trace_digests_match_pinned():
 
 def test_default_analysis_digests_match_pinned():
     assert analysis_digests() == _pinned()["analysis"]
-
-
-def test_csv_digests_match_pinned(tmp_path):
-    assert csv_digests(tmp_path) == _pinned()["csv"]
