@@ -13,7 +13,6 @@ ensembles can be mapped across processes.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import attrgetter
@@ -94,7 +93,9 @@ def notification_series(trace: OutbreakTrace) -> tuple[ge.CaseSeries, float, int
     if k_complete < 2:
         raise ValueError("threshold reached before two complete days of data")
     # Day d holds the offsets ts - t0 in [d-1, d).  fl(ts - t0) is monotone in
-    # ts, so a notification after the threshold falls on day k_complete + 1 or later.
+    # ts, so a notification after the threshold falls on day k_complete + 1 or
+    # later: only the prefix up to the threshold needs the offsets.
+    ts = ts[:np.searchsorted(ts, trace.threshold_time, "right")]
     daily = np.diff(np.searchsorted(ts - t0, np.arange(k_complete + 1), "left"))
     return ge.CaseSeries(daily), t0, k_complete
 
@@ -126,16 +127,6 @@ class AnalysisError(RuntimeError):
     """
 
 
-@contextmanager
-def _stage(name: str, replicate_index: int):
-    try:
-        yield
-    except ValueError as exc:
-        raise AnalysisError(
-            f"analysis stage '{name}' failed at replicate {replicate_index}: {exc}"
-        ) from exc
-
-
 def analyze_trace(
     trace: OutbreakTrace,
     replicate_index: int,
@@ -147,20 +138,21 @@ def analyze_trace(
         AnalysisError: if a stage rejects the trace, e.g. too few notified
             persons for the backward sample or too few complete days.
     """
-    with _stage("snapshot", replicate_index):
+    try:
+        stage = "snapshot"
         summary = summarize_trace(trace, replicate_index)
 
-    with _stage("contact tracing", replicate_index):
+        stage = "contact tracing"
         pairs = tracing.sample_backward_pairs(trace, options.n_pairs, options.stride)
         backward = IntervalStats(*tracing.interval_moments(pairs), n=len(pairs))
         serial_fit = tracing.fit_gamma_to_intervals(pairs)
         backward_weights = discretize_centered(serial_fit, discretization_horizon(serial_fit))
 
-    with _stage("forward sample", replicate_index):
+        stage = "forward sample"
         forward_pairs = tracing.sample_forward_pairs(trace)
         forward = IntervalStats(*tracing.interval_moments(forward_pairs), n=len(forward_pairs))
 
-    with _stage("growth fits", replicate_index):
+        stage = "growth fits"
         series, t0, k_complete = notification_series(trace)
         r_estimates = {
             "a": ge.est_a_log_cumulative(series, options.window),
@@ -170,11 +162,11 @@ def analyze_trace(
             "d": ge.est_d_branching(series, options.window),
         }
 
-    with _stage("renewal", replicate_index):
+        stage = "renewal"
         R0_backward = ge.est_e_renewal_R0(series, backward_weights)
         R0_true = ge.est_e_renewal_R0(series, true_weights(trace.scenario))
 
-    with _stage("prediction", replicate_index):
+        stage = "prediction"
         actual = cumulative_notified_at(trace, t0 + k_complete + options.horizon)
         fitted = {**r_estimates, "e": R0_backward}
         predictions = {}
@@ -185,7 +177,7 @@ def analyze_trace(
             )
             predictions[method] = ge.PredictionScore(predicted=predicted, actual=actual)
 
-    with _stage("cfr", replicate_index):
+        stage = "cfr"
         notified = trace.notified_order()[:summary.total_infected - summary.unnotified]
         died_by_T = trace.died[notified] & (trace.t_outcome[notified] <= trace.threshold_time)
         counts = cfr.CfrCounts(
@@ -196,6 +188,10 @@ def analyze_trace(
         )
         death_delay = cfr.notification_delay(trace.scenario, trace.scenario.to_death)
         corrected = cfr.corrected_naive_cfr(counts, death_delay)
+    except ValueError as exc:
+        raise AnalysisError(
+            f"analysis stage '{stage}' failed at replicate {replicate_index}: {exc}"
+        ) from exc
 
     return TraceAnalysis(
         replicate_index=replicate_index,

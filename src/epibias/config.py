@@ -153,11 +153,12 @@ def load_config(
     if path is not None:
         known = {name: set(sec) for name, sec in parser.items()}
         try:
-            read = parser.read(path, encoding="utf-8")
-        except (configparser.Error, UnicodeDecodeError) as exc:
+            with open(path, encoding="utf-8") as f:
+                parser.read_file(f)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
         for name, sec in parser.items():  # [DEFAULT] first: every section shows its keys
             if name not in known:
                 raise ConfigError(f"{path}: unknown section [{name}]")

@@ -10,6 +10,7 @@ projects a fitted r or R0 to the cumulative count a fixed horizon ahead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,9 +41,11 @@ class CaseSeries:
     def __len__(self) -> int:
         return len(self.daily)
 
-    @property
+    @cached_property
     def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.daily)
+        cum = np.cumsum(self.daily)
+        cum.flags.writeable = False
+        return cum
 
 
 @dataclass(frozen=True)
@@ -174,12 +177,16 @@ def predict_forward(
         if weights is None:
             raise ValueError("method 'e' needs renewal weights")
         extended = np.concatenate([series.daily, np.zeros(horizon)])
-        L = len(weights.probs)
+        rev = weights.probs[::-1]
+        L = len(rev)
         for t in range(len(series), len(extended)):
-            # Only the last L days reach day t.  Their "valid" convolution is
-            # the one dot product renewal_pressure(extended[:t])[-1] takes,
-            # in the same operand order, so the result matches it bit for bit.
-            recent = extended[max(0, t - L):t]
-            extended[t] = estimate * np.convolve(recent, weights.probs, "valid")[0]
+            # Only the last L days reach day t.  Correlating them with the
+            # reversed kernel is the one dot product renewal_pressure(extended[:t])[-1]
+            # takes, in the same operand order, so the result matches it bit for
+            # bit.  np.convolve swaps its operands when the window is the shorter.
+            if t >= L:
+                extended[t] = estimate * np.correlate(extended[t - L:t], rev, "valid")[0]
+            else:
+                extended[t] = estimate * np.convolve(extended[:t], weights.probs, "valid")[0]
         return cum_last + float(extended[len(series):].sum())
     raise ValueError(f"unknown method {method!r}")

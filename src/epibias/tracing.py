@@ -101,14 +101,18 @@ def sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> TracedPa
     return _pairs_of(trace, np.flatnonzero(ok_parent[trace.infector]))
 
 
+def _mean_var(x: np.ndarray) -> tuple[float, float]:
+    """``(x.mean(), x.var(ddof=1))`` bit for bit, without numpy's per-call overhead."""
+    m = x.sum() / len(x)
+    d = x - m
+    return float(m), float((d * d).sum() / (len(x) - 1))
+
+
 def interval_moments(pairs: TracedPairs) -> tuple[float, float, float, float]:
     """Unbiased sample moments: (mean_G, var_G, mean_S, var_S)."""
     if len(pairs) < 2:
         raise ValueError("need at least two pairs for sample moments")
-    return (
-        float(pairs.G.mean()), float(pairs.G.var(ddof=1)),
-        float(pairs.S.mean()), float(pairs.S.var(ddof=1)),
-    )
+    return (*_mean_var(pairs.G), *_mean_var(pairs.S))
 
 
 def fit_gamma_to_intervals(pairs: TracedPairs) -> GammaParams:
@@ -123,7 +127,7 @@ def fit_gamma_to_intervals(pairs: TracedPairs) -> GammaParams:
     used = pairs.S[pairs.S > 0]
     if len(used) < 10:
         raise ValueError(f"only {len(used)} usable intervals; need at least 10")
-    sd = used.std(ddof=1)
-    if sd == 0:
+    mean, var = _mean_var(used)
+    if var == 0:
         raise ValueError("intervals are constant; Gamma fit is degenerate")
-    return gamma_from_moments(float(used.mean()), float(sd))
+    return gamma_from_moments(mean, float(np.sqrt(var)))

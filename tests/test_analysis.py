@@ -17,7 +17,7 @@ from epibias.analysis import (
     summarize,
     true_weights,
 )
-from epibias import analysis as analysis_mod, exposures, growth_estimators
+from epibias import analysis as analysis_mod, cfr, exposures, growth_estimators, tracing
 from epibias.exposures import ExposureModel, MomentFit, MomentFitError
 from epibias.distributions import gamma_from_moments
 from epibias.rng import stream
@@ -115,6 +115,37 @@ class TestAnalyzeTrace:
         # a threshold of 300 cannot give the default 500 pairs at stride 9
         with pytest.raises(AnalysisError, match="'contact tracing' failed at replicate 7"):
             analyze_trace(small_trace, 7)
+
+    # each stage's first callee, reached through the module analyze_trace calls it on
+    @pytest.mark.parametrize("stage, module, callee", [
+        ("snapshot", analysis_mod, "summarize_trace"),
+        ("contact tracing", tracing, "sample_backward_pairs"),
+        ("forward sample", tracing, "sample_forward_pairs"),
+        ("growth fits", analysis_mod, "notification_series"),
+        ("renewal", growth_estimators, "est_e_renewal_R0"),
+        ("prediction", analysis_mod, "cumulative_notified_at"),
+        ("cfr", cfr, "corrected_naive_cfr"),
+    ])
+    def test_every_stage_names_itself(self, ebola_trace, monkeypatch, stage, module, callee):
+        cause = ValueError("injected")
+
+        def fail(*args, **kwargs):
+            raise cause
+
+        monkeypatch.setattr(module, callee, fail)
+        with pytest.raises(AnalysisError) as err:
+            analyze_trace(ebola_trace, 4)
+        assert str(err.value) == f"analysis stage '{stage}' failed at replicate 4: injected"
+        assert err.value.__cause__ is cause
+
+    def test_runtime_error_passes_through(self, ebola_trace, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("not a data error")
+
+        monkeypatch.setattr(growth_estimators, "est_e_renewal_R0", fail)
+        with pytest.raises(RuntimeError, match="not a data error") as err:
+            analyze_trace(ebola_trace, 4)
+        assert type(err.value) is RuntimeError
 
 
 class TestEnsembleReport:

@@ -147,6 +147,13 @@ class TestConfig:
         assert all(w in err for w in words), err
         assert not out.exists()
 
+    def test_directory_is_not_reported_missing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["cfr", "--config", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {tmp_path}: "), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, name", [
         ("[scenario]\nnotfy_threshold = 150\n", "unknown key [scenario] notfy_threshold"),
         ("[estimat]\nwindow = 5\n", "unknown section [estimat]"),
@@ -321,9 +328,10 @@ class TestCliCommands:
         assert payload["truth"]["p"] == 0.5
         assert "gamma" in payload["study"] and "lognormal" in payload["study"]
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(["bias-table", "--config", "/no/such/file.ini",
                      "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: config file not found: /no/such/file.ini\n"
 
     @pytest.mark.parametrize("command, old, new, code, words", [
         # a 200-day window is longer than the complete days before the

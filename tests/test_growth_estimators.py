@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _oracles import discretize, renewal_expected
@@ -181,6 +181,24 @@ class TestPrediction:
         for t in range(len(daily) + 1, len(daily) + 6):
             extended[t - 1] = R0 * renewal_expected(extended, weights, t)
         assert math.isclose(predicted, series.cumulative[-1] + extended[-5:].sum(), rel_tol=1e-12)
+
+    @given(
+        daily=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=200),
+        mean=st.floats(1.0, 40.0), cv=st.floats(0.2, 1.5),
+        R0=st.floats(0.0, 5.0), horizon=st.integers(0, 60),
+    )
+    # a 3-day series under a 48-day kernel, and a 60-day one under a 6-day kernel
+    @example(daily=[1.0, 4.0, 9.0], mean=12.0, cv=0.5, R0=1.7, horizon=42)
+    @example(daily=list(np.arange(1.0, 61.0)), mean=2.0, cv=0.3, R0=1.2, horizon=10)
+    def test_renewal_method_is_the_convolution_recursion(self, daily, mean, cv, R0, horizon):
+        g = gamma_from_moments(mean, cv * mean)
+        weights = discretize_centered(g, discretization_horizon(g))
+        probs = weights.probs
+        extended = np.concatenate([daily, np.zeros(horizon)])
+        for t in range(len(daily), len(extended)):
+            extended[t] = R0 * np.convolve(extended[max(0, t - len(probs)):t], probs, "valid")[0]
+        expected = float(np.cumsum(daily)[-1]) + float(extended[len(daily):].sum())
+        assert predict_forward(CaseSeries(daily), "e", R0, horizon, weights) == expected
 
     def test_method_e_needs_weights(self, renewal_setup):
         series, _, R0 = renewal_setup

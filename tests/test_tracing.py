@@ -160,6 +160,13 @@ class TestIntervalMoments:
         with pytest.raises(ValueError):
             interval_moments(_pairs([5.0], 4.0))
 
+    @given(st.lists(st.tuples(st.floats(-1e100, 1e100), st.floats(-1e100, 1e100)), min_size=2))
+    @example([(-1e100, 3.5), (1e100, -2.25), (0.5, 7.0)])
+    def test_bit_identical_to_numpy(self, rows):
+        g, s = np.array(rows).T
+        moments = interval_moments(_pairs(g, s))
+        assert moments == (g.mean(), g.var(ddof=1), s.mean(), s.var(ddof=1))
+
 
 class TestGammaFit:
     def test_recovers_known_distribution(self):
@@ -171,6 +178,17 @@ class TestGammaFit:
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError):
             fit_gamma_to_intervals(_pairs([5.0] * 20, 5.0))
+
+    @given(used=st.lists(st.floats(1e-3, 1e4), min_size=10), dropped=st.lists(st.floats(-1e4, 0.0)))
+    def test_bit_identical_to_numpy_moments(self, used, dropped):
+        used = np.array(used)
+        sd = used.std(ddof=1)
+        pairs = _pairs(np.ones(len(used) + len(dropped)), np.concatenate([dropped, used]))
+        if sd == 0:
+            with pytest.raises(ValueError, match="constant"):
+                fit_gamma_to_intervals(pairs)
+        else:
+            assert fit_gamma_to_intervals(pairs) == gamma_from_moments(used.mean(), sd)
 
     def test_too_few_usable_rejected(self):
         with pytest.raises(ValueError):
