@@ -5,8 +5,11 @@ Subcommands mirror the analysis areas: ``bias-table`` (closed forms),
 and predictions), ``exposures`` (multiple-infector estimator study),
 ``cfr`` (delayed-observation corrections), and ``reproduce-paper`` (all of
 them).  Each report is a JSON file that carries the seed, package version,
-and config hash that produced it, and a CSV of its rows beside it.
-Identical (config, seed, version) triples give byte-identical files.
+and config hash that produced it, and a CSV of its rows beside it.  A run
+that succeeds also writes the canonical text of its config as
+``config.ini``, so ``--config config.ini`` re-runs it; one that fails
+leaves none.  Identical (config, seed, version) triples give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
         "R0_bias_pct": 100.0 * report.R0_rel_bias,
         "r_bias_pct": 100.0 * report.r_rel_bias,
         "note": report.note,
-    } for report in growth_math.bias_table(config.bias)]
+    } for report in growth_math.bias_table(config.scenario, config.me_gen,
+                                           config.me_biased_gen)]
     _write_report(config, outdir, "bias_table", {"rows": rows},
                   list(rows[0]), [list(r.values()) for r in rows])
     print(f"bias-table: wrote {len(rows)} rows to {outdir}")
@@ -241,6 +245,8 @@ def main(argv=None) -> int:
         "cfr": cmd_cfr, "reproduce-paper": cmd_reproduce,
         "simulate": partial(cmd_simulate, write_traces=getattr(args, "write_traces", False)),
     }
+    # An earlier run's config.ini would not match the reports a failed run rewrote.
+    (outdir / "config.ini").unlink(missing_ok=True)
     try:
         commands[args.command](config, outdir)
     except ValueError as exc:
@@ -249,6 +255,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    (outdir / "config.ini").write_text(config.canonical_text)
     return EXIT_OK
 
 

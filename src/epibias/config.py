@@ -19,7 +19,6 @@ from . import __version__
 from .analysis import EXPOSURE_FAMILY_STREAMS, AnalysisOptions
 from .distributions import GammaParams, gamma_from_moments
 from .exposures import MIN_HISTORIES, ExposureModel
-from .growth_math import BiasScenario
 from .outbreak_sim import Scenario
 
 
@@ -50,10 +49,6 @@ notify_threshold = 4500
 followup = 42
 
 [bias_table]
-R0 = 1.7
-gen_shape = 3
-gen_rate = 0.2
-serial_cv_factor = 1.026
 me_gen_mean = 15.3
 me_gen_sd = 9.3
 me_biased_mean = 12.0
@@ -89,7 +84,8 @@ class RunConfig:
     replicates: int
     threads: int
     scenario: Scenario
-    bias: BiasScenario
+    me_gen: GammaParams
+    me_biased_gen: GammaParams
     options: AnalysisOptions
     exposure_model: ExposureModel
     exposure_n_persons: int
@@ -242,14 +238,8 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     )
 
     bt = parser["bias_table"]
-    bias = _make(
-        BiasScenario, bt, {},
-        R0=_value(bt, "R0"),
-        gen=_gamma(bt, "gen_shape", "gen_rate"),
-        serial_cv_factor=_value(bt, "serial_cv_factor"),
-        me_gen=_gamma(bt, "me_gen_mean", "me_gen_sd", gamma_from_moments),
-        me_biased_gen=_gamma(bt, "me_biased_mean", "me_biased_sd", gamma_from_moments),
-    )
+    me_gen = _gamma(bt, "me_gen_mean", "me_gen_sd", gamma_from_moments)
+    me_biased_gen = _gamma(bt, "me_biased_mean", "me_biased_sd", gamma_from_moments)
 
     est = parser["estimate"]
     options = _make(
@@ -276,7 +266,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         ("[run] replicates", replicates, 1), ("[run] threads", threads, 1),
         ("[exposures] replicates", exposure_replicates, 1),
         ("[exposures] n_persons", n_persons, MIN_HISTORIES),
-        ("[bias_table] serial_cv_factor", bias.serial_cv_factor, 1),
     ):
         if not least <= value < math.inf:
             raise ConfigError(f"{name} must be >= {least} and finite, got {value}")
@@ -302,7 +291,8 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         replicates=replicates,
         threads=threads,
         scenario=scenario,
-        bias=bias,
+        me_gen=me_gen,
+        me_biased_gen=me_biased_gen,
         options=options,
         exposure_model=exposure_model,
         exposure_n_persons=n_persons,

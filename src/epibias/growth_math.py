@@ -3,7 +3,7 @@ distribution, plus the closed-form bias calculus for three ways the
 generation-time distribution gets mis-estimated early in an outbreak:
 
  - observing generation times backwards through contact tracing,
- - substituting serial intervals (same mean, inflated variance),
+ - substituting serial intervals (same mean, coefficient of variation times c),
  - keeping only single-exposure cases (shifted mean).
 
 Each bias is expressed both ways: the r obtained from a correct R0, and the
@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .distributions import GammaParams, gamma_from_moments
+from .distributions import GammaParams
+from .outbreak_sim import Scenario
 
 
 class BiasSource(enum.Enum):
@@ -83,8 +84,8 @@ def backward_bias(R0: float, gen: GammaParams) -> BiasReport:
 
 def inflated_dist(gen: GammaParams, c: float) -> GammaParams:
     """Gamma with the same mean as ``gen`` and coefficient of variation scaled by c."""
-    if c < 1:
-        raise ValueError(f"variance inflation needs c >= 1, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be positive and finite, got {c}")
     c2 = c * c
     return GammaParams(shape=gen.shape / c2, rate=gen.rate / c2)
 
@@ -93,7 +94,7 @@ def serial_inflation_bias(R0: float, gen: GammaParams, c: float) -> BiasReport:
     """Bias from replacing generation times by serial intervals.
 
     Serial intervals share the generation-time mean but carry a coefficient
-    of variation larger by a factor c >= 1, i.e. the fitted distribution is
+    of variation scaled by a factor c > 0, i.e. the fitted distribution is
     Gamma(shape/c^2, rate/c^2).  r_biased increases and R0_biased decreases
     in c; c = 1 reproduces the truth.
     """
@@ -131,39 +132,24 @@ def _report(source, R0, r, r_biased, R0_biased) -> BiasReport:
     )
 
 
-@dataclass(frozen=True)
-class BiasScenario:
-    """Inputs for the three-source bias table.
-
-    The backward and serial rows use (R0, gen); the multiple-exposure row
-    has its own generation-time estimate ``me_gen`` together with the
-    distorted ``me_biased_gen`` fitted from single-exposure cases only.
-    """
-
-    R0: float = 1.7
-    gen: GammaParams = GammaParams(3.0, 0.2)
-    serial_cv_factor: float = 1.026
-    me_gen: GammaParams = field(default_factory=lambda: gamma_from_moments(15.3, 9.3))
-    me_biased_gen: GammaParams = field(default_factory=lambda: gamma_from_moments(12.0, 9.3))
-
-    def __post_init__(self):
-        if not 0.0 < self.R0 < math.inf:
-            raise ValueError(f"R0 must be positive and finite, got {self.R0}")
-
-
-def bias_table(scenario: BiasScenario) -> list[BiasReport]:
+def bias_table(scenario: Scenario, me_gen: GammaParams,
+               me_biased_gen: GammaParams) -> list[BiasReport]:
     """The four-row bias table: three sources plus their combined effect.
+
+    The backward and serial rows take the outbreak's R0, generation time
+    and serial factor c; the multiple-exposure row compares ``me_gen`` with
+    ``me_biased_gen``, the one fitted from single-exposure cases only.
 
     The combined row multiplies the three (1 + relative bias) factors,
     treating the sources as independent, and applies the product to the
     (R0, gen) link.  Factors are combined unrounded, so the combined row
     can differ by a point or two from tables built from rounded rows.
     """
-    R0 = scenario.R0
+    R0, gen = scenario.R0(), scenario.implied_generation()
     rows = [
-        backward_bias(R0, scenario.gen),
-        serial_inflation_bias(R0, scenario.gen, scenario.serial_cv_factor),
-        multiple_exposure_bias(R0, scenario.me_gen, scenario.me_biased_gen),
+        backward_bias(R0, gen),
+        serial_inflation_bias(R0, gen, scenario.serial_cv_factor()),
+        multiple_exposure_bias(R0, me_gen, me_biased_gen),
     ]
     r_factor = 1.0
     R0_factor = 1.0
@@ -173,7 +159,7 @@ def bias_table(scenario: BiasScenario) -> list[BiasReport]:
     rows.append(
         BiasReport(
             source=BiasSource.COMBINED,
-            r_biased=solve_r(R0, scenario.gen) * r_factor,
+            r_biased=solve_r(R0, gen) * r_factor,
             R0_biased=R0 * R0_factor,
             r_rel_bias=r_factor - 1.0,
             R0_rel_bias=R0_factor - 1.0,

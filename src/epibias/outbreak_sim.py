@@ -97,6 +97,22 @@ class Scenario:
                 "closed-form generation time needs infectious_shape 1 and equal rates")
         return GammaParams(self.latent.shape + 1.0, self.latent.rate)
 
+    def serial_cv_factor(self) -> float:
+        """c = sd(S) / sd(G): serial intervals S share the generation time's mean.
+
+        An infectee's serial interval is S = G + U'L' - UL, its symptom
+        delay U'L' (incubation factor U' ~ U(lo, hi) times latent period L')
+        replacing its infector's UL.  As Cov(L, UL) = E[U] Var(L), this
+        adds 2 Var(UL) - 2 E[U] Var(L) to Var(G); that is negative, and
+        c < 1, when symptoms come early in the latent period.
+        """
+        lo, hi = self.incubation_factor_range
+        mean_u, mean_u2 = (lo + hi) / 2.0, (lo * lo + lo * hi + hi * hi) / 3.0
+        mean_l, var_l = self.latent.mean(), self.latent.variance()
+        var_ul = mean_u2 * (var_l + mean_l * mean_l) - (mean_u * mean_l) ** 2
+        excess = 2.0 * (var_ul - mean_u * var_l)
+        return math.sqrt(1.0 + excess / self.implied_generation().variance())
+
 
 class OutbreakTrace:
     """Columnar record of one accepted outbreak run.

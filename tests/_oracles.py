@@ -195,6 +195,65 @@ def mc_incubation_discount(rng, r, lat_shape, lat_rate, u_lo, u_hi, n=1_000_000)
     return float(np.mean(np.exp(-r * u * ell)))
 
 
+def quad_interval_variances(scenario: Scenario, tol=1e-10) -> tuple[float, float]:
+    """(Var G, Var S) of an infector-infectee pair, from one-dimensional quadratures.
+
+    As the simulator draws them, G = L + X and S = (1 - U)L + X + U'L': L is
+    the infector's latent period, X the infection's offset into its
+    infectious period D (density P(D > t) / E[D]), U ~ U(lo, hi) its
+    incubation factor, and U'L' the infectee's symptom delay.  All of these
+    are independent, so each variance is a sum over independent parts whose
+    first two moments are integrated one by one.
+    """
+    def integral(f, lower, upper):
+        return integrate.quad(f, lower, upper, epsabs=tol, epsrel=tol, limit=300)[0]
+
+    def moments(density, lower, upper):  # E[T] and E[T**2]
+        return [integral(lambda t: t**k * density(t), lower, upper) for k in (1, 2)]
+
+    lo, hi = scenario.incubation_factor_range
+
+    def factor_moments(f):  # E[f(U)] and E[f(U)**2], as U = lo + (hi - lo) * V, V ~ U(0, 1)
+        return [integral(lambda v: f(lo + (hi - lo) * v) ** k, 0.0, 1.0) for k in (1, 2)]
+
+    lat, inf = scenario.latent, scenario.infectious
+    ell = moments(gamma_pdf_fn(lat.shape, lat.rate), 0.0,
+                  stats.gamma.ppf(1.0 - 1e-16, a=lat.shape, scale=1.0 / lat.rate))
+    x = moments(lambda t: stats.gamma.sf(t, a=inf.shape, scale=1.0 / inf.rate) / inf.mean(),
+                0.0, stats.gamma.ppf(1.0 - 1e-16, a=inf.shape + 2.0, scale=1.0 / inf.rate))
+    u = factor_moments(lambda f: f)
+    one_minus_u = factor_moments(lambda f: 1.0 - f)
+
+    def var(m):
+        return m[1] - m[0] ** 2
+
+    def var_product(a, b):  # Var(AB) for independent A and B
+        return a[1] * b[1] - (a[0] * b[0]) ** 2
+
+    var_g = var(ell) + var(x)
+    var_s = var_product(one_minus_u, ell) + var(x) + var_product(u, ell)
+    return var_g, var_s
+
+
+def mc_interval_variances(rng, scenario: Scenario, n=1_000_000) -> tuple[float, float]:
+    """Monte-Carlo (Var G, Var S) of the infector-infectee pairs of ``n`` infectors.
+
+    Pairs are drawn as the simulator draws them: each infector, infected at
+    0, has a Poisson number of infectees at uniform offsets into its
+    infectious period, so a long period weighs more.
+    """
+    lat, inf = scenario.latent, scenario.infectious
+    lo, hi = scenario.incubation_factor_range
+    ell = rng.gamma(lat.shape, 1.0 / lat.rate, n)
+    dur = rng.gamma(inf.shape, 1.0 / inf.rate, n)
+    onset = rng.uniform(lo, hi, n) * ell
+    src = np.repeat(np.arange(n), rng.poisson(scenario.contact_rate * dur))
+    g = ell[src] + dur[src] * rng.random(len(src))
+    m = len(src)
+    s = g + rng.uniform(lo, hi, m) * rng.gamma(lat.shape, 1.0 / lat.rate, m) - onset[src]
+    return float(g.var()), float(s.var())
+
+
 @dataclass(frozen=True)
 class ExposureHistory:
     """One traced case: exposure times and the symptom-onset time."""

@@ -20,7 +20,9 @@ from epibias.cfr import resolved_cfr_bias
 from epibias.config import load_config
 from _oracles import gamma_pdf_fn, solve_r_numeric
 from epibias.distributions import GammaParams, laplace
-from epibias.growth_math import BiasScenario, BiasSource, bias_table, solve_r
+from epibias.growth_math import (
+    BiasSource, backward_bias, bias_table, serial_inflation_bias, solve_r,
+)
 from epibias.outbreak_sim import Scenario, ensemble_map
 
 N_TRACES = 200
@@ -102,13 +104,22 @@ def check(criterion: str, subchecks: list[tuple[bool, str]]) -> None:
     assert not failed, f"criterion {criterion} failed: " + "; ".join(failed)
 
 
-def test_criterion_1_bias_table_closed_forms():
+def test_criterion_1_bias_table_closed_forms(config):
     t0 = time.perf_counter()
-    rows = {r.source: r for r in bias_table(BiasScenario())}
+    rows = {r.source: r for r in bias_table(config.scenario, config.me_gen,
+                                            config.me_biased_gen)}
     elapsed = time.perf_counter() - t0
     bw, si = rows[BiasSource.BACKWARD], rows[BiasSource.SERIAL_INFLATION]
     me, co = rows[BiasSource.MULTIPLE_EXPOSURE], rows[BiasSource.COMBINED]
+    # the backward and serial rows are the simulated outbreak's
+    scn = Scenario()
+    R0, gen = scn.R0(), scn.implied_generation()
+    bw_exact = backward_bias(R0, gen)
+    si_exact = serial_inflation_bias(R0, gen, scn.serial_cv_factor())
     check("1 (bias table)", [
+        (bw.R0_biased == bw_exact.R0_biased,
+         f"backward R0 {bw.R0_biased!r} == {bw_exact.R0_biased!r} of the scenario's R0 and G"),
+        (si == si_exact, f"serial row from the scenario's c = {scn.serial_cv_factor():.6f}"),
         (abs(100 * bw.R0_rel_bias - (-8)) < 0.5, f"backward R0 {100*bw.R0_rel_bias:+.2f}% vs -8"),
         (abs(100 * bw.r_rel_bias - 19) < 0.5, f"backward r {100*bw.r_rel_bias:+.2f}% vs +19"),
         (abs(100 * si.R0_rel_bias - (-0.2)) < 0.5, f"serial R0 {100*si.R0_rel_bias:+.2f}% vs -0.2"),

@@ -15,7 +15,6 @@ from epibias import outbreak_sim
 from epibias.analysis import REPORTED, TRACE_SUMMARY_FIELDS, AnalysisOptions
 from epibias.cli import main
 from epibias.config import ConfigError, DEFAULT_CONFIG, load_config
-from epibias.growth_math import BiasScenario
 from epibias.outbreak_sim import Scenario
 
 SMALL_RUN_CONFIG = """
@@ -56,7 +55,9 @@ class TestConfig:
         cfg = load_config()
         assert cfg.seed == 20140801
         assert math.isclose(cfg.scenario.R0(), 1.7, rel_tol=1e-12)
-        assert cfg.bias.serial_cv_factor == 1.026
+        # the bias table's serial factor, derived from the scenario, is the
+        # 1.026 that the config once stated
+        assert round(cfg.scenario.serial_cv_factor(), 3) == 1.026
         assert len(cfg.config_hash) == 64
 
     def test_builtin_config_matches_dataclass_defaults(self):
@@ -65,7 +66,13 @@ class TestConfig:
         cfg = load_config()
         assert cfg.scenario == Scenario(master_seed=cfg.seed)
         assert cfg.options == AnalysisOptions()
-        assert cfg.bias == BiasScenario()
+
+    def test_bias_table_section_holds_only_the_multiple_exposure_inputs(self):
+        # The backward and serial rows are built from [scenario].
+        keys = _default_keys()
+        assert keys["bias_table"] == ["me_gen_mean", "me_gen_sd", "me_biased_mean",
+                                      "me_biased_sd"]
+        assert sum(map(len, keys.values())) == 35
 
     def test_override_precedence(self, small_config):
         cfg = load_config(path=str(small_config), seed=7, replicates=5)
@@ -160,11 +167,14 @@ class TestConfig:
         ("[unused]\n", "unknown section [unused]"),
         # configparser copies [DEFAULT] keys into every section
         ("[DEFAULT]\nseed = 5\n", "unknown key [DEFAULT] seed"),
-        # keys are compared after configparser's lower-casing: R0 is r0
-        ("[bias_table]\nR0 = 1.7\nR1 = 2\n", "unknown key [bias_table] r1"),
+        # keys are compared after configparser's lower-casing: Seed is seed
+        ("[run]\nSeed = 5\nSeed1 = 2\n", "unknown key [run] seed1"),
         ("[run]\nformat = csv\n", "unknown key [run] format"),
+        # the bias table's R0, generation law and serial factor are the scenario's
+        ("[bias_table]\nR0 = 1.7\n", "unknown key [bias_table] r0"),
+        ("[bias_table]\nserial_cv_factor = 1.026\n", "unknown key [bias_table] serial_cv_factor"),
     ], ids=["misspelled-key", "misspelled-section", "empty-section", "default-section",
-            "upper-case-key", "run-format"])
+            "upper-case-key", "run-format", "bias-table-R0", "bias-table-serial-cv-factor"])
     def test_unknown_setting_is_a_config_error(self, tmp_path, capsys, text, name):
         path, out = tmp_path / "bad.ini", tmp_path / "out"
         path.write_text(text)
@@ -202,6 +212,33 @@ class TestCliCommands:
         for out in (out1, out2):
             assert main(["bias-table", "--out", str(out)]) == 0
         assert (out1 / "bias_table.json").read_bytes() == (out2 / "bias_table.json").read_bytes()
+
+    def test_bias_table_takes_a_serial_factor_below_one(self, tmp_path):
+        # Symptoms at 0.5-0.7 of the latent period: Var S - Var G = -23 and
+        # c = 0.833, so serial intervals bias R0 up and r down.
+        cfg = tmp_path / "early.ini"
+        cfg.write_text("[scenario]\nincubation_factor_min = 0.5\nincubation_factor_max = 0.7\n")
+        assert main(["bias-table", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "bias_table.json").read_text())
+        serial = {r["source"]: r for r in payload["rows"]}["serial_inflation"]
+        assert serial["R0_bias_pct"] > 0 > serial["r_bias_pct"]
+
+    def test_config_ini_reruns_the_bundle_byte_for_byte(self, tmp_path, small_config):
+        # The written config leaves out the worker count, as the hash does.
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["reproduce-paper", "--config", str(small_config), "--out", str(first),
+                     "--threads", "2"]) == 0
+        assert main(["reproduce-paper", "--config", str(first / "config.ini"),
+                     "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert "config.ini" in names and names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        # a run that fails after rewriting some reports leaves no config.ini
+        # beside them, so none describes reports it did not write
+        small_config.write_text(SMALL_RUN_CONFIG.replace("window = 20", "window = 200"))
+        assert main(["reproduce-paper", "--config", str(small_config), "--out", str(first)]) == 3
+        assert not (first / "config.ini").exists()
 
     def test_cfr_values(self, tmp_path):
         assert main(["cfr", "--out", str(tmp_path)]) == 0
@@ -389,14 +426,12 @@ class TestCliCommands:
         ("reproduce-paper", "n_persons = 100\nreplicates = 2",
          "n_persons = 100\nreplicates = 1000001", 2,
          ["config error", "[exposures] replicates must be <= 1000000", "got 1000001"]),
-        # non-finite values are config errors that name their field
-        ("bias-table", "[run]\n", "[bias_table]\nR0 = nan\n[run]\n", 2,
-         ["config error", "R0 must be positive and finite, got nan"]),
-        ("bias-table", "[run]\n", "[bias_table]\nR0 = inf\n[run]\n", 2,
-         ["config error", "R0 must be positive and finite, got inf"]),
-        # [bias_table] R0 is checked for every command, not only bias-table
-        ("cfr", "[run]\n", "[bias_table]\nR0 = 0\n[run]\n", 2,
-         ["config error", "[bias_table] R0 = 0: R0 must be positive and finite"]),
+        # the bias table's backward and serial rows need the scenario's
+        # closed-form generation time, as the estimators do, and a positive R0
+        ("bias-table", "[scenario]\n", "[scenario]\ninfectious_shape = 2\ncontact_rate = 0.17\n",
+         2, ["config error", "[scenario] infectious_shape, latent_rate, infectious_rate = 2, "]),
+        ("bias-table", "[scenario]\n", "[scenario]\ncontact_rate = 0\n", 2,
+         ["config error", "R0 must be positive and finite, got 0.0"]),
         # a negative seed fails before the first report is written
         ("reproduce-paper", "[run]\n", "[run]\nseed = -1\n", 2,
          ["config error", "[run] seed must be >= 0"]),
@@ -422,12 +457,6 @@ class TestCliCommands:
          ["config error", "[bias_table] me_gen_mean, me_gen_sd = 15.3, nan"]),
         ("exposures", "n_persons = 100", "n_persons = 100\nincubation_sd = inf", 2,
          ["config error", "[exposures] incubation_mean, incubation_sd = 11.4, inf"]),
-        ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = inf\n[run]\n", 2,
-         ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got inf"]),
-        ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = nan\n[run]\n", 2,
-         ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got nan"]),
-        ("bias-table", "[run]\n", "[bias_table]\nserial_cv_factor = 0.9\n[run]\n", 2,
-         ["config error", "[bias_table] serial_cv_factor must be >= 1 and finite, got 0.9"]),
     ], ids=["analysis-error", "forward-sample-error", "config-value-error", "window-too-short",
             "stride-zero", "no-pairs", "horizon-past-followup",
             "reproduce-horizon-past-followup", "horizon-negative",
@@ -436,14 +465,12 @@ class TestCliCommands:
             "cfr-true-zero",
             "cfr-delay-zero", "cfr-delay-infinite", "cfr-r-too-negative", "cfr-r-infinite",
             "exposures-too-few-persons", "exposures-replicates-past-streams",
-            "bias-R0-nan", "bias-R0-infinite",
-            "cfr-bias-R0-zero", "seed-negative",
+            "bias-table-infectious-shape-2", "bias-table-contact-rate-zero", "seed-negative",
             "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan",
             "exposures-contact-rate-zero", "incubation-factor-min-above-max",
             "notify-threshold-zero",
             "latent-shape-nan", "to-death-rate-infinite", "me-gen-sd-nan",
-            "incubation-sd-infinite", "serial-cv-factor-infinite", "serial-cv-factor-nan",
-            "serial-cv-factor-below-1"])
+            "incubation-sd-infinite"])
     def test_error_exit_codes(self, tmp_path, capsys, command, old, new, code, words):
         cfg, out = tmp_path / "run.ini", tmp_path / "out"
         cfg.write_text(SMALL_RUN_CONFIG.replace(old, new))
@@ -471,7 +498,7 @@ class TestCliCommands:
                                                     command, names):
         assert main([command, "--config", str(small_config), "--out", str(tmp_path / "out")]) == 0
         # the bundle index has no rows, so it is the one report without a CSV
-        expected = [f"{n}.{ext}" for n in names for ext in ("csv", "json")]
+        expected = [f"{n}.{ext}" for n in names for ext in ("csv", "json")] + ["config.ini"]
         if command == "reproduce-paper":
             expected.append("bundle.json")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(expected)

@@ -10,7 +10,6 @@ from scipy.integrate import IntegrationWarning
 from _oracles import gamma_pdf_fn, solve_r_numeric
 from epibias.distributions import GammaParams, gamma_from_moments
 from epibias.growth_math import (
-    BiasScenario,
     BiasSource,
     backward_bias,
     backward_dist,
@@ -21,6 +20,7 @@ from epibias.growth_math import (
     solve_R0,
     solve_r,
 )
+from epibias.outbreak_sim import Scenario
 
 GEN = GammaParams(3.0, 0.2)
 ME_GEN = gamma_from_moments(15.3, 9.3)
@@ -191,9 +191,16 @@ class TestSerialInflation:
         assert np.all(np.diff(r_vals) > 0)
         assert np.all(np.diff(R_vals) < 0)
 
-    def test_rejects_deflation(self):
-        with pytest.raises(ValueError):
-            serial_inflation_bias(1.7, GEN, 0.9)
+    def test_deflation_reverses_the_bias(self):
+        # Symptoms early in the latent period give serial intervals a
+        # smaller variance than generation times: c < 1.
+        rep = serial_inflation_bias(1.7, GEN, 0.9)
+        assert rep.r_rel_bias < 0 < rep.R0_rel_bias
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_factor_that_is_not_positive_and_finite(self, c):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            serial_inflation_bias(1.7, GEN, c)
 
 
 class TestMultipleExposure:
@@ -218,7 +225,7 @@ class TestMultipleExposure:
 
 class TestBiasTable:
     def test_study_rows(self):
-        rows = {r.source: r for r in bias_table(BiasScenario())}
+        rows = {r.source: r for r in bias_table(Scenario(), ME_GEN, ME_BIASED)}
         assert abs(100 * rows[BiasSource.BACKWARD].R0_rel_bias - (-8)) < 0.5
         assert abs(100 * rows[BiasSource.BACKWARD].r_rel_bias - 19) < 0.5
         assert abs(100 * rows[BiasSource.SERIAL_INFLATION].R0_rel_bias - (-0.2)) < 0.1
@@ -227,20 +234,21 @@ class TestBiasTable:
         assert abs(100 * rows[BiasSource.MULTIPLE_EXPOSURE].r_rel_bias - 36) < 0.5
 
     def test_combined_is_product(self):
-        rows = bias_table(BiasScenario())
+        rows = bias_table(Scenario(), ME_GEN, ME_BIASED)
         r_prod = (1 + rows[0].r_rel_bias) * (1 + rows[1].r_rel_bias) * (1 + rows[2].r_rel_bias)
         assert math.isclose(1 + rows[3].r_rel_bias, r_prod, rel_tol=1e-12)
         assert abs(100 * rows[3].r_rel_bias - 63) < 1.0
         assert abs(100 * rows[3].R0_rel_bias - (-19)) < 1.0
 
     def test_neutral_scenario_vanishes(self):
-        neutral = BiasScenario(R0=1.0, serial_cv_factor=1.0, me_biased_gen=ME_GEN)
-        for row in bias_table(neutral):
+        # R0 = 0.2 * 5 = 1, and an incubation factor of 1 makes c = 1
+        neutral = Scenario(contact_rate=0.2, incubation_factor_range=(1.0, 1.0))
+        for row in bias_table(neutral, ME_GEN, ME_GEN):
             assert abs(row.r_rel_bias) < 1e-12
             assert abs(row.R0_rel_bias) < 1e-12
 
     def test_bias_directions(self):
-        rows = bias_table(BiasScenario())
+        rows = bias_table(Scenario(), ME_GEN, ME_BIASED)
         for row in rows:
             assert row.R0_rel_bias <= 0
             assert row.r_rel_bias >= 0

@@ -7,9 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
-from _oracles import heap_simulate_outbreak, mc_incubation_discount
+from _oracles import (
+    heap_simulate_outbreak,
+    mc_incubation_discount,
+    mc_interval_variances,
+    quad_interval_variances,
+)
 from epibias.distributions import GammaParams, laplace
 from epibias.growth_estimators import CaseSeries, est_a_log_cumulative
 from epibias import outbreak_sim
@@ -46,6 +53,33 @@ class TestScenario:
         scn = Scenario(infectious=GammaParams(2.0, 0.2), contact_rate=0.17)
         with pytest.raises(ValueError, match=r"\[scenario\] infectious_shape, .* = 2, 0.2, 0.2"):
             scn.implied_generation()
+
+    def test_serial_cv_factor_exact_cases(self):
+        # Var S - Var G = 4 over Var G = 75 at the defaults; without spread in
+        # the incubation factor, U = 1, symptoms end the latent period and S ~ G.
+        assert math.isclose(Scenario().serial_cv_factor() ** 2, 79 / 75, rel_tol=1e-14)
+        assert Scenario(incubation_factor_range=(1.0, 1.0)).serial_cv_factor() == 1.0
+
+    @given(shape=st.floats(0.5, 8.0), rate=st.floats(0.05, 2.0), lo=st.floats(0.0, 2.0),
+           width=st.floats(0.0, 1.0))
+    def test_serial_cv_factor_matches_quadrature(self, shape, rate, lo, width):
+        # Factor ranges from (0, 1) to (2, 3): the mean runs from below 1 to above.
+        scn = Scenario(latent=GammaParams(shape, rate), infectious=GammaParams(1.0, rate),
+                       incubation_factor_range=(lo, lo + width))
+        var_g, var_s = quad_interval_variances(scn)
+        closed_var_g = scn.implied_generation().variance()
+        assert math.isclose(closed_var_g, var_g, rel_tol=1e-8)
+        excess = (scn.serial_cv_factor() ** 2 - 1.0) * closed_var_g
+        assert math.isclose(excess, var_s - var_g, rel_tol=1e-7, abs_tol=1e-8 * var_g)
+
+    @pytest.mark.parametrize("factor_range, excess", [((0.8, 1.2), 4.0), ((0.5, 0.7), -23.0)])
+    def test_serial_cv_factor_matches_monte_carlo(self, factor_range, excess):
+        # ~850,000 pairs: Var S - Var G has a standard error of ~0.3.
+        scn = Scenario(incubation_factor_range=factor_range)
+        var_g, var_s = mc_interval_variances(np.random.default_rng(26), scn, n=500_000)
+        assert math.isclose((scn.serial_cv_factor() ** 2 - 1.0) * 75.0, excess, rel_tol=1e-12)
+        assert abs((var_s - var_g) - excess) < 1.5
+        assert math.isclose(scn.serial_cv_factor() ** 2, var_s / var_g, rel_tol=0.03)
 
     def test_validation(self):
         with pytest.raises(ValueError):
