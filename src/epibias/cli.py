@@ -55,6 +55,8 @@ def _stats_row(*labels, stats: dict) -> list:
 
 
 def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
+    if config.scenario.contact_rate == 0:  # R0 = 0 links to no growth rate
+        raise ConfigError("[scenario] contact_rate = 0: the bias table needs R0 > 0")
     rows = [{
         "source": report.source.value,
         "R0_biased": report.R0_biased,
@@ -211,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("exposures", "multiple-infector estimator study", replicates=False)
     command("cfr", "case-fatality corrections", replicates=False, threads=False)
     command("reproduce-paper", "run every analysis")
-    p_cfg = sub.add_parser("default-config", help="print the built-in config")
-    p_cfg.set_defaults(command="default-config")
+    sub.add_parser("default-config", help="print the built-in config")
     return parser
 
 
@@ -245,8 +246,12 @@ def main(argv=None) -> int:
         "cfr": cmd_cfr, "reproduce-paper": cmd_reproduce,
         "simulate": partial(cmd_simulate, write_traces=getattr(args, "write_traces", False)),
     }
-    # An earlier run's config.ini would not match the reports a failed run rewrote.
-    (outdir / "config.ini").unlink(missing_ok=True)
+    # The file --config names already describes the run: never remove or rewrite it.
+    # Any other config.ini there may not match the reports a failed run rewrote.
+    config_ini = outdir / "config.ini"
+    own_ini = args.config is None or config_ini.resolve() != Path(args.config).resolve()
+    if own_ini:
+        config_ini.unlink(missing_ok=True)
     try:
         commands[args.command](config, outdir)
     except ValueError as exc:
@@ -255,7 +260,8 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    (outdir / "config.ini").write_text(config.canonical_text)
+    if own_ini:
+        config_ini.write_text(config.canonical_text)
     return EXIT_OK
 
 

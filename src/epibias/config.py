@@ -161,12 +161,9 @@ def load_config(
             for key in sec:
                 if key not in known[name]:
                     raise ConfigError(f"{path}: unknown key [{name}] {key}")
-    if seed is not None:
-        parser["run"]["seed"] = str(int(seed))
-    if replicates is not None:
-        parser["run"]["replicates"] = str(int(replicates))
-    if threads is not None:
-        parser["run"]["threads"] = str(int(threads))
+    for key, value in (("seed", seed), ("replicates", replicates), ("threads", threads)):
+        if value is not None:
+            parser["run"][key] = str(int(value))
 
     try:
         return _build(parser)

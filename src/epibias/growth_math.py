@@ -23,7 +23,7 @@ from .outbreak_sim import Scenario
 
 class BiasSource(enum.Enum):
     BACKWARD = "backward"
-    SERIAL_INFLATION = "serial_inflation"
+    SERIAL_INTERVAL = "serial_interval"
     MULTIPLE_EXPOSURE = "multiple_exposure"
     COMBINED = "combined"
 
@@ -82,7 +82,7 @@ def backward_bias(R0: float, gen: GammaParams) -> BiasReport:
     return _report(BiasSource.BACKWARD, R0, r, r_biased, R0_biased)
 
 
-def inflated_dist(gen: GammaParams, c: float) -> GammaParams:
+def scaled_dist(gen: GammaParams, c: float) -> GammaParams:
     """Gamma with the same mean as ``gen`` and coefficient of variation scaled by c."""
     if not 0.0 < c < math.inf:
         raise ValueError(f"c must be positive and finite, got {c}")
@@ -90,15 +90,15 @@ def inflated_dist(gen: GammaParams, c: float) -> GammaParams:
     return GammaParams(shape=gen.shape / c2, rate=gen.rate / c2)
 
 
-def serial_inflation_bias(R0: float, gen: GammaParams, c: float) -> BiasReport:
+def serial_interval_bias(R0: float, gen: GammaParams, c: float) -> BiasReport:
     """Bias from replacing generation times by serial intervals.
 
     Serial intervals share the generation-time mean but carry a coefficient
     of variation scaled by a factor c > 0, i.e. the fitted distribution is
     Gamma(shape/c^2, rate/c^2).  r_biased increases and R0_biased decreases
-    in c; c = 1 reproduces the truth.
+    in c, so c < 1 reverses the signs of c > 1; c = 1 reproduces the truth.
     """
-    return _resolved(BiasSource.SERIAL_INFLATION, R0, gen, inflated_dist(gen, c))
+    return _resolved(BiasSource.SERIAL_INTERVAL, R0, gen, scaled_dist(gen, c))
 
 
 def multiple_exposure_bias(R0: float, gen: GammaParams, biased_gen: GammaParams) -> BiasReport:
@@ -148,14 +148,11 @@ def bias_table(scenario: Scenario, me_gen: GammaParams,
     R0, gen = scenario.R0(), scenario.implied_generation()
     rows = [
         backward_bias(R0, gen),
-        serial_inflation_bias(R0, gen, scenario.serial_cv_factor()),
+        serial_interval_bias(R0, gen, scenario.serial_cv_factor()),
         multiple_exposure_bias(R0, me_gen, me_biased_gen),
     ]
-    r_factor = 1.0
-    R0_factor = 1.0
-    for row in rows:
-        r_factor *= 1.0 + row.r_rel_bias
-        R0_factor *= 1.0 + row.R0_rel_bias
+    r_factor = math.prod(1.0 + row.r_rel_bias for row in rows)
+    R0_factor = math.prod(1.0 + row.R0_rel_bias for row in rows)
     rows.append(
         BiasReport(
             source=BiasSource.COMBINED,

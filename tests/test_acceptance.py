@@ -21,7 +21,7 @@ from epibias.config import load_config
 from _oracles import gamma_pdf_fn, solve_r_numeric
 from epibias.distributions import GammaParams, laplace
 from epibias.growth_math import (
-    BiasSource, backward_bias, bias_table, serial_inflation_bias, solve_r,
+    BiasSource, backward_bias, bias_table, serial_interval_bias, solve_r,
 )
 from epibias.outbreak_sim import Scenario, ensemble_map
 
@@ -109,13 +109,13 @@ def test_criterion_1_bias_table_closed_forms(config):
     rows = {r.source: r for r in bias_table(config.scenario, config.me_gen,
                                             config.me_biased_gen)}
     elapsed = time.perf_counter() - t0
-    bw, si = rows[BiasSource.BACKWARD], rows[BiasSource.SERIAL_INFLATION]
+    bw, si = rows[BiasSource.BACKWARD], rows[BiasSource.SERIAL_INTERVAL]
     me, co = rows[BiasSource.MULTIPLE_EXPOSURE], rows[BiasSource.COMBINED]
     # the backward and serial rows are the simulated outbreak's
     scn = Scenario()
     R0, gen = scn.R0(), scn.implied_generation()
     bw_exact = backward_bias(R0, gen)
-    si_exact = serial_inflation_bias(R0, gen, scn.serial_cv_factor())
+    si_exact = serial_interval_bias(R0, gen, scn.serial_cv_factor())
     check("1 (bias table)", [
         (bw.R0_biased == bw_exact.R0_biased,
          f"backward R0 {bw.R0_biased!r} == {bw_exact.R0_biased!r} of the scenario's R0 and G"),

@@ -220,7 +220,7 @@ class TestCliCommands:
         cfg.write_text("[scenario]\nincubation_factor_min = 0.5\nincubation_factor_max = 0.7\n")
         assert main(["bias-table", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "bias_table.json").read_text())
-        serial = {r["source"]: r for r in payload["rows"]}["serial_inflation"]
+        serial = {r["source"]: r for r in payload["rows"]}["serial_interval"]
         assert serial["R0_bias_pct"] > 0 > serial["r_bias_pct"]
 
     def test_config_ini_reruns_the_bundle_byte_for_byte(self, tmp_path, small_config):
@@ -239,6 +239,20 @@ class TestCliCommands:
         small_config.write_text(SMALL_RUN_CONFIG.replace("window = 20", "window = 200"))
         assert main(["reproduce-paper", "--config", str(small_config), "--out", str(first)]) == 3
         assert not (first / "config.ini").exists()
+
+    def test_config_file_in_out_is_never_removed_or_rewritten(self, tmp_path):
+        # Re-running from an edited DIR/config.ini into DIR keeps the edit.
+        cfg = tmp_path / "config.ini"
+        text = ("# early symptoms\n[scenario]\n"
+                "incubation_factor_min = 0.5\nincubation_factor_max = 0.7\n")
+        cfg.write_text(text + "infectious_shape = 2\n")
+        argv = ["--config", str(cfg), "--out", str(tmp_path)]
+        assert main(["bias-table", *argv]) == 2
+        assert cfg.read_text() == text + "infectious_shape = 2\n"
+        cfg.write_text(text)
+        assert main(["bias-table", *argv]) == 0
+        assert cfg.read_text() == text
+        assert (tmp_path / "bias_table.json").exists()
 
     def test_cfr_values(self, tmp_path):
         assert main(["cfr", "--out", str(tmp_path)]) == 0
@@ -431,7 +445,7 @@ class TestCliCommands:
         ("bias-table", "[scenario]\n", "[scenario]\ninfectious_shape = 2\ncontact_rate = 0.17\n",
          2, ["config error", "[scenario] infectious_shape, latent_rate, infectious_rate = 2, "]),
         ("bias-table", "[scenario]\n", "[scenario]\ncontact_rate = 0\n", 2,
-         ["config error", "R0 must be positive and finite, got 0.0"]),
+         ["config error", "[scenario] contact_rate = 0: the bias table needs R0 > 0"]),
         # a negative seed fails before the first report is written
         ("reproduce-paper", "[run]\n", "[run]\nseed = -1\n", 2,
          ["config error", "[run] seed must be >= 0"]),

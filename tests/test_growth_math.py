@@ -14,9 +14,9 @@ from epibias.growth_math import (
     backward_bias,
     backward_dist,
     bias_table,
-    inflated_dist,
+    scaled_dist,
     multiple_exposure_bias,
-    serial_inflation_bias,
+    serial_interval_bias,
     solve_R0,
     solve_r,
 )
@@ -161,7 +161,7 @@ class TestBackward:
 
 class TestSerialInflation:
     def test_no_inflation_no_bias(self):
-        rep = serial_inflation_bias(1.7, GEN, 1.0)
+        rep = serial_interval_bias(1.7, GEN, 1.0)
         assert abs(rep.r_rel_bias) < 1e-14
         assert abs(rep.R0_rel_bias) < 1e-14
 
@@ -170,37 +170,37 @@ class TestSerialInflation:
         [(1.1, -0.9, 1.9), (1.2, -1.8, 4.1), (1.5, -4.8, 12.3), (2.0, -9.6, 32.9)],
     )
     def test_ladder(self, c, expected_R0_pct, expected_r_pct):
-        rep = serial_inflation_bias(1.7, GEN, c)
+        rep = serial_interval_bias(1.7, GEN, c)
         assert abs(100 * rep.R0_rel_bias - expected_R0_pct) < 0.15
         assert abs(100 * rep.r_rel_bias - expected_r_pct) < 0.15
 
     def test_small_inflation(self):
-        rep = serial_inflation_bias(1.7, GEN, 1.026)
+        rep = serial_interval_bias(1.7, GEN, 1.026)
         assert abs(100 * rep.R0_rel_bias - (-0.2)) < 0.1
         assert abs(100 * rep.r_rel_bias - 0.5) < 0.1
 
     def test_inflated_dist_preserves_mean(self):
-        d = inflated_dist(GEN, 1.7)
+        d = scaled_dist(GEN, 1.7)
         assert math.isclose(d.mean(), GEN.mean(), rel_tol=1e-14)
         assert math.isclose(1.0 / math.sqrt(d.shape), 1.7 / math.sqrt(GEN.shape), rel_tol=1e-14)
 
     def test_monotone_in_c(self):
         cs = np.linspace(1.0, 3.0, 41)
-        r_vals = [serial_inflation_bias(1.7, GEN, c).r_biased for c in cs]
-        R_vals = [serial_inflation_bias(1.7, GEN, c).R0_biased for c in cs]
+        r_vals = [serial_interval_bias(1.7, GEN, c).r_biased for c in cs]
+        R_vals = [serial_interval_bias(1.7, GEN, c).R0_biased for c in cs]
         assert np.all(np.diff(r_vals) > 0)
         assert np.all(np.diff(R_vals) < 0)
 
     def test_deflation_reverses_the_bias(self):
         # Symptoms early in the latent period give serial intervals a
         # smaller variance than generation times: c < 1.
-        rep = serial_inflation_bias(1.7, GEN, 0.9)
+        rep = serial_interval_bias(1.7, GEN, 0.9)
         assert rep.r_rel_bias < 0 < rep.R0_rel_bias
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_a_factor_that_is_not_positive_and_finite(self, c):
         with pytest.raises(ValueError, match="c must be positive and finite"):
-            serial_inflation_bias(1.7, GEN, c)
+            serial_interval_bias(1.7, GEN, c)
 
 
 class TestMultipleExposure:
@@ -228,8 +228,8 @@ class TestBiasTable:
         rows = {r.source: r for r in bias_table(Scenario(), ME_GEN, ME_BIASED)}
         assert abs(100 * rows[BiasSource.BACKWARD].R0_rel_bias - (-8)) < 0.5
         assert abs(100 * rows[BiasSource.BACKWARD].r_rel_bias - 19) < 0.5
-        assert abs(100 * rows[BiasSource.SERIAL_INFLATION].R0_rel_bias - (-0.2)) < 0.1
-        assert abs(100 * rows[BiasSource.SERIAL_INFLATION].r_rel_bias - 0.5) < 0.1
+        assert abs(100 * rows[BiasSource.SERIAL_INTERVAL].R0_rel_bias - (-0.2)) < 0.1
+        assert abs(100 * rows[BiasSource.SERIAL_INTERVAL].r_rel_bias - 0.5) < 0.1
         assert abs(100 * rows[BiasSource.MULTIPLE_EXPOSURE].R0_rel_bias - (-12)) < 0.5
         assert abs(100 * rows[BiasSource.MULTIPLE_EXPOSURE].r_rel_bias - 36) < 0.5
 
