@@ -87,15 +87,14 @@ def notification_series(trace: OutbreakTrace) -> tuple[ge.CaseSeries, float, int
     threshold moment is dropped so every retained day is fully observed.
     Returns (series, day-1 start time, number of complete days).
     """
-    ts = trace.notified_times()
-    t0 = float(ts[0])
+    # Only the notifications up to the threshold are read: day d holds the
+    # offsets ts - t0 in [d-1, d), and fl(ts - t0) is monotone in ts, so a
+    # later notification falls on day k_complete + 1 or later.
+    ts = trace.notified_times(trace.notified_count(trace.threshold_time))
+    t0 = float(ts[0]) if len(ts) else trace.threshold_time   # none: no complete day
     k_complete = int(math.floor(trace.threshold_time - t0))
     if k_complete < 2:
         raise ValueError("threshold reached before two complete days of data")
-    # Day d holds the offsets ts - t0 in [d-1, d).  fl(ts - t0) is monotone in
-    # ts, so a notification after the threshold falls on day k_complete + 1 or
-    # later: only the prefix up to the threshold needs the offsets.
-    ts = ts[:np.searchsorted(ts, trace.threshold_time, "right")]
     daily = np.diff(np.searchsorted(ts - t0, np.arange(k_complete + 1), "left"))
     return ge.CaseSeries(daily), t0, k_complete
 
@@ -103,7 +102,7 @@ def notification_series(trace: OutbreakTrace) -> tuple[ge.CaseSeries, float, int
 def cumulative_notified_at(trace: OutbreakTrace, t: float) -> int:
     if t > trace.end_time:
         raise ValueError("time lies beyond the simulated window")
-    return int(np.searchsorted(trace.notified_times(), t, "right"))
+    return trace.notified_count(t)
 
 
 @lru_cache(maxsize=8)
@@ -178,7 +177,7 @@ def analyze_trace(
             predictions[method] = ge.PredictionScore(predicted=predicted, actual=actual)
 
         stage = "cfr"
-        notified = trace.notified_order()[:summary.total_infected - summary.unnotified]
+        notified = trace.notified_order(summary.total_infected - summary.unnotified)
         died_by_T = trace.died[notified] & (trace.t_outcome[notified] <= trace.threshold_time)
         counts = cfr.CfrCounts(
             K=len(notified),

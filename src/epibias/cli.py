@@ -7,9 +7,11 @@ and predictions), ``exposures`` (multiple-infector estimator study),
 them).  Each report is a JSON file that carries the seed, package version,
 and config hash that produced it, and a CSV of its rows beside it.  A run
 that succeeds also writes the canonical text of its config as
-``config.ini``, so ``--config config.ini`` re-runs it; one that fails
-leaves none.  Identical (config, seed, version) triples give
-byte-identical files.
+``config.ini``, so ``--config config.ini`` re-runs it.  Every file is
+written into a staging directory under ``--out`` and moved into place
+only when the command succeeds, so one that fails leaves ``--out`` as it
+found it.  Identical (config, seed, version) triples give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .outbreak_sim import ensemble_map, summarize_trace
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+# The directory under --out that a command writes into before its files move into place.
+STAGING = "epibias.partial"
 
 
 def _write_report(config: RunConfig, outdir: Path, name: str, payload: dict,
@@ -68,46 +72,41 @@ def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
                                            config.me_biased_gen)]
     _write_report(config, outdir, "bias_table", {"rows": rows},
                   list(rows[0]), [list(r.values()) for r in rows])
-    print(f"bias-table: wrote {len(rows)} rows to {outdir}")
+    print(f"bias-table: wrote {len(rows)} rows")
 
 
-def _summarize_and_write(trace, replicate_index: int, staging: Path):
-    """Summarize one trace and write its CSV into ``staging``, in the worker."""
-    trace.to_csv(staging / f"trace_{replicate_index:04d}.csv")
+def _trace_name(replicate_index: int) -> str:
+    return f"trace_{replicate_index:04d}.csv"
+
+
+def _summarize_and_write(trace, replicate_index: int, trace_dir: Path):
+    """Summarize one trace and write its CSV into ``trace_dir``, in the worker."""
+    trace.to_csv(trace_dir / _trace_name(replicate_index))
     return summarize_trace(trace, replicate_index)
 
 
 def cmd_simulate(config: RunConfig, outdir: Path, write_traces: bool = False) -> None:
-    # Each trace is written where it is simulated, into a staging directory:
-    # the pool simulates replicates past the accepted set, and only the
-    # accepted replicates' files replace the traces of an earlier run.
+    # Each trace is written where it is simulated; the pool simulates
+    # replicates past the accepted set, whose files are then removed.
     fn = summarize_trace
-    staging = outdir / "traces.partial"
+    trace_dir = outdir / "traces"
     if write_traces:
-        shutil.rmtree(staging, ignore_errors=True)
-        staging.mkdir()
-        fn = partial(_summarize_and_write, staging=staging)
-    try:
-        summaries, attempts = ensemble_map(
-            config.scenario, config.replicates, fn, threads=config.threads
-        )
-        if write_traces:
-            trace_dir = outdir / "traces"
-            trace_dir.mkdir(exist_ok=True)
-            for stale in trace_dir.glob("trace_*.csv"):
-                stale.unlink()
-            for summary in summaries:
-                name = f"trace_{summary.replicate_index:04d}.csv"
-                (staging / name).replace(trace_dir / name)
-    finally:
-        if write_traces:
-            shutil.rmtree(staging, ignore_errors=True)
+        trace_dir.mkdir()
+        fn = partial(_summarize_and_write, trace_dir=trace_dir)
+    summaries, attempts = ensemble_map(
+        config.scenario, config.replicates, fn, threads=config.threads
+    )
+    if write_traces:
+        accepted = {_trace_name(s.replicate_index) for s in summaries}
+        for path in trace_dir.iterdir():
+            if path.name not in accepted:
+                path.unlink()
     stats = analysis.summarize_traces(summaries)
     _write_report(config, outdir, "ensemble_summary",
                   {"n_accepted": len(summaries), "n_attempts": attempts, **stats},
                   ["quantity", "mean", "sd", "q025", "q975"],
                   [_stats_row(name, stats=s) for name, s in stats.items()])
-    print(f"simulate: {len(summaries)} accepted of {attempts} attempts; summary in {outdir}")
+    print(f"simulate: {len(summaries)} accepted of {attempts} attempts")
 
 
 def cmd_estimate(config: RunConfig, outdir: Path) -> None:
@@ -121,7 +120,7 @@ def cmd_estimate(config: RunConfig, outdir: Path) -> None:
             for quantity, group, key, _ in analysis.REPORTED]
     _write_report(config, outdir, "estimates", report,
                   ["quantity", "method", "mean", "sd", "q025", "q975"], rows)
-    print(f"estimate: analyzed {len(ens)} accepted runs; report in {outdir}")
+    print(f"estimate: analyzed {len(ens)} accepted runs")
 
 
 def cmd_exposures(config: RunConfig, outdir: Path) -> None:
@@ -148,7 +147,7 @@ def cmd_exposures(config: RunConfig, outdir: Path) -> None:
                      by_est["moment_sd_pooled"], "", ""])
     _write_report(config, outdir, "exposure_estimates", {"truth": truth, "study": study},
                   ["generator", "estimator", "parameter", "mean", "q025", "q975"], rows)
-    print(f"exposures: wrote estimator study to {outdir}")
+    print("exposures: wrote estimator study")
 
 
 def cmd_cfr(config: RunConfig, outdir: Path) -> None:
@@ -171,7 +170,7 @@ def cmd_cfr(config: RunConfig, outdir: Path) -> None:
     }
     _write_report(config, outdir, "cfr_report", payload,
                   ["quantity", "value"], [list(item) for item in payload.items()])
-    print(f"cfr: report in {outdir}")
+    print("cfr: wrote report")
 
 
 def cmd_reproduce(config: RunConfig, outdir: Path) -> None:
@@ -183,7 +182,6 @@ def cmd_reproduce(config: RunConfig, outdir: Path) -> None:
     _write_report(config, outdir, "bundle", {
         "contents": ["bias_table", "cfr_report", "exposure_estimates", "estimates"],
     })
-    print(f"reproduce-paper: full bundle in {outdir}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,6 +215,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _move_into_place(staging: Path, outdir: Path) -> None:
+    """Move every file written into ``staging`` to the same name in ``outdir``.
+
+    A ``traces`` directory replaces the trace CSVs an earlier run left in
+    ``outdir/traces``, not only those of the same name.
+    """
+    for path in staging.iterdir():
+        if path.is_dir():
+            target = outdir / path.name
+            target.mkdir(exist_ok=True)
+            for stale in target.glob("trace_*.csv"):
+                stale.unlink()
+            for trace in path.iterdir():
+                trace.replace(target / trace.name)
+        else:
+            path.replace(outdir / path.name)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -246,22 +262,26 @@ def main(argv=None) -> int:
         "cfr": cmd_cfr, "reproduce-paper": cmd_reproduce,
         "simulate": partial(cmd_simulate, write_traces=getattr(args, "write_traces", False)),
     }
-    # The file --config names already describes the run: never remove or rewrite it.
-    # Any other config.ini there may not match the reports a failed run rewrote.
+    # The file --config names already describes the run: never rewrite it.
     config_ini = outdir / "config.ini"
     own_ini = args.config is None or config_ini.resolve() != Path(args.config).resolve()
-    if own_ini:
-        config_ini.unlink(missing_ok=True)
+    staging = outdir / STAGING
+    shutil.rmtree(staging, ignore_errors=True)   # left by a run that was killed
+    staging.mkdir()
     try:
-        commands[args.command](config, outdir)
+        commands[args.command](config, staging)
+        if own_ini:
+            (staging / "config.ini").write_text(config.canonical_text)
+        _move_into_place(staging, outdir)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    if own_ini:
-        config_ini.write_text(config.canonical_text)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    print(f"{args.command}: output in {outdir}")
     return EXIT_OK
 
 

@@ -70,11 +70,11 @@ def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPa
     if n < 1 or stride < 1:
         raise ValueError("n and stride must be positive")
     need = n * stride
-    picked = trace.notified_order()[stride - 1:need:stride]
+    picked = trace.notified_order(need)[stride - 1::stride]
     # Picks run in notification order: if the last one is notified inside
     # the run, every one is.
     if len(picked) < n or trace.t_symptom[picked[-1]] > trace.end_time:
-        n_notified = int(np.searchsorted(trace.notified_times(), trace.end_time, "right"))
+        n_notified = trace.notified_count(trace.end_time)
         raise ValueError(
             f"trace has {n_notified} persons notified by the end of the run; need {need}"
         )

@@ -13,7 +13,7 @@ import pytest
 import epibias
 from epibias import outbreak_sim
 from epibias.analysis import REPORTED, TRACE_SUMMARY_FIELDS, AnalysisOptions
-from epibias.cli import main
+from epibias.cli import STAGING, main
 from epibias.config import ConfigError, DEFAULT_CONFIG, load_config
 from epibias.outbreak_sim import Scenario
 
@@ -41,6 +41,12 @@ def _default_keys() -> dict[str, list[str]]:
     parser.optionxform = str
     parser.read_string(DEFAULT_CONFIG)
     return {section: list(parser[section]) for section in parser.sections()}
+
+
+def _snapshot(directory: Path) -> dict[str, bytes]:
+    """Every file under ``directory``, by relative path, with its bytes."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
 @pytest.fixture()
@@ -234,11 +240,24 @@ class TestCliCommands:
         assert "config.ini" in names and names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
-        # a run that fails after rewriting some reports leaves no config.ini
-        # beside them, so none describes reports it did not write
+        # a run that fails after writing some reports (window = 200 fails at
+        # the estimate stage) leaves the earlier bundle as it found it
+        before = _snapshot(first)
         small_config.write_text(SMALL_RUN_CONFIG.replace("window = 20", "window = 200"))
         assert main(["reproduce-paper", "--config", str(small_config), "--out", str(first)]) == 3
-        assert not (first / "config.ini").exists()
+        assert _snapshot(first) == before
+
+    def test_failed_command_keeps_an_earlier_config_ini(self, tmp_path, small_config):
+        # bias-table fails before writing a report, on a scenario without a
+        # closed-form generation time
+        out = tmp_path / "out"
+        assert main(["bias-table", "--config", str(small_config), "--out", str(out)]) == 0
+        before = _snapshot(out)
+        assert "config.ini" in before
+        small_config.write_text(SMALL_RUN_CONFIG.replace(
+            "[scenario]\n", "[scenario]\ninfectious_shape = 2\n"))
+        assert main(["bias-table", "--config", str(small_config), "--out", str(out)]) == 2
+        assert _snapshot(out) == before
 
     def test_config_file_in_out_is_never_removed_or_rewritten(self, tmp_path):
         # Re-running from an edited DIR/config.ini into DIR keeps the edit.
@@ -297,7 +316,7 @@ class TestCliCommands:
         payload = json.loads((tmp_path / "ensemble_summary.json").read_text())
         if threads == 1:
             assert len(calls) == payload["n_attempts"]
-        assert not (tmp_path / "traces.partial").exists()
+        assert not (tmp_path / STAGING).exists()
         written = sorted((tmp_path / "traces").iterdir())
         assert len(written) == payload["n_accepted"]
         scenario = load_config(path=str(small_config)).scenario

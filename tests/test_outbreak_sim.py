@@ -223,6 +223,18 @@ class TestSimulate:
                            np.zeros(n, dtype=bool), zeros.copy())
         assert np.array_equal(tr.notified_order(), np.argsort(t_symptom, kind="stable"))
 
+    @pytest.mark.parametrize("t", [
+        stream(5, 0).uniform(0, 300, 5000),
+        np.array([2.0]),
+        stream(5, 1).integers(0, 50, 500).astype(float),
+        np.array([3.0, -1.0, 2.0, 0.0]),
+        # distinct in their last bits only, where the packed keys hold ids
+        100.0 + stream(5, 2).permutation(64) * np.spacing(100.0),
+    ], ids=["distinct", "one", "tied", "negative", "last-bit-apart"])
+    def test_time_order_is_argsort(self, t):
+        order, ts = outbreak_sim._time_order(t)
+        assert np.array_equal(order, np.argsort(t)) and np.array_equal(ts, t[order])
+
     def test_person_view_and_csv(self, small_trace, tmp_path):
         path = tmp_path / "trace.csv"
         small_trace.to_csv(path)

@@ -1,8 +1,10 @@
 """Counts over the sorted views of a trace against the full-pass mask oracles.
 
-The library reads ``notified_order()``, ``notified_times()`` and ``t_infect``
-(rows are in infection-time order) with ``searchsorted``; ``_oracles`` keeps
-the earlier versions that mask every person.  Planted traces draw their
+The library reads the notification-order view (``notified_order(k)``,
+``notified_times(k)``, ``notified_count(t)``), which sorts only the persons
+it is asked for, and ``t_infect`` (rows are in infection-time order) with
+``searchsorted``; ``_oracles`` keeps the earlier versions that mask every
+person.  Planted traces draw their
 delays partly on a quarter-day grid, so event times fall exactly on integer
 day offsets and symptom times tie; they have several roots, and the
 threshold time often falls on a symptom time.
@@ -21,21 +23,23 @@ from _oracles import (
     mask_sample_forward_pairs,
     mask_summarize_trace,
 )
-from epibias.analysis import notification_series
+from epibias.analysis import AnalysisOptions, analyze_trace, notification_series
 from epibias.outbreak_sim import OutbreakTrace, Scenario, summarize_trace
 from epibias.tracing import sample_backward_pairs, sample_forward_pairs
 
 
 @st.composite
-def planted_traces(draw):
+def planted_traces(draw, max_persons=120, whole_days=False):
     """A trace with rows in infection-time order and every infector earlier.
 
     Person 0 is a root, and each later person is another with a drawn
     probability.  A drawn share of the delays lies on the quarter-day grid,
     which is exact in binary; the rest are uniform.  ``end_time`` lies 0 to
     250 days past a threshold time that is often one of the symptom times.
+    With ``whole_days``, symptom times are rounded down to whole days, so
+    most of them tie.
     """
-    n = draw(st.integers(1, 120))
+    n = draw(st.integers(1, max_persons))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     on_grid = draw(st.sampled_from([0.0, 0.5, 1.0]))
 
@@ -47,6 +51,8 @@ def planted_traces(draw):
     infector[rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = -1
     infector[0] = -1
     t_symptom = t_infect + delays()
+    if whole_days:
+        t_symptom = np.floor(t_symptom)
     t_inf_start = t_infect + delays()
     t_inf_end = t_inf_start + delays()
     died = rng.random(n) < 0.7
@@ -100,6 +106,49 @@ class TestInvariants:
         assert np.array_equal(ts, tr.t_symptom[order])
         assert np.array_equal(order, np.argsort(tr.t_symptom, kind="stable"))
         assert not ts.flags.writeable and not order.flags.writeable
+
+
+def _fresh(tr):
+    """The same trace with nothing sorted yet."""
+    return OutbreakTrace(tr.scenario, tr.threshold_time, tr.end_time, tr.t_infect, tr.infector,
+                         tr.t_inf_start, tr.t_inf_end, tr.t_symptom, tr.died, tr.t_outcome)
+
+
+class TestNotificationView:
+    @pytest.mark.parametrize("traces", [planted_traces(), planted_traces(400, whole_days=True)],
+                             ids=["planted", "whole-day-ties"])
+    @given(data=st.data())
+    def test_every_prefix_and_count_in_any_request_order(self, traces, data):
+        # Every k, asked in a drawn order on one trace, so the view is served
+        # from its cache, grown past it and counted past its end; a count at
+        # a drawn time (often a tied symptom time) comes before each.
+        tr = data.draw(traces)
+        stable = np.argsort(tr.t_symptom, kind="stable")
+        times = st.one_of(st.sampled_from([tr.threshold_time, tr.end_time, math.inf]),
+                          st.integers(0, len(tr) - 1).map(lambda i: float(tr.t_symptom[i])),
+                          st.floats(-1.0, 500.0))
+        ks = data.draw(st.permutations(range(len(tr) + 2)))
+        ts = data.draw(st.lists(times, min_size=1, max_size=30))
+        for i, k in enumerate(ks):
+            t = ts[i % len(ts)]
+            assert tr.notified_count(t) == np.count_nonzero(tr.t_symptom <= t), t
+            assert np.array_equal(tr.notified_order(k), stable[:k]), k
+            assert np.array_equal(tr.notified_times(k), tr.t_symptom[stable[:k]]), k
+
+    @pytest.mark.parametrize("first", [
+        None, lambda tr: tr.notified_order(), lambda tr: tr.notified_order(10),
+        lambda tr: tr.notified_order(tr.scenario.notify_threshold + 500),
+        lambda tr: tr.notified_count(tr.end_time),
+    ], ids=["fresh", "full-order", "short-prefix", "prefix-past-threshold", "count-past-view"])
+    def test_analysis_does_not_depend_on_what_was_sorted_before(self, ebola_trace, first):
+        # Each analysis on a fresh trace, then both in turn on one trace after
+        # `first`; 600 pairs at stride 9 reach past the 4,500 by the threshold.
+        options = (AnalysisOptions(), AnalysisOptions(n_pairs=600, stride=9))
+        expected = [repr(analyze_trace(_fresh(ebola_trace), 5, opt)) for opt in options]
+        tr = _fresh(ebola_trace)
+        if first is not None:
+            first(tr)
+        assert [repr(analyze_trace(tr, 5, opt)) for opt in options] == expected
 
 
 class TestAgainstMaskOracles:
