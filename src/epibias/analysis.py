@@ -89,8 +89,8 @@ def notification_series(trace: OutbreakTrace) -> tuple[ge.CaseSeries, float, int
     """
     # Only the notifications up to the threshold are read: day d holds the
     # offsets ts - t0 in [d-1, d), and fl(ts - t0) is monotone in ts, so a
-    # later notification falls on day k_complete + 1 or later.
-    ts = trace.notified_times(trace.notified_count(trace.threshold_time))
+    # later notification would fall on day k_complete + 1 or later.
+    ts = trace.notified_times
     t0 = float(ts[0]) if len(ts) else trace.threshold_time   # none: no complete day
     k_complete = int(math.floor(trace.threshold_time - t0))
     if k_complete < 2:
@@ -177,7 +177,7 @@ def analyze_trace(
             predictions[method] = ge.PredictionScore(predicted=predicted, actual=actual)
 
         stage = "cfr"
-        notified = trace.notified_order(summary.total_infected - summary.unnotified)
+        notified = trace.notified
         died_by_T = trace.died[notified] & (trace.t_outcome[notified] <= trace.threshold_time)
         counts = cfr.CfrCounts(
             K=len(notified),

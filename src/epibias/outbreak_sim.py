@@ -24,6 +24,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -123,13 +124,11 @@ class OutbreakTrace:
     the moment the notification threshold was reached; the run covers every
     infection up to ``end_time = threshold_time + followup``.
 
-    The notification order is a sorted view that covers only what was asked
-    for: every person notified by some cut time, sorted by notification
-    time.  An analysis reads the persons notified by ``threshold_time``
-    (about 4,500 of ~33,000 on the default scenario), so that is all it
-    sorts; ``notified_order(k)`` extends the view when the first ``k``
-    persons reach past it, and ``notified_count(t)`` counts a later time
-    over the column without sorting it.
+    An analysis sees the outbreak as an observer at ``threshold_time`` does:
+    ``notified`` holds the persons notified by then (about 4,500 of ~33,000
+    on the default scenario), sorted once, and ``notified_times`` their
+    times.  Only the forecast target reads past the threshold, through
+    ``notified_count(t)``.
     """
 
     def __init__(self, scenario, threshold_time, end_time, t_infect, infector,
@@ -149,64 +148,46 @@ class OutbreakTrace:
         for arr in (t_infect, infector, t_inf_start, t_inf_end, t_symptom,
                     died, t_outcome):
             arr.flags.writeable = False
-        # The sorted view: every person notified by _through, in notification order.
-        self._order, self._times, self._through = np.empty(0, np.int64), np.empty(0), -math.inf
-        self._counts = {}   # notified_count past the view, by time
+        self._counts = {}   # notified_count past the threshold, by time
 
     def __len__(self) -> int:
         return len(self.t_infect)
 
-    def _sort_through(self, cut: float) -> None:
-        """Set the view to every person notified by ``cut``, ties broken by id.
+    @cached_property
+    def notified(self) -> np.ndarray:
+        """Ids of the persons notified by ``threshold_time``, in notification order.
 
-        The ids are ascending, so a stable sort breaks ties by id.  Sorted
-        with numpy's default (faster, unstable) argsort: without tied times
-        the order is unique, so it equals the stable one.  Only when two
-        adjacent sorted times are equal is the stable sort run.
+        Ties are broken by id, as a stable sort of the ascending ids breaks
+        them.  Sorted with numpy's default (faster, unstable) argsort:
+        without tied times the order is unique, so it equals the stable one.
+        Only when two adjacent sorted times are equal is the stable sort run.
         """
-        ids = np.flatnonzero(self.t_symptom <= cut)
+        ids = np.flatnonzero(self.t_symptom <= self.threshold_time)
         times = self.t_symptom[ids]
         order = np.argsort(times)
         ts = times[order]
         if np.any(ts[1:] == ts[:-1]):
             order = np.argsort(times, kind="stable")
-        order = ids[order]
-        order.flags.writeable = ts.flags.writeable = False
-        self._order, self._times, self._through = order, ts, cut
+        ids = ids[order]
+        ids.flags.writeable = False
+        return ids
 
-    def notified_order(self, k: Optional[int] = None) -> np.ndarray:
-        """Ids of the first ``k`` persons in notification order, ties broken by id.
-
-        ``k`` defaults to every person; a shorter trace gives all it has.
-        This is a slice of the sorted view.  When the view holds fewer than
-        ``k`` persons it is re-sorted through the k-th notification time
-        (found by ``np.partition``), so it still holds every person
-        notified by its last time.
-        """
-        n = len(self)
-        k = n if k is None else min(k, n)
-        if len(self._order) < k:
-            self._sort_through(math.inf if k == n else np.partition(self.t_symptom, k - 1)[k - 1])
-        return self._order[:k]
-
-    def notified_times(self, k: Optional[int] = None) -> np.ndarray:
-        """Notification times of ``notified_order(k)``, in ascending order."""
-        k = len(self.notified_order(k))   # may re-sort the view
-        return self._times[:k]
+    @cached_property
+    def notified_times(self) -> np.ndarray:
+        """Notification times of ``notified``, in ascending order."""
+        ts = self.t_symptom[self.notified]
+        ts.flags.writeable = False
+        return ts
 
     def notified_count(self, t: float) -> int:
         """Persons notified by time ``t``: ``count_nonzero(t_symptom <= t)``.
 
-        A time at or before the threshold time is counted on the view, which
-        is first sorted through the threshold time if it does not reach
-        ``t``.  A time past the view is counted over the column once and
-        remembered, so a trace re-analysed under other options counts it
-        as fast as a fully sorted trace would.
+        A time up to the threshold time is counted on ``notified_times``.  A
+        later time is counted over the column once and remembered, so a
+        trace re-analysed under other options does not count it again.
         """
-        if self._through < t <= self.threshold_time:
-            self._sort_through(self.threshold_time)
-        if t <= self._through:
-            return int(np.searchsorted(self._times, t, "right"))
+        if t <= self.threshold_time:
+            return int(np.searchsorted(self.notified_times, t, "right"))
         if t not in self._counts:
             self._counts[t] = int(np.count_nonzero(self.t_symptom <= t))
         return self._counts[t]
@@ -503,14 +484,12 @@ def summarize_trace(trace: OutbreakTrace, replicate_index: int) -> TraceSummary:
     come.
     """
     t = trace.threshold_time
-    n_notified = trace.notified_count(t)
+    n_notified = len(trace.notified)
     if n_notified < trace.scenario.notify_threshold:
         raise ValueError("trace did not reach its notification threshold")
     total_infected = int(np.searchsorted(trace.t_infect, t, "right"))
-    notified = trace.notified_order(n_notified)
-    resolved = int(np.count_nonzero(trace.t_outcome[notified] <= t))
-    first_100 = trace.notified_times(100)
-    t_first_100 = float(first_100[99]) if len(first_100) == 100 else math.nan
+    resolved = int(np.count_nonzero(trace.t_outcome[trace.notified] <= t))
+    t_first_100 = float(trace.notified_times[99]) if n_notified >= 100 else math.nan
     return TraceSummary(
         replicate_index=replicate_index,
         threshold_time=t,

@@ -55,29 +55,25 @@ def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPa
     """Systematic backward sample: every ``stride``-th notified case.
 
     Picks the persons at positions stride-1, 2*stride-1, ..., n*stride-1 of
-    the notification order (ties broken by person id), so every pick is
-    among the first n*stride notified persons: when n*stride is at most the
-    notification threshold, every pick is notified by the threshold time.
-    An index case has no infector to trace back to, so a pick position it
-    holds forms no pair and the sample is one pair short for it.  A single
-    index case is usually notified first, and then only stride 1 loses a
-    pair.
+    the persons notified by the threshold time, in notification order (ties
+    broken by person id): an observer at the threshold can trace no one
+    notified later.  An index case has no infector to trace back to, so a
+    pick position it holds forms no pair and the sample is one pair short
+    for it.  A single index case is usually notified first, and then only
+    stride 1 loses a pair.
 
     Raises:
-        ValueError: if fewer than n*stride persons are notified by the end
-            of the run.
+        ValueError: if fewer than n*stride persons are notified by the
+            threshold time.
     """
     if n < 1 or stride < 1:
         raise ValueError("n and stride must be positive")
     need = n * stride
-    picked = trace.notified_order(need)[stride - 1::stride]
-    # Picks run in notification order: if the last one is notified inside
-    # the run, every one is.
-    if len(picked) < n or trace.t_symptom[picked[-1]] > trace.end_time:
-        n_notified = trace.notified_count(trace.end_time)
+    if len(trace.notified) < need:
         raise ValueError(
-            f"trace has {n_notified} persons notified by the end of the run; need {need}"
+            f"trace has {len(trace.notified)} persons notified by the threshold; need {need}"
         )
+    picked = trace.notified[stride - 1:need:stride]
     return _pairs_of(trace, picked[trace.infector[picked] >= 0])
 
 

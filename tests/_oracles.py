@@ -566,9 +566,11 @@ def heap_simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional
 
 
 # ---------------------------------------------------------------------------
-# Per-trace counts by masking every person.  The library counts on the sorted
-# views of a trace (``notified_order``, ``notified_times`` and ``t_infect``
-# as stored) with ``searchsorted``; these are its earlier full-pass versions.
+# Per-trace counts by masking every person.  The library counts with
+# ``searchsorted`` on the sorted views of a trace: ``notified_times`` (the
+# persons notified by the threshold, sorted once) and ``t_infect`` as
+# stored.  These are full-pass versions that mask or stably sort the whole
+# column instead.
 
 
 def mask_daily_series(trace: OutbreakTrace, through: float) -> np.ndarray:
@@ -599,8 +601,7 @@ def mask_summarize_trace(trace: OutbreakTrace, replicate_index: int) -> TraceSum
         raise ValueError("trace did not reach its notification threshold")
     total_infected = int((trace.t_infect <= t).sum())
     resolved = int((notified & (trace.t_outcome <= t)).sum())
-    order = trace.notified_order()
-    t_first_100 = float(trace.t_symptom[order[99]]) if len(order) >= 100 else math.nan
+    t_first_100 = float(np.sort(trace.t_symptom[notified])[99]) if n_notified >= 100 else math.nan
     return TraceSummary(
         replicate_index=replicate_index,
         threshold_time=t,
@@ -639,19 +640,18 @@ def full_walk_sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -
     no pair).
 
     Raises:
-        ValueError: if fewer than n*stride persons are notified by the end
-            of the run.
+        ValueError: if fewer than n*stride persons are notified by the
+            threshold time.
     """
     if n < 1 or stride < 1:
         raise ValueError("n and stride must be positive")
-    n_notified = int(np.count_nonzero(trace.t_symptom <= trace.end_time))
+    n_notified = int(np.count_nonzero(trace.t_symptom <= trace.threshold_time))
     if n_notified < n * stride:
         raise ValueError(
-            f"trace has {n_notified} persons notified by the end of the run; "
-            f"need {n * stride}"
+            f"trace has {n_notified} persons notified by the threshold; need {n * stride}"
         )
     picked = []
-    for position, pid in enumerate(trace.notified_order(), 1):
+    for position, pid in enumerate(np.argsort(trace.t_symptom, kind="stable"), 1):
         if position > n * stride:
             break
         if position % stride == 0 and trace.infector[pid] >= 0:

@@ -5,7 +5,8 @@ of ``test_cli.SMALL_RUN_CONFIG`` at 1 and at 2 worker processes; every file
 they write, JSON and CSV reports and traces, is hashed.  The small config's
 threshold of 150 needs only a few simulator batches, so the first
 ``N_DEFAULT_TRACES`` accepted traces of the default scenario are hashed too
-(every column, ``threshold_time`` and ``notified_order()``), which covers the
+(every column, ``threshold_time`` and the stable sort of ``t_symptom``, which
+is every person's notification order, ties broken by id), which covers the
 long tail of a ~33,000-person run, and so is the canonical JSON of
 ``analyze_trace`` on each of them under the three option variants of the
 benchmark's ``reanalyze`` workload.
@@ -92,7 +93,8 @@ def trace_digests() -> dict[str, str]:
     for rep, tr in default_traces():
         h = hashlib.sha256(np.float64(tr.threshold_time).tobytes())
         for col in (tr.t_infect, tr.infector, tr.t_inf_start, tr.t_inf_end,
-                    tr.t_symptom, tr.died, tr.t_outcome, tr.notified_order()):
+                    tr.t_symptom, tr.died, tr.t_outcome,
+                    np.argsort(tr.t_symptom, kind="stable")):
             h.update(col.dtype.str.encode())
             h.update(col.tobytes())
         out[f"replicate_{rep:04d}"] = h.hexdigest()

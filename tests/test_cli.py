@@ -373,22 +373,25 @@ class TestCliCommands:
             assert values == [f"{stats[k]:.6g}" for k in ("mean", "sd", "q025", "q975")]
 
     def test_json_reports_write_undefined_statistics_as_null(self, tmp_path):
-        # Below 100 notifications the times to and from the 100th are
-        # undefined; a strict parser must still read the report.
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[scenario]\nnotify_threshold = 50\nfollowup = 0\n[run]\nreplicates = 3\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-
+        # Below 100 notifications by the threshold the times to and from the
+        # 100th are undefined, also when the follow-up holds a 100th; a
+        # strict parser must still read the report.
         def strict(token):
             raise ValueError(f"{token} is not JSON")
 
-        text = (tmp_path / "ensemble_summary.json").read_text()
-        payload = json.loads(text, parse_constant=strict)
-        for name in ("time_to_first_100", "time_100_to_threshold"):
-            stats = payload[name]
-            assert stats["n"] == 3
-            assert all(stats[k] is None for k in ("mean", "sd", "min", "max", "q025", "q975"))
-        assert payload["threshold_time"]["mean"] > 0
+        for followup in (0, 42):
+            out = tmp_path / f"followup-{followup}"
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[scenario]\nnotify_threshold = 50\nfollowup = {followup}\n"
+                           "[run]\nreplicates = 3\n")
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            text = (out / "ensemble_summary.json").read_text()
+            payload = json.loads(text, parse_constant=strict)
+            for name in ("time_to_first_100", "time_100_to_threshold"):
+                stats = payload[name]
+                assert stats["n"] == 3
+                assert all(stats[k] is None for k in ("mean", "sd", "min", "max", "q025", "q975"))
+            assert payload["threshold_time"]["mean"] > 0
 
     def test_exposures_small(self, tmp_path, small_config):
         assert main([

@@ -213,15 +213,17 @@ class TestSimulate:
         kept = sum(getattr(tr, name).nbytes for name in COLUMN_DTYPES)
         assert peak <= 2 * kept, peak / kept
 
-    def test_notified_order_breaks_ties_by_id(self):
-        # Many planted ties, where an unstable sort may order them otherwise.
+    def test_notified_breaks_ties_by_id(self):
+        # Many planted ties, where an unstable sort may order them otherwise;
+        # the threshold on day 15 leaves the last 4 whole days unnotified.
         n = 2000
         t_symptom = stream(3, 0).integers(0, 20, n).astype(float)
         zeros = np.zeros(n)
-        tr = OutbreakTrace(Scenario(), 20.0, 20.0, zeros.copy(), np.full(n, -1),
+        tr = OutbreakTrace(Scenario(), 15.0, 20.0, zeros.copy(), np.full(n, -1),
                            zeros.copy(), zeros.copy(), t_symptom,
                            np.zeros(n, dtype=bool), zeros.copy())
-        assert np.array_equal(tr.notified_order(), np.argsort(t_symptom, kind="stable"))
+        stable = np.argsort(t_symptom, kind="stable")
+        assert np.array_equal(tr.notified, stable[t_symptom[stable] <= 15.0])
 
     @pytest.mark.parametrize("t", [
         stream(5, 0).uniform(0, 300, 5000),
@@ -456,6 +458,17 @@ class TestFullSizeTrace:
                               tr.t_inf_start, tr.t_inf_end, tr.t_symptom, tr.died, tr.t_outcome)
         with pytest.raises(ValueError, match="did not reach its notification threshold"):
             summarize_trace(short, 0)
+
+    def test_times_to_the_100th_are_undefined_below_100(self):
+        # Replicate 0 of the default seed at threshold 50: its 100th
+        # notification falls 24.8 days after the threshold, inside a 42-day
+        # follow-up, where an observer at the threshold cannot see it.
+        scn = Scenario(notify_threshold=50, followup=42.0, master_seed=20140801)
+        tr = simulate_outbreak(scn, 0)
+        assert np.count_nonzero(tr.t_symptom <= tr.end_time) >= 100
+        summary = summarize_trace(tr, 0)
+        assert math.isnan(summary.time_to_first_100)
+        assert math.isnan(summary.time_100_to_threshold)
 
     def test_snapshot_matches_discount_theory(self, ebola_trace):
         # notified/infected at the threshold is the discounted incubation mass

@@ -1,15 +1,18 @@
 """Counts over the sorted views of a trace against the full-pass mask oracles.
 
-The library reads the notification-order view (``notified_order(k)``,
-``notified_times(k)``, ``notified_count(t)``), which sorts only the persons
-it is asked for, and ``t_infect`` (rows are in infection-time order) with
-``searchsorted``; ``_oracles`` keeps the earlier versions that mask every
-person.  Planted traces draw their
+The library reads the persons notified by the threshold time, sorted once
+(``notified`` and ``notified_times``), counts a later time with
+``notified_count(t)``, and reads ``t_infect`` (rows are in infection-time
+order) with ``searchsorted``; ``_oracles`` keeps full-pass versions that
+mask or stably sort every person.  An analysis sees what an observer at the
+threshold sees: moving the symptoms and outcomes that come after it moves
+only the forward sample and the forecast scores.  Planted traces draw their
 delays partly on a quarter-day grid, so event times fall exactly on integer
 day offsets and symptom times tie; they have several roots, and the
 threshold time often falls on a symptom time.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +26,7 @@ from _oracles import (
     mask_sample_forward_pairs,
     mask_summarize_trace,
 )
-from epibias.analysis import AnalysisOptions, analyze_trace, notification_series
+from epibias.analysis import AnalysisError, AnalysisOptions, analyze_trace, notification_series
 from epibias.outbreak_sim import OutbreakTrace, Scenario, summarize_trace
 from epibias.tracing import sample_backward_pairs, sample_forward_pairs
 
@@ -102,53 +105,124 @@ class TestInvariants:
 
     @given(planted_traces())
     def test_notified_times_are_the_sorted_symptom_times(self, tr):
-        order, ts = tr.notified_order(), tr.notified_times()
-        assert np.array_equal(ts, tr.t_symptom[order])
-        assert np.array_equal(order, np.argsort(tr.t_symptom, kind="stable"))
-        assert not ts.flags.writeable and not order.flags.writeable
+        ts = tr.notified_times
+        assert np.array_equal(ts, tr.t_symptom[tr.notified])
+        assert np.array_equal(ts, np.sort(tr.t_symptom[tr.t_symptom <= tr.threshold_time]))
 
 
 def _fresh(tr):
-    """The same trace with nothing sorted yet."""
+    """The same trace with nothing sorted or counted yet."""
     return OutbreakTrace(tr.scenario, tr.threshold_time, tr.end_time, tr.t_infect, tr.infector,
                          tr.t_inf_start, tr.t_inf_end, tr.t_symptom, tr.died, tr.t_outcome)
 
 
+TRACES = pytest.mark.parametrize("traces", [planted_traces(), planted_traces(400, whole_days=True)],
+                                 ids=["planted", "whole-day-ties"])
+
+
 class TestNotificationView:
-    @pytest.mark.parametrize("traces", [planted_traces(), planted_traces(400, whole_days=True)],
-                             ids=["planted", "whole-day-ties"])
+    @TRACES
     @given(data=st.data())
-    def test_every_prefix_and_count_in_any_request_order(self, traces, data):
-        # Every k, asked in a drawn order on one trace, so the view is served
-        # from its cache, grown past it and counted past its end; a count at
-        # a drawn time (often a tied symptom time) comes before each.
+    def test_notified_is_the_stable_order_by_the_threshold(self, traces, data):
         tr = data.draw(traces)
         stable = np.argsort(tr.t_symptom, kind="stable")
-        times = st.one_of(st.sampled_from([tr.threshold_time, tr.end_time, math.inf]),
-                          st.integers(0, len(tr) - 1).map(lambda i: float(tr.t_symptom[i])),
-                          st.floats(-1.0, 500.0))
-        ks = data.draw(st.permutations(range(len(tr) + 2)))
-        ts = data.draw(st.lists(times, min_size=1, max_size=30))
-        for i, k in enumerate(ks):
-            t = ts[i % len(ts)]
-            assert tr.notified_count(t) == np.count_nonzero(tr.t_symptom <= t), t
-            assert np.array_equal(tr.notified_order(k), stable[:k]), k
-            assert np.array_equal(tr.notified_times(k), tr.t_symptom[stable[:k]]), k
+        assert np.array_equal(tr.notified, stable[tr.t_symptom[stable] <= tr.threshold_time])
+        for view in (tr.notified, tr.notified_times):
+            with pytest.raises(ValueError, match="read-only"):
+                view[:1] = 0
 
-    @pytest.mark.parametrize("first", [
-        None, lambda tr: tr.notified_order(), lambda tr: tr.notified_order(10),
-        lambda tr: tr.notified_order(tr.scenario.notify_threshold + 500),
-        lambda tr: tr.notified_count(tr.end_time),
-    ], ids=["fresh", "full-order", "short-prefix", "prefix-past-threshold", "count-past-view"])
+    @TRACES
+    @given(data=st.data())
+    def test_notified_count_at_drawn_times(self, traces, data):
+        # Tied symptom times, the threshold, the end of the run and times
+        # before the first notification, in a drawn order, so a time past
+        # the threshold is often counted again from what was remembered.
+        tr = data.draw(traces)
+        first = float(tr.t_symptom.min())
+        times = st.one_of(st.sampled_from([tr.threshold_time, tr.end_time, math.inf, -math.inf]),
+                          st.integers(0, len(tr) - 1).map(lambda i: float(tr.t_symptom[i])),
+                          st.floats(0.0, 100.0).map(lambda d: first - d),
+                          st.floats(-1.0, 500.0))
+        for t in data.draw(st.lists(times, min_size=1, max_size=30)):
+            assert tr.notified_count(t) == np.count_nonzero(tr.t_symptom <= t), t
+
+    @pytest.mark.parametrize("first", [None, lambda tr: tr.notified_count(tr.end_time)],
+                             ids=["fresh", "count-past-view"])
     def test_analysis_does_not_depend_on_what_was_sorted_before(self, ebola_trace, first):
-        # Each analysis on a fresh trace, then both in turn on one trace after
-        # `first`; 600 pairs at stride 9 reach past the 4,500 by the threshold.
-        options = (AnalysisOptions(), AnalysisOptions(n_pairs=600, stride=9))
-        expected = [repr(analyze_trace(_fresh(ebola_trace), 5, opt)) for opt in options]
         tr = _fresh(ebola_trace)
         if first is not None:
             first(tr)
-        assert [repr(analyze_trace(tr, 5, opt)) for opt in options] == expected
+        assert repr(analyze_trace(tr, 5)) == repr(analyze_trace(_fresh(ebola_trace), 5))
+        # 600 pairs at stride 9 reach past the 4,500 notified by the threshold.
+        with pytest.raises(AnalysisError, match="stage 'contact tracing' failed at replicate 5: "
+                           "trace has 4500 persons notified by the threshold; need 5400"):
+            analyze_trace(tr, 5, AnalysisOptions(n_pairs=600, stride=9))
+
+
+def _moved_past_threshold(tr, delay):
+    """The same trace with every symptom and outcome time after the threshold
+    time ``delay`` days later, and the same ``end_time``.
+
+    The infectors of persons notified by the threshold keep their symptom
+    times: tracing a notified person reads its infector's, which a planted
+    trace (or an incubation factor above 1) may put past the threshold.
+    """
+    T = tr.threshold_time
+    parents = tr.infector[tr.t_symptom <= T]
+    traced = np.zeros(len(tr), dtype=bool)
+    traced[parents[parents >= 0]] = True
+    t_symptom = np.where((tr.t_symptom > T) & ~traced, tr.t_symptom + delay, tr.t_symptom)
+    t_outcome = np.where(tr.t_outcome > T, tr.t_outcome + delay, tr.t_outcome)
+    return OutbreakTrace(tr.scenario, T, tr.end_time, tr.t_infect, tr.infector,
+                         tr.t_inf_start, tr.t_inf_end, t_symptom, tr.died, t_outcome)
+
+
+def _outcome(fn):
+    """``repr`` of what ``fn()`` returns (NaN equals NaN), or the error it raises."""
+    try:
+        return repr(fn())
+    except (ValueError, AnalysisError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _observed(analysis):
+    """Every field of a ``TraceAnalysis`` but the two that are scored past the
+    threshold: the forward sample and the forecasts."""
+    return dataclasses.replace(analysis, forward=None, predictions=None)
+
+
+def _series(tr):
+    series, t0, k_complete = notification_series(tr)
+    return series.daily.tolist(), t0, k_complete
+
+
+class TestObservationBoundary:
+    """What comes after the threshold moves nothing an observer reports at it."""
+
+    @given(tr=planted_traces(400), delay=st.sampled_from([0.25, 3.0, 100.0]),
+           n=st.integers(1, 60), stride=st.integers(1, 4),
+           window=st.integers(2, 10), horizon=st.integers(0, 10))
+    def test_planted(self, tr, delay, n, stride, window, horizon):
+        # A notification threshold of 1 lets more draws past the snapshot.
+        tr = OutbreakTrace(Scenario(notify_threshold=1), tr.threshold_time, tr.end_time,
+                           tr.t_infect, tr.infector, tr.t_inf_start, tr.t_inf_end, tr.t_symptom,
+                           tr.died, tr.t_outcome)
+        moved = _moved_past_threshold(tr, delay)
+        options = AnalysisOptions(n_pairs=n, stride=stride, window=window, horizon=horizon)
+        for fn in (lambda t: summarize_trace(t, 3), _series,
+                   lambda t: _observed(analyze_trace(t, 3, options))):
+            assert _outcome(lambda: fn(moved)) == _outcome(lambda: fn(tr))
+
+    @pytest.mark.parametrize("options", [
+        AnalysisOptions(), AnalysisOptions(window=28, horizon=28),
+        AnalysisOptions(window=56, horizon=35), AnalysisOptions(n_pairs=600, stride=9),
+    ], ids=["default", "window=28", "window=56", "600x9"])
+    def test_default_trace(self, ebola_trace, options):
+        moved = _moved_past_threshold(ebola_trace, 3.0)
+        assert _outcome(lambda: summarize_trace(moved, 5)) == repr(summarize_trace(ebola_trace, 5))
+        assert _outcome(lambda: _series(moved)) == repr(_series(ebola_trace))
+        assert (_outcome(lambda: _observed(analyze_trace(moved, 5, options)))
+                == _outcome(lambda: _observed(analyze_trace(ebola_trace, 5, options))))
 
 
 class TestAgainstMaskOracles:

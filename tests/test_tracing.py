@@ -43,13 +43,13 @@ class TestBackwardSampling:
 
     def test_single_pick_is_strideth_notified(self, ebola_trace):
         pairs = sample_backward_pairs(ebola_trace, n=1, stride=9)
-        assert pairs.infectee.tolist() == [ebola_trace.notified_order()[8]]
+        assert pairs.infectee.tolist() == [ebola_trace.notified[8]]
 
     def test_matches_notification_order_walk(self, ebola_trace):
         # Reference: walk notified cases in order and keep every 9th until
         # 500 are kept; the index case, notified first, is never one of them.
         picked = []
-        for position, pid in enumerate(ebola_trace.notified_order(), 1):
+        for position, pid in enumerate(ebola_trace.notified, 1):
             if position % 9 == 0:
                 assert ebola_trace.infector[pid] >= 0
                 picked.append(int(pid))
@@ -82,36 +82,36 @@ class TestBackwardSampling:
             sample_backward_pairs(small_trace, n=10_000, stride=9)
 
     @staticmethod
-    def _planted(end_time):
+    def _planted(threshold_time, end_time=30.0):
         """Index case 0 infects persons 1-9 at 0.5-day steps, all inside the
         run; each person is notified 5 days after infection."""
         t_infect = 0.5 * np.arange(10)
         t_symptom = t_infect + 5.0
         infector = np.array([-1] + [0] * 9)
-        return OutbreakTrace(Scenario(), 6.0, end_time, t_infect, infector, t_infect,
+        return OutbreakTrace(Scenario(), threshold_time, end_time, t_infect, infector, t_infect,
                              t_infect + 5.0, t_symptom, np.zeros(10, dtype=bool),
                              t_symptom + 20.0)
 
-    @pytest.mark.parametrize("end_time, message", [
-        (7.25, "5 persons notified by the end of the run; need 6"),
-    ])
-    def test_counts_only_persons_notified_inside_the_run(self, end_time, message):
-        # Picks 2 and 5 need person 5, notified on day 7.5.
-        with pytest.raises(ValueError, match=message):
-            sample_backward_pairs(self._planted(end_time), n=2, stride=3)
+    @pytest.mark.parametrize("end_time", [7.25, 30.0])
+    def test_counts_only_persons_notified_by_the_threshold(self, end_time):
+        # Picks 2 and 5 need person 5, notified on day 7.5: a run that goes
+        # on past it does not let an observer at the threshold trace it.
+        with pytest.raises(ValueError, match="5 persons notified by the threshold; need 6"):
+            sample_backward_pairs(self._planted(7.25, end_time), n=2, stride=3)
         assert sample_backward_pairs(self._planted(7.5), n=2, stride=3).infectee.tolist() == [2, 5]
 
     def test_index_case_on_a_pick_position_forms_no_pair(self):
         # Notified first, the index case holds the first pick position at
         # stride 1; the picks stay among the first n notified persons.
-        tr = self._planted(20.0)
+        # The threshold on day 10 follows every notification.
+        tr = self._planted(10.0)
         assert sample_backward_pairs(tr, n=3, stride=1).infectee.tolist() == [1, 2]
         # Notified third (order 1, 2, 0, 3, ...), it holds position 3 of stride 3.
         t_symptom = tr.t_symptom.copy()
         t_symptom[0] = 6.2
-        late = OutbreakTrace(Scenario(), 6.0, 20.0, tr.t_infect, tr.infector, tr.t_inf_start,
+        late = OutbreakTrace(Scenario(), 10.0, 30.0, tr.t_infect, tr.infector, tr.t_inf_start,
                              tr.t_inf_end, t_symptom, tr.died, tr.t_outcome)
-        assert late.notified_order()[:4].tolist() == [1, 2, 0, 3]
+        assert late.notified[:4].tolist() == [1, 2, 0, 3]
         assert sample_backward_pairs(late, n=2, stride=3).infectee.tolist() == [5]
 
     def test_contraction_on_one_trace(self, backward_pairs):
