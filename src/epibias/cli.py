@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import shutil
 import sys
 from functools import partial
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import __version__, analysis, cfr as cfr_mod, growth_math
 from .config import ConfigError, DEFAULT_CONFIG, RunConfig, load_config
-from .distributions import GammaParams, laplace
+from .distributions import laplace
 from .outbreak_sim import ensemble_map, summarize_trace
 
 EXIT_OK = 0
@@ -58,9 +59,15 @@ def _stats_row(*labels, stats: dict) -> list:
     return [*labels, stats["mean"], stats["sd"], stats["q025"], stats["q975"]]
 
 
+def _require_R0(scenario, report: str) -> None:
+    """Raise unless ``scenario``'s R0 links to a growth rate: it must be positive and finite."""
+    if not 0.0 < scenario.R0() < math.inf:
+        raise ConfigError(f"[scenario] contact_rate = {scenario.contact_rate:g}: the {report} "
+                          f"needs R0 > 0 and finite, got {scenario.R0():g}")
+
+
 def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
-    if config.scenario.contact_rate == 0:  # R0 = 0 links to no growth rate
-        raise ConfigError("[scenario] contact_rate = 0: the bias table needs R0 > 0")
+    _require_R0(config.scenario, "bias table")
     rows = [{
         "source": report.source.value,
         "R0_biased": report.R0_biased,
@@ -151,22 +158,27 @@ def cmd_exposures(config: RunConfig, outdir: Path) -> None:
 
 
 def cmd_cfr(config: RunConfig, outdir: Path) -> None:
-    # Exponential delays with the configured means.
-    death = GammaParams(1.0, 1.0 / config.cfr_death_delay_mean)
-    recovery = GammaParams(1.0, 1.0 / config.cfr_recovery_delay_mean)
-    r = config.cfr_r
-    pi = laplace(death, r)
-    rho = laplace(recovery, r)
-    resolved = cfr_mod.resolved_cfr_bias(config.cfr_true, r, death, recovery)
+    # The simulated outbreak's growth rate, CFR and notification-to-outcome delays.
+    scn = config.scenario
+    _require_R0(scn, "cfr report")
+    r = growth_math.solve_r(scn.R0(), scn.implied_generation())
+    death = cfr_mod.notification_delay(scn, scn.to_death)
+    recovery = cfr_mod.notification_delay(scn, scn.to_recovery)
+    try:
+        pi, rho = laplace(death, r), laplace(recovery, r)
+    except ValueError as err:  # an outbreak declining faster than a delay's tail thins
+        raise ConfigError(f"[scenario] contact_rate = {scn.contact_rate:g}: growth rate "
+                          f"{r:g} outruns the notification-to-outcome delays: {err}") from err
+    resolved = cfr_mod.resolved_cfr_bias(scn.p_death, r, death, recovery)
     payload = {
         "r": r,
-        "true_cfr": config.cfr_true,
+        "true_cfr": scn.p_death,
         "observed_death_fraction": pi,
         "observed_recovery_fraction": rho,
-        "naive_estimator_expectation": config.cfr_true * pi,
+        "naive_estimator_expectation": scn.p_death * pi,
         "naive_correction_factor": 1.0 / pi,
         "resolved_estimator_expectation": resolved,
-        "resolved_relative_bias": resolved / config.cfr_true - 1.0,
+        "resolved_relative_bias": resolved / scn.p_death - 1.0 if scn.p_death else math.nan,
     }
     _write_report(config, outdir, "cfr_report", payload,
                   ["quantity", "value"], [list(item) for item in payload.items()])

@@ -67,12 +67,6 @@ incubation_mean = 11.4
 incubation_sd = 8.1
 n_persons = 500
 replicates = 1000
-
-[cfr]
-r = 0.0347
-death_delay_mean = 9
-recovery_delay_mean = 17
-true_cfr = 0.7
 """
 
 
@@ -90,10 +84,6 @@ class RunConfig:
     exposure_model: ExposureModel
     exposure_n_persons: int
     exposure_replicates: int
-    cfr_r: float
-    cfr_death_delay_mean: float
-    cfr_recovery_delay_mean: float
-    cfr_true: float
     canonical_text: str
 
     @property
@@ -270,19 +260,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(f"[exposures] replicates must be <= {EXPOSURE_FAMILY_STREAMS}, the "
                           f"streams of one incubation family, got {exposure_replicates}")
 
-    cfr_sec = parser["cfr"]
-    cfr_r, cfr_true = _value(cfr_sec, "r"), _value(cfr_sec, "true_cfr")
-    death_mean = _value(cfr_sec, "death_delay_mean")
-    recovery_mean = _value(cfr_sec, "recovery_delay_mean")
-    if not 0.0 < cfr_true <= 1.0:
-        raise ConfigError(f"[cfr] true_cfr must be in (0, 1], got {cfr_true}")
-    if not (0.0 < death_mean < math.inf and 0.0 < recovery_mean < math.inf):
-        raise ConfigError("[cfr] death_delay_mean and recovery_delay_mean must be positive and "
-                          f"finite, got {death_mean} and {recovery_mean}")
-    r_least = -1.0 / max(death_mean, recovery_mean)  # an observed fraction 1/(1 + r*m) diverges
-    if not r_least < cfr_r < math.inf:
-        raise ConfigError(f"[cfr] r must be finite and > -1 / the larger delay mean "
-                          f"({r_least:g}), got {cfr_r}")
     return RunConfig(
         seed=seed,
         replicates=replicates,
@@ -294,9 +271,5 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         exposure_model=exposure_model,
         exposure_n_persons=n_persons,
         exposure_replicates=exposure_replicates,
-        cfr_r=cfr_r,
-        cfr_death_delay_mean=death_mean,
-        cfr_recovery_delay_mean=recovery_mean,
-        cfr_true=cfr_true,
         canonical_text=_canonical(parser),
     )

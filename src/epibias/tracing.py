@@ -60,7 +60,8 @@ def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPa
     notified later.  An index case has no infector to trace back to, so a
     pick position it holds forms no pair and the sample is one pair short
     for it.  A single index case is usually notified first, and then only
-    stride 1 loses a pair.
+    stride 1 loses a pair.  Picks whose infectors show symptoms after the
+    threshold form no pair either: their serial intervals are not yet seen.
 
     Raises:
         ValueError: if fewer than n*stride persons are notified by the
@@ -74,7 +75,9 @@ def sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -> TracedPa
             f"trace has {len(trace.notified)} persons notified by the threshold; need {need}"
         )
     picked = trace.notified[stride - 1:need:stride]
-    return _pairs_of(trace, picked[trace.infector[picked] >= 0])
+    infector = trace.infector[picked]   # -1 reads the last row, but is dropped anyway
+    return _pairs_of(trace, picked[(infector >= 0)
+                                   & (trace.t_symptom[infector] <= trace.threshold_time)])
 
 
 def sample_forward_pairs(trace: OutbreakTrace, margin: float = 60.0) -> TracedPairs:

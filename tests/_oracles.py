@@ -636,8 +636,9 @@ def full_walk_sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -
 
     Walks the notification order (ties broken by person id) one person at a
     time and keeps the person at every ``stride``-th position up to position
-    n*stride if it has an infector (a position held by an index case forms
-    no pair).
+    n*stride if it has an infector notified by the threshold time (a
+    position held by an index case, or by a case whose infector shows
+    symptoms later, forms no pair).
 
     Raises:
         ValueError: if fewer than n*stride persons are notified by the
@@ -654,6 +655,8 @@ def full_walk_sample_backward_pairs(trace: OutbreakTrace, n: int, stride: int) -
     for position, pid in enumerate(np.argsort(trace.t_symptom, kind="stable"), 1):
         if position > n * stride:
             break
-        if position % stride == 0 and trace.infector[pid] >= 0:
+        infector = trace.infector[pid]
+        if (position % stride == 0 and infector >= 0
+                and trace.t_symptom[infector] <= trace.threshold_time):
             picked.append(pid)
     return _pairs_of(trace, np.array(picked, dtype=np.int64))

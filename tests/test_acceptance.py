@@ -7,6 +7,7 @@ analyzed ensemble and a 200-replicate exposure-estimator study -- are built
 once per session.
 """
 
+import json
 import math
 import time
 from functools import partial
@@ -17,6 +18,7 @@ import pytest
 from epibias import growth_math
 from epibias.analysis import EnsembleAnalysis, analyze_trace, exposure_study
 from epibias.cfr import resolved_cfr_bias
+from epibias.cli import main
 from epibias.config import load_config
 from _oracles import gamma_pdf_fn, solve_r_numeric
 from epibias.distributions import GammaParams, laplace
@@ -247,21 +249,32 @@ def test_criterion_7_exposure_estimators(exposure_results):
     check("7 (exposure estimators)", subchecks)
 
 
-def test_criterion_8_cfr_corrections(config, ensemble):
-    # Exponential delays with means 9 and 17 days.
-    death = GammaParams(1.0, 1.0 / 9.0)
-    recovery = GammaParams(1.0, 1.0 / 17.0)
-    pi = laplace(death, config.cfr_r)
-    rho = laplace(recovery, config.cfr_r)
-    resolved = resolved_cfr_bias(config.cfr_true, config.cfr_r, death, recovery)
+def test_criterion_8_cfr_corrections(ensemble, tmp_path):
+    # The paper's example: r = 0.0347, CFR 0.7, exponential delays with
+    # means 9 and 17 days.
+    r, death, recovery = 0.0347, GammaParams(1.0, 1.0 / 9.0), GammaParams(1.0, 1.0 / 17.0)
+    pi = laplace(death, r)
+    rho = laplace(recovery, r)
+    resolved = resolved_cfr_bias(0.7, r, death, recovery)
     ens, _ = ensemble
     corrected = ens.values(lambda t: t.cfr_corrected)
     qlo, qhi = np.quantile(corrected, 0.025), np.quantile(corrected, 0.975)
+    # The simulated outbreak's deaths / (deaths + recoveries) at the threshold
+    # against the cfr report's expectation for it.
+    deaths = ens.values(lambda t: t.cfr_raw * (t.summary.resolved + t.summary.pending_notified))
+    share = deaths / ens.values(lambda t: t.summary.resolved)
+    mean, se = share.mean(), share.std(ddof=1) / math.sqrt(len(share))
+    assert main(["cfr", "--out", str(tmp_path)]) == 0
+    expected = json.loads((tmp_path / "cfr_report.json").read_text())[
+        "resolved_estimator_expectation"]
     check("8 (CFR corrections)", [
         (round(pi, 2) == 0.76, f"pi(inf) {pi:.4f} rounds to 0.76"),
         (round(rho, 2) == 0.63, f"rho(inf) {rho:.4f} rounds to 0.63"),
         (abs(resolved - 0.738) < 0.001, f"resolved estimator {resolved:.4f} in 0.738+-0.001"),
         (qlo <= 0.7 <= qhi, f"corrected naive 95% range [{qlo:.3f}, {qhi:.3f}] covers 0.7"),
+        (abs(mean - expected) < 0.001 + 2 * se,
+         f"resolved share {mean:.5f} +- {se:.5f} within 0.001 + 2 SE of the report's "
+         f"{expected:.5f}"),
     ])
 
 

@@ -217,3 +217,19 @@ class TestNotificationDelay:
         scn = Scenario()
         spec = notification_delay(scn, scn.to_recovery)
         assert abs(spec.mean() - 17.0) < 1e-12
+
+    @pytest.mark.parametrize("outcome, expected", [("to_death", 0.73477),
+                                                   ("to_recovery", 0.54078)])
+    def test_transform_matches_the_exact_course(self, outcome, expected):
+        # The cfr report reads E[exp(-rD)] of the moment-matched Gamma at the
+        # scenario's r; the exact D = (1 - U) L + I + outcome delay has the
+        # transform E_U[(lambda / (lambda + r (1 - U)))^k] * laplace(I) * laplace(outcome).
+        scn = Scenario()
+        r = scn.latent.rate * (scn.R0() ** (1.0 / 3.0) - 1.0)
+        lo, hi = scn.incubation_factor_range
+        stretch, _ = integrate.quad(lambda u: laplace(scn.latent, r * (1.0 - u)), lo, hi)
+        law = getattr(scn, outcome)
+        exact = stretch / (hi - lo) * laplace(scn.infectious, r) * laplace(law, r)
+        matched = laplace(notification_delay(scn, law), r)
+        assert abs(matched - exact) < 5e-5
+        assert round(matched, 5) == expected

@@ -78,7 +78,7 @@ class TestConfig:
         keys = _default_keys()
         assert keys["bias_table"] == ["me_gen_mean", "me_gen_sd", "me_biased_mean",
                                       "me_biased_sd"]
-        assert sum(map(len, keys.values())) == 35
+        assert sum(map(len, keys.values())) == 31
 
     def test_override_precedence(self, small_config):
         cfg = load_config(path=str(small_config), seed=7, replicates=5)
@@ -86,7 +86,7 @@ class TestConfig:
         assert cfg.replicates == 5
         assert cfg.scenario.notify_threshold == 150
         # untouched sections keep their defaults
-        assert cfg.cfr_r == 0.0347
+        assert cfg.me_gen == load_config().me_gen
 
     def test_hash_tracks_content(self, small_config):
         assert (
@@ -274,11 +274,37 @@ class TestCliCommands:
         assert (tmp_path / "bias_table.json").exists()
 
     def test_cfr_values(self, tmp_path):
+        # The report describes the default scenario: r = solve_r(1.7, Gamma(3, 0.2)),
+        # CFR p_death = 0.7, and a notification-to-outcome delay (1 - U) L + I + D
+        # of variance 2 + 25 + 36 = 63 and mean 9 to death or 17 to recovery,
+        # moment-matched by a Gamma of shape mean^2/63 and rate mean/63.
         assert main(["cfr", "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / "cfr_report.json").read_text())
-        assert round(payload["observed_death_fraction"], 2) == 0.76
-        assert round(payload["observed_recovery_fraction"], 2) == 0.63
-        assert abs(payload["resolved_estimator_expectation"] - 0.7387) < 1e-3
+        r = 0.2 * (1.7 ** (1 / 3) - 1)
+        pi, rho = ((m / 63 / (m / 63 + r)) ** (m * m / 63) for m in (9, 17))
+        resolved = 0.7 * pi / (0.7 * pi + 0.3 * rho)
+        expected = {
+            "r": r, "true_cfr": 0.7,
+            "observed_death_fraction": pi, "observed_recovery_fraction": rho,
+            "naive_estimator_expectation": 0.7 * pi, "naive_correction_factor": 1 / pi,
+            "resolved_estimator_expectation": resolved,
+            "resolved_relative_bias": resolved / 0.7 - 1,
+        }
+        assert payload.keys() == {"meta", *expected}
+        for key, value in expected.items():
+            assert payload[key] == pytest.approx(value, rel=1e-12), key
+        assert round(pi, 4) == 0.7348
+
+    def test_cfr_without_deaths(self, tmp_path):
+        # No one dies: a valid scenario, whose resolved estimator has no
+        # relative bias to report (NaN, written as null).
+        cfg = tmp_path / "no-deaths.ini"
+        cfg.write_text("[scenario]\np_death = 0\n")
+        assert main(["cfr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "cfr_report.json").read_text())
+        assert payload["true_cfr"] == payload["resolved_estimator_expectation"] == 0.0
+        assert payload["resolved_relative_bias"] is None
+        assert "resolved_relative_bias,nan" in (tmp_path / "cfr_report.csv").read_text()
 
     def test_simulate_small(self, tmp_path, small_config):
         assert main([
@@ -445,17 +471,23 @@ class TestCliCommands:
          ["config error", "infectious_shape, latent_rate, infectious_rate = 1, 0.25, 0.2"]),
         ("reproduce-paper", "[scenario]\n", "[scenario]\nlatent_rate = 0.25\n", 2,
          ["config error", "infectious_shape, latent_rate, infectious_rate = 1, 0.25, 0.2"]),
-        # [cfr] and [exposures] values fail before the first report is written
-        ("reproduce-paper", "[run]\n", "[cfr]\ntrue_cfr = 0\n[run]\n", 2,
-         ["config error", "true_cfr must be in (0, 1]"]),
-        ("cfr", "[run]\n", "[cfr]\ndeath_delay_mean = 0\n[run]\n", 2,
-         ["config error", "death_delay_mean and recovery_delay_mean must be positive"]),
-        ("reproduce-paper", "[run]\n", "[cfr]\nrecovery_delay_mean = inf\n[run]\n", 2,
-         ["config error", "must be positive and finite, got 9.0 and inf"]),
-        ("reproduce-paper", "[run]\n", "[cfr]\nr = -0.5\n[run]\n", 2,
-         ["config error", "r must be finite and > -1 / the larger delay mean (-0.0588235)"]),
-        ("cfr", "[run]\n", "[cfr]\nr = inf\n[run]\n", 2,
-         ["config error", "r must be finite", "got inf"]),
+        # the cfr report's r, CFR and delays are the scenario's: [cfr] is gone,
+        # and r needs R0 > 0, a closed-form generation time and an outbreak
+        # that declines no faster than the delays' tails thin
+        ("cfr", "[run]\n", "[cfr]\nr = 0.0347\n[run]\n", 2,
+         ["config error", "unknown section [cfr]"]),
+        ("cfr", "[scenario]\n", "[scenario]\ninfectious_shape = 2\ncontact_rate = 0.17\n", 2,
+         ["config error", "[scenario] infectious_shape, latent_rate, infectious_rate = 2, "]),
+        ("cfr", "[scenario]\n", "[scenario]\ncontact_rate = 0\n", 2,
+         ["config error", "[scenario] contact_rate = 0: the cfr report needs R0 > 0"]),
+        # a finite contact rate whose R0 overflows
+        ("cfr", "[scenario]\n", "[scenario]\ncontact_rate = 1e308\n", 2,
+         ["config error", "[scenario] contact_rate = 1e+308: the cfr report needs R0 > 0 and "
+          "finite, got inf"]),
+        ("cfr", "[scenario]\n",
+         "[scenario]\ncontact_rate = 0.01\nto_death_shape = 0.1\nto_death_rate = 0.001\n", 2,
+         ["config error", "[scenario] contact_rate = 0.01: growth rate -0.126", "diverges"]),
+        # [exposures] values fail before the first report is written
         ("reproduce-paper", "n_persons = 100", "n_persons = 10", 2,
          ["config error", "[exposures] n_persons must be >= 50"]),
         # more replicates than one family's streams would reuse the next family's
@@ -498,8 +530,8 @@ class TestCliCommands:
             "reproduce-horizon-past-followup", "horizon-negative",
             "backward-sample-past-threshold", "estimate-infectious-shape-2",
             "reproduce-infectious-shape-2", "estimate-unequal-rates", "reproduce-unequal-rates",
-            "cfr-true-zero",
-            "cfr-delay-zero", "cfr-delay-infinite", "cfr-r-too-negative", "cfr-r-infinite",
+            "cfr-section", "cfr-infectious-shape-2", "cfr-contact-rate-zero", "cfr-R0-infinite",
+            "cfr-declining-past-delay",
             "exposures-too-few-persons", "exposures-replicates-past-streams",
             "bias-table-infectious-shape-2", "bias-table-contact-rate-zero", "seed-negative",
             "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan",

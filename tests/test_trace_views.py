@@ -27,7 +27,7 @@ from _oracles import (
     mask_summarize_trace,
 )
 from epibias.analysis import AnalysisError, AnalysisOptions, analyze_trace, notification_series
-from epibias.outbreak_sim import OutbreakTrace, Scenario, summarize_trace
+from epibias.outbreak_sim import OutbreakTrace, Scenario, simulate_outbreak, summarize_trace
 from epibias.tracing import sample_backward_pairs, sample_forward_pairs
 
 
@@ -163,15 +163,11 @@ def _moved_past_threshold(tr, delay):
     """The same trace with every symptom and outcome time after the threshold
     time ``delay`` days later, and the same ``end_time``.
 
-    The infectors of persons notified by the threshold keep their symptom
-    times: tracing a notified person reads its infector's, which a planted
-    trace (or an incubation factor above 1) may put past the threshold.
+    That includes the infectors of persons notified by the threshold, which
+    a planted trace (or an incubation factor above 1) may notify later.
     """
     T = tr.threshold_time
-    parents = tr.infector[tr.t_symptom <= T]
-    traced = np.zeros(len(tr), dtype=bool)
-    traced[parents[parents >= 0]] = True
-    t_symptom = np.where((tr.t_symptom > T) & ~traced, tr.t_symptom + delay, tr.t_symptom)
+    t_symptom = np.where(tr.t_symptom > T, tr.t_symptom + delay, tr.t_symptom)
     t_outcome = np.where(tr.t_outcome > T, tr.t_outcome + delay, tr.t_outcome)
     return OutbreakTrace(tr.scenario, T, tr.end_time, tr.t_infect, tr.infector,
                          tr.t_inf_start, tr.t_inf_end, t_symptom, tr.died, t_outcome)
@@ -218,11 +214,35 @@ class TestObservationBoundary:
         AnalysisOptions(window=56, horizon=35), AnalysisOptions(n_pairs=600, stride=9),
     ], ids=["default", "window=28", "window=56", "600x9"])
     def test_default_trace(self, ebola_trace, options):
-        moved = _moved_past_threshold(ebola_trace, 3.0)
-        assert _outcome(lambda: summarize_trace(moved, 5)) == repr(summarize_trace(ebola_trace, 5))
-        assert _outcome(lambda: _series(moved)) == repr(_series(ebola_trace))
-        assert (_outcome(lambda: _observed(analyze_trace(moved, 5, options)))
-                == _outcome(lambda: _observed(analyze_trace(ebola_trace, 5, options))))
+        _assert_unmoved(ebola_trace, options)
+
+    def test_infectors_notified_after_the_threshold(self, late_infector_trace):
+        # Incubation factors up to 2 notify the infectors of 5 of the 500
+        # default picks after the threshold; the sample forms no pair for them.
+        tr = late_infector_trace
+        infector = tr.infector[tr.notified[8:4500:9]]
+        assert np.count_nonzero(tr.t_symptom[infector[infector >= 0]] > tr.threshold_time) == 5
+        assert len(sample_backward_pairs(tr, 500, 9)) == 500 - 5 - np.count_nonzero(infector < 0)
+        _assert_unmoved(tr, AnalysisOptions())
+
+
+@pytest.fixture(scope="module")
+def late_infector_trace(ebola_scenario):
+    """The first accepted default-size trace with incubation factors from 0.5 to 2."""
+    scenario = dataclasses.replace(ebola_scenario, incubation_factor_range=(0.5, 2.0))
+    rep = 0
+    while (trace := simulate_outbreak(scenario, rep)) is None:
+        rep += 1
+    return trace
+
+
+def _assert_unmoved(tr, options):
+    """Moving what comes after the threshold moves no observed field of ``tr``."""
+    moved = _moved_past_threshold(tr, 3.0)
+    assert _outcome(lambda: summarize_trace(moved, 5)) == repr(summarize_trace(tr, 5))
+    assert _outcome(lambda: _series(moved)) == repr(_series(tr))
+    assert (_outcome(lambda: _observed(analyze_trace(moved, 5, options)))
+            == _outcome(lambda: _observed(analyze_trace(tr, 5, options))))
 
 
 class TestAgainstMaskOracles:
