@@ -185,7 +185,7 @@ def analyze_trace(
             T=trace.threshold_time,
             r=r_estimates["a"],
         )
-        death_delay = cfr.notification_delay(trace.scenario, trace.scenario.to_death)
+        death_delay = trace.scenario.notification_delay(trace.scenario.to_death)
         corrected = cfr.corrected_naive_cfr(counts, death_delay)
     except ValueError as exc:
         raise AnalysisError(
@@ -389,7 +389,9 @@ def ensemble_report(analysis: EnsembleAnalysis) -> dict:
         "true_r": r_true,
         "true_R0": scn.R0(),
         "prediction_factor_true": math.exp(r_true * analysis.options.horizon),
-        "deterministic_threshold_time": math.log(scn.notify_threshold) / r_true,
+        # Exists only while the outbreak grows; NaN is written as null.
+        "deterministic_threshold_time":
+            math.log(scn.notify_threshold) / r_true if r_true > 0 else math.nan,
         "cfr_clipped": int(analysis.values(lambda t: t.cfr_clipped).sum()),
     }
     for _, group, key, get in REPORTED:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import factorial, gammainc, poch
 
-from .distributions import GammaParams, gamma_from_moments, laplace
+from .distributions import GammaParams, laplace
 
 
 @dataclass(frozen=True)
@@ -96,38 +96,15 @@ def corrected_naive_cfr(counts: CfrCounts, delay_to_death: GammaParams) -> CfrEs
     return CfrEstimate(estimate=min(est, 1.0), clipped=est > 1.0)
 
 
-def notification_delay(scenario, outcome: GammaParams) -> GammaParams:
-    """Notification-to-outcome delay implied by a simulation scenario.
-
-    The outcome happens at (latent + infectious + outcome delay) after
-    infection while notification happens at u * latent, so the gap is
-    (1 - u) * latent + infectious + outcome delay.  Its first two moments
-    are matched by a Gamma, which is what the corrections consume.
-    ``outcome`` is the outcome-delay law, ``scenario.to_death`` or
-    ``scenario.to_recovery``.
-    """
-    lo, hi = scenario.incubation_factor_range
-    u_mean = 0.5 * (lo + hi)
-    u_var = (hi - lo) ** 2 / 12.0
-    ell_sq = scenario.latent.variance() + scenario.latent.mean() ** 2
-    stretch_mean = (1.0 - u_mean) * scenario.latent.mean()
-    stretch_var = (u_var + (1.0 - u_mean) ** 2) * ell_sq - stretch_mean**2
-    mean = stretch_mean + scenario.infectious.mean() + outcome.mean()
-    var = stretch_var + scenario.infectious.variance() + outcome.variance()
-    return gamma_from_moments(mean, math.sqrt(var))
-
-
-def resolved_cfr_bias(
-    p: float, r: float, to_death: GammaParams, to_recovery: GammaParams
-) -> float:
+def resolved_cfr_bias(p: float, pi: float, rho: float) -> float:
     """Expected value of the resolved-cases estimator D/(D+R).
 
     Returns p*pi / (p*pi + (1-p)*rho) with pi and rho the observed fractions
-    for deaths and recoveries.  Unbiased exactly when pi == rho; recovery
-    delays longer than death delays (rho < pi) inflate the estimate.
+    for deaths and recoveries, or NaN when no outcome is observed (the
+    denominator is 0).  Unbiased exactly when pi == rho; recovery delays
+    longer than death delays (rho < pi) inflate the estimate.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"true CFR must be in [0, 1], got {p}")
-    pi = laplace(to_death, r)
-    rho = laplace(to_recovery, r)
-    return p * pi / (p * pi + (1.0 - p) * rho)
+    resolved = p * pi + (1.0 - p) * rho
+    return p * pi / resolved if resolved else math.nan

@@ -162,14 +162,14 @@ def cmd_cfr(config: RunConfig, outdir: Path) -> None:
     scn = config.scenario
     _require_R0(scn, "cfr report")
     r = growth_math.solve_r(scn.R0(), scn.implied_generation())
-    death = cfr_mod.notification_delay(scn, scn.to_death)
-    recovery = cfr_mod.notification_delay(scn, scn.to_recovery)
+    death = scn.notification_delay(scn.to_death)
+    recovery = scn.notification_delay(scn.to_recovery)
     try:
         pi, rho = laplace(death, r), laplace(recovery, r)
     except ValueError as err:  # an outbreak declining faster than a delay's tail thins
         raise ConfigError(f"[scenario] contact_rate = {scn.contact_rate:g}: growth rate "
                           f"{r:g} outruns the notification-to-outcome delays: {err}") from err
-    resolved = cfr_mod.resolved_cfr_bias(scn.p_death, r, death, recovery)
+    resolved = cfr_mod.resolved_cfr_bias(scn.p_death, pi, rho)
     payload = {
         "r": r,
         "true_cfr": scn.p_death,

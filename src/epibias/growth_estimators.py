@@ -105,11 +105,7 @@ def est_c_mean_ratio(series: CaseSeries, window: int = 42, log_ratio: bool = Tru
     which is exact on geometric series; ``log_ratio=False`` instead averages
     the plain ratios and returns mean(ratio) - 1.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window + 1 > len(series):
-        raise ValueError(f"need {window + 1} days for {window} ratios")
-    cum = series.cumulative[-(window + 1):].astype(float)
+    cum = series.cumulative[_window_slice(series, window + 1)].astype(float)
     if np.any(cum <= 0):
         raise ValueError("cumulative counts in the window must be positive")
     ratios = cum[1:] / cum[:-1]

@@ -73,13 +73,10 @@ def backward_dist(gen: GammaParams, r: float) -> GammaParams:
 def backward_bias(R0: float, gen: GammaParams) -> BiasReport:
     """Bias from fitting the growth-rate equation with backward generation times.
 
-    With r = solve_r(R0, gen), r_biased = R0**(1/shape) * r  (always >= r),
-    and R0_biased = (1 - (r/(rate+r))**2)**shape * R0  (always <= R0).
+    The growth-rate equation re-solved with ``backward_dist(gen, r)``, r the
+    true growth rate; r_biased >= r and R0_biased <= R0.
     """
-    r = solve_r(R0, gen)
-    r_biased = R0 ** (1.0 / gen.shape) * r
-    R0_biased = (1.0 - (r / (gen.rate + r)) ** 2) ** gen.shape * R0
-    return _report(BiasSource.BACKWARD, R0, r, r_biased, R0_biased)
+    return _resolved(BiasSource.BACKWARD, R0, gen, backward_dist(gen, solve_r(R0, gen)))
 
 
 def scaled_dist(gen: GammaParams, c: float) -> GammaParams:

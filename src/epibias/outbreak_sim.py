@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .distributions import GammaParams
+from .distributions import GammaParams, gamma_from_moments
 from .rng import stream
 
 
@@ -98,6 +98,12 @@ class Scenario:
                 "closed-form generation time needs infectious_shape 1 and equal rates")
         return GammaParams(self.latent.shape + 1.0, self.latent.rate)
 
+    def _symptom_moments(self) -> tuple[float, float, float, float]:
+        """(E[U], Var U, E[L], E[L^2]): symptoms start at U*L, U ~ U(lo, hi), L latent."""
+        lo, hi = self.incubation_factor_range
+        mean_l = self.latent.mean()
+        return (lo + hi) / 2.0, (hi - lo) ** 2 / 12.0, mean_l, self.latent.variance() + mean_l**2
+
     def serial_cv_factor(self) -> float:
         """c = sd(S) / sd(G): serial intervals S share the generation time's mean.
 
@@ -107,12 +113,25 @@ class Scenario:
         adds 2 Var(UL) - 2 E[U] Var(L) to Var(G); that is negative, and
         c < 1, when symptoms come early in the latent period.
         """
-        lo, hi = self.incubation_factor_range
-        mean_u, mean_u2 = (lo + hi) / 2.0, (lo * lo + lo * hi + hi * hi) / 3.0
-        mean_l, var_l = self.latent.mean(), self.latent.variance()
-        var_ul = mean_u2 * (var_l + mean_l * mean_l) - (mean_u * mean_l) ** 2
-        excess = 2.0 * (var_ul - mean_u * var_l)
+        mean_u, var_u, mean_l, mean_l2 = self._symptom_moments()
+        var_ul = (var_u + mean_u * mean_u) * mean_l2 - (mean_u * mean_l) ** 2
+        excess = 2.0 * (var_ul - mean_u * self.latent.variance())
         return math.sqrt(1.0 + excess / self.implied_generation().variance())
+
+    def notification_delay(self, outcome: GammaParams) -> GammaParams:
+        """Notification-to-outcome delay, ``outcome`` being ``to_death`` or ``to_recovery``.
+
+        The outcome happens at (latent + infectious + outcome delay) after
+        infection while notification happens at U * latent, so the gap is
+        (1 - U) * latent + infectious + outcome delay.  Its first two moments
+        are matched by a Gamma, which is what the CFR corrections consume.
+        """
+        mean_u, var_u, mean_l, mean_l2 = self._symptom_moments()
+        stretch_mean = (1.0 - mean_u) * mean_l
+        stretch_var = (var_u + (1.0 - mean_u) ** 2) * mean_l2 - stretch_mean**2
+        mean = stretch_mean + self.infectious.mean() + outcome.mean()
+        var = stretch_var + self.infectious.variance() + outcome.variance()
+        return gamma_from_moments(mean, math.sqrt(var))
 
 
 class OutbreakTrace:
@@ -148,7 +167,7 @@ class OutbreakTrace:
         for arr in (t_infect, infector, t_inf_start, t_inf_end, t_symptom,
                     died, t_outcome):
             arr.flags.writeable = False
-        self._counts = {}   # notified_count past the threshold, by time
+        self._counts = {}   # notified_count, by time
 
     def __len__(self) -> int:
         return len(self.t_infect)
@@ -182,12 +201,9 @@ class OutbreakTrace:
     def notified_count(self, t: float) -> int:
         """Persons notified by time ``t``: ``count_nonzero(t_symptom <= t)``.
 
-        A time up to the threshold time is counted on ``notified_times``.  A
-        later time is counted over the column once and remembered, so a
-        trace re-analysed under other options does not count it again.
+        Counted over the column once and remembered, so a trace re-analysed
+        under other options does not count the same time again.
         """
-        if t <= self.threshold_time:
-            return int(np.searchsorted(self.notified_times, t, "right"))
         if t not in self._counts:
             self._counts[t] = int(np.count_nonzero(self.t_symptom <= t))
         return self._counts[t]

@@ -255,7 +255,7 @@ def test_criterion_8_cfr_corrections(ensemble, tmp_path):
     r, death, recovery = 0.0347, GammaParams(1.0, 1.0 / 9.0), GammaParams(1.0, 1.0 / 17.0)
     pi = laplace(death, r)
     rho = laplace(recovery, r)
-    resolved = resolved_cfr_bias(0.7, r, death, recovery)
+    resolved = resolved_cfr_bias(0.7, pi, rho)
     ens, _ = ensemble
     corrected = ens.values(lambda t: t.cfr_corrected)
     qlo, qhi = np.quantile(corrected, 0.025), np.quantile(corrected, 0.975)

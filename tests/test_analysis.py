@@ -163,6 +163,19 @@ class TestEnsembleReport:
         assert set(report["growth_estimates"]) == {"a", "b", "c", "c_plain_ratio", "d"}
         assert report["threshold_time"]["n"] == 1
 
+    @pytest.mark.parametrize("contact_rate", [0.2, 0.1], ids=["critical", "subcritical"])
+    def test_no_threshold_time_without_growth(self, contact_rate, analysis):
+        # R0 = 1 gives r = 0 and R0 < 1 a negative r: no deterministic time exists.
+        from epibias.analysis import EnsembleAnalysis, ensemble_report
+
+        ens = EnsembleAnalysis(
+            scenario=Scenario(contact_rate=contact_rate), options=AnalysisOptions(),
+            n_attempts=1, traces=[analysis],
+        )
+        report = ensemble_report(ens)
+        assert report["true_r"] <= 0.0
+        assert math.isnan(report["deterministic_threshold_time"])
+
 
 class TestSummarize:
     def test_fields(self):

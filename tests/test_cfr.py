@@ -10,7 +10,6 @@ from _oracles import quad_laplace, quad_pi_finite
 from epibias.cfr import (
     CfrCounts,
     corrected_naive_cfr,
-    notification_delay,
     pi_finite,
     resolved_cfr_bias,
 )
@@ -180,28 +179,34 @@ class TestCorrectedNaive:
 
 class TestResolvedEstimator:
     def test_study_value(self):
-        val = resolved_cfr_bias(0.7, R_DOUBLING_20, DEATH, RECOVERY)
+        val = resolved_cfr_bias(
+            0.7, laplace(DEATH, R_DOUBLING_20), laplace(RECOVERY, R_DOUBLING_20))
         assert abs(val - 0.7387) < 1e-3
         assert 0.04 < val / 0.7 - 1.0 < 0.07
 
     def test_equal_delays_unbiased(self):
-        val = resolved_cfr_bias(0.42, 0.05, DEATH, DEATH)
+        val = resolved_cfr_bias(0.42, laplace(DEATH, 0.05), laplace(DEATH, 0.05))
         assert math.isclose(val, 0.42, rel_tol=1e-14)
 
     def test_fast_recovery_underestimates(self):
         fast_rec = GammaParams(1.0, 1.0 / 9.0)
         slow_death = GammaParams(1.0, 1.0 / 17.0)
-        assert resolved_cfr_bias(0.1, R_DOUBLING_20, slow_death, fast_rec) < 0.1
+        pi, rho = laplace(slow_death, R_DOUBLING_20), laplace(fast_rec, R_DOUBLING_20)
+        assert resolved_cfr_bias(0.1, pi, rho) < 0.1
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            resolved_cfr_bias(1.2, 0.05, DEATH, RECOVERY)
+            resolved_cfr_bias(1.2, laplace(DEATH, 0.05), laplace(RECOVERY, 0.05))
+
+    def test_nothing_observed_is_nan(self):
+        # No deaths expected and every recovery still to come: 0/0.
+        assert math.isnan(resolved_cfr_bias(0.0, laplace(DEATH, R_DOUBLING_20), 0.0))
 
 
 class TestNotificationDelay:
     def test_moments_match_monte_carlo(self):
         scn = Scenario()
-        spec = notification_delay(scn, scn.to_death)
+        spec = scn.notification_delay(scn.to_death)
         rng = stream(99, 0)
         n = 1_000_000
         ell = rng.gamma(2.0, 5.0, n)
@@ -215,7 +220,7 @@ class TestNotificationDelay:
 
     def test_recovery_mean(self):
         scn = Scenario()
-        spec = notification_delay(scn, scn.to_recovery)
+        spec = scn.notification_delay(scn.to_recovery)
         assert abs(spec.mean() - 17.0) < 1e-12
 
     @pytest.mark.parametrize("outcome, expected", [("to_death", 0.73477),
@@ -230,6 +235,6 @@ class TestNotificationDelay:
         stretch, _ = integrate.quad(lambda u: laplace(scn.latent, r * (1.0 - u)), lo, hi)
         law = getattr(scn, outcome)
         exact = stretch / (hi - lo) * laplace(scn.infectious, r) * laplace(law, r)
-        matched = laplace(notification_delay(scn, law), r)
+        matched = laplace(scn.notification_delay(law), r)
         assert abs(matched - exact) < 5e-5
         assert round(matched, 5) == expected

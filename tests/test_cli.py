@@ -306,6 +306,18 @@ class TestCliCommands:
         assert payload["resolved_relative_bias"] is None
         assert "resolved_relative_bias,nan" in (tmp_path / "cfr_report.csv").read_text()
 
+    def test_cfr_without_resolved_cases(self, tmp_path):
+        # No deaths, and growth so fast that the observed recovery fraction
+        # underflows to 0: no outcome is resolved, so the resolved-cases
+        # estimator has no expectation (NaN, written as null).
+        cfg = tmp_path / "nothing-resolved.ini"
+        cfg.write_text("[scenario]\np_death = 0\ncontact_rate = 1e300\n")
+        assert main(["cfr", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "cfr_report.json").read_text())
+        assert payload["observed_recovery_fraction"] == 0.0
+        assert payload["resolved_estimator_expectation"] is None
+        assert payload["resolved_relative_bias"] is None
+
     def test_simulate_small(self, tmp_path, small_config):
         assert main([
             "simulate", "--config", str(small_config), "--out", str(tmp_path),

@@ -149,14 +149,14 @@ class TestBackward:
     @given(shape=st.floats(0.3, 10.0), rate=st.floats(0.01, 2.0),
            R0=st.floats(1.0, 5.0, exclude_min=True))
     def test_consistent_with_generic_solvers(self, shape, rate, R0):
-        # The closed-form row is the growth-rate equation re-solved both
-        # ways with the backward law.
+        # The row re-solved with the backward law equals the paper's closed
+        # forms r_biased = R0**(1/k) * r and R0_biased = (1 - (r/(lambda+r))**2)**k * R0.
         g = GammaParams(shape, rate)
         r = solve_r(R0, g)
-        b = backward_dist(g, r)
         rep = backward_bias(R0, g)
-        assert math.isclose(rep.r_biased, solve_r(R0, b), rel_tol=1e-12)
-        assert math.isclose(rep.R0_biased, solve_R0(r, b), rel_tol=1e-12)
+        assert math.isclose(rep.r_biased, R0 ** (1.0 / shape) * r, rel_tol=1e-12)
+        assert math.isclose(rep.R0_biased, (1.0 - (r / (rate + r)) ** 2) ** shape * R0,
+                            rel_tol=1e-12)
 
 
 class TestSerialInflation:

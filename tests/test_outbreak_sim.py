@@ -483,14 +483,12 @@ class TestFullSizeTrace:
     def test_resolved_fraction_matches_delay_theory(self, ebola_trace):
         # resolved/notified at the threshold is the mixture of the discounted
         # notification-to-outcome masses for deaths and recoveries
-        from epibias.cfr import notification_delay
-
         summary = summarize_trace(ebola_trace, 0)
         scn = ebola_trace.scenario
         r = scn.infectious.rate * (scn.R0() ** (1.0 / 3.0) - 1.0)
         theory = (
-            scn.p_death * laplace(notification_delay(scn, scn.to_death), r)
-            + (1 - scn.p_death) * laplace(notification_delay(scn, scn.to_recovery), r)
+            scn.p_death * laplace(scn.notification_delay(scn.to_death), r)
+            + (1 - scn.p_death) * laplace(scn.notification_delay(scn.to_recovery), r)
         )
         notified = summary.total_infected - summary.unnotified
         assert abs(summary.resolved / notified - theory) < 0.03
