@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import shutil
 import sys
 from functools import partial
@@ -67,7 +68,14 @@ def _require_R0(scenario, report: str) -> None:
 
 
 def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
-    _require_R0(config.scenario, "bias table")
+    scn = config.scenario
+    _require_R0(scn, "bias table")
+    try:
+        reports = growth_math.bias_table(scn, config.me_gen, config.me_biased_gen)
+    except ValueError as err:  # an outbreak declining so fast that a re-solved R0 diverges
+        r = growth_math.solve_r(scn.R0(), scn.implied_generation())
+        raise ConfigError(f"[scenario] contact_rate = {scn.contact_rate:g}: growth rate "
+                          f"{r:g} declines too fast for the bias table: {err}") from err
     rows = [{
         "source": report.source.value,
         "R0_biased": report.R0_biased,
@@ -75,8 +83,7 @@ def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
         "R0_bias_pct": 100.0 * report.R0_rel_bias,
         "r_bias_pct": 100.0 * report.r_rel_bias,
         "note": report.note,
-    } for report in growth_math.bias_table(config.scenario, config.me_gen,
-                                           config.me_biased_gen)]
+    } for report in reports]
     _write_report(config, outdir, "bias_table", {"rows": rows},
                   list(rows[0]), [list(r.values()) for r in rows])
     print(f"bias-table: wrote {len(rows)} rows")
@@ -269,15 +276,28 @@ def main(argv=None) -> int:
         print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # A command removes and remakes the staging directory, and simulate
+    # --write-traces fills traces/: anything else in their place fails the
+    # run before anything is simulated.
+    write_traces = getattr(args, "write_traces", False)
+    staging, traces = outdir / STAGING, outdir / "traces"
+    in_the_way = [path for path, blocked in [
+        (staging, staging.is_symlink() or os.path.lexists(staging) and not staging.is_dir()),
+        (traces, write_traces and os.path.lexists(traces) and not traces.is_dir()),
+    ] if blocked]
+    if in_the_way:
+        print(f"config error: {in_the_way[0]} is in the way: the {args.command} command "
+              f"writes a directory there", file=sys.stderr)
+        return EXIT_CONFIG
+
     commands = {
         "bias-table": cmd_bias_table, "estimate": cmd_estimate, "exposures": cmd_exposures,
         "cfr": cmd_cfr, "reproduce-paper": cmd_reproduce,
-        "simulate": partial(cmd_simulate, write_traces=getattr(args, "write_traces", False)),
+        "simulate": partial(cmd_simulate, write_traces=write_traces),
     }
     # The file --config names already describes the run: never rewrite it.
     config_ini = outdir / "config.ini"
     own_ini = args.config is None or config_ini.resolve() != Path(args.config).resolve()
-    staging = outdir / STAGING
     shutil.rmtree(staging, ignore_errors=True)   # left by a run that was killed
     staging.mkdir()
     try:

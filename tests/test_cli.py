@@ -512,6 +512,10 @@ class TestCliCommands:
          2, ["config error", "[scenario] infectious_shape, latent_rate, infectious_rate = 2, "]),
         ("bias-table", "[scenario]\n", "[scenario]\ncontact_rate = 0\n", 2,
          ["config error", "[scenario] contact_rate = 0: the bias table needs R0 > 0"]),
+        # R0 = 0.1: r = -0.107 is below -lambda/2 = -0.1, where the backward
+        # row's re-solved R0 diverges
+        ("bias-table", "[scenario]\n", "[scenario]\ncontact_rate = 0.02\n", 2,
+         ["config error", "[scenario] contact_rate = 0.02: growth rate -0.107", "need r >"]),
         # a negative seed fails before the first report is written
         ("reproduce-paper", "[run]\n", "[run]\nseed = -1\n", 2,
          ["config error", "[run] seed must be >= 0"]),
@@ -545,7 +549,8 @@ class TestCliCommands:
             "cfr-section", "cfr-infectious-shape-2", "cfr-contact-rate-zero", "cfr-R0-infinite",
             "cfr-declining-past-delay",
             "exposures-too-few-persons", "exposures-replicates-past-streams",
-            "bias-table-infectious-shape-2", "bias-table-contact-rate-zero", "seed-negative",
+            "bias-table-infectious-shape-2", "bias-table-contact-rate-zero",
+            "bias-table-declining-past-backward-rate", "seed-negative",
             "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan",
             "exposures-contact-rate-zero", "incubation-factor-min-above-max",
             "notify-threshold-zero",
@@ -558,6 +563,26 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert all(w in err for w in words), err
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("name, flags, link", [
+        (STAGING, [], False), (STAGING, [], True), ("traces", ["--write-traces"], False),
+    ], ids=["staging", "staging-link", "traces"])
+    def test_file_in_place_of_a_directory_is_a_config_error(
+        self, tmp_path, small_config, capsys, monkeypatch, name, flags, link
+    ):
+        def fail(scenario, rep):
+            raise AssertionError("simulated before the output directory was checked")
+
+        monkeypatch.setattr(outbreak_sim, "simulate_outbreak", fail)
+        if link:   # the staging directory is removed and remade, so a link is in the way
+            (tmp_path / name).symlink_to(tmp_path, target_is_directory=True)
+        else:
+            (tmp_path / name).write_text("a file\n")
+        before = _snapshot(tmp_path)
+        argv = ["simulate", "--config", str(small_config), "--out", str(tmp_path), *flags]
+        assert main(argv) == 2
+        assert f"config error: {tmp_path / name} is in the way" in capsys.readouterr().err
+        assert _snapshot(tmp_path) == before
 
     def test_simulate_reads_no_estimate_value(self, tmp_path, small_config):
         # The default horizon of 42 is past a follow-up of 0, which only the

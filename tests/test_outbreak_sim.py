@@ -291,19 +291,23 @@ def _assert_column_layout(tr):
         assert not col.flags.writeable, name
 
 
-@pytest.fixture(scope="module")
-def parent_data():
-    """Pooled (duration, offspring, early-flag) for fully observed infectors.
+OFFSPRING_LAW_SEED = 77
 
-    Completed parents have their whole infectious period inside the run, so
-    their offspring counts are exact; the early subset (infected 60+ days
-    before the end) is additionally free of the window-completion selection
-    on durations.
+
+def offspring_law(master_seed: int) -> tuple[int, int, dict]:
+    """The numbers of parents and early parents, and each offspring-law test's
+    (p-value, passes), on 32 accepted default runs at ``master_seed``.
+
+    Parents are completed infectors, whose offspring counts are exact; early
+    ones (infected 60+ days before the end) are also free of the
+    window-completion selection on durations.  Each p-value is uniform under
+    a correct simulator: the mean test's is the two-sided normal one of z,
+    and the conditional-rate test's the Sidak-adjusted one of the largest
+    |z| over the (disjoint) duration deciles.
     """
-    scn = Scenario(master_seed=77)
+    scn = Scenario(master_seed=master_seed)
     durations, counts, early = [], [], []
-    rep = 0
-    accepted = 0
+    rep = accepted = 0
     while accepted < 32:
         tr = simulate_outbreak(scn, rep)
         rep += 1
@@ -315,53 +319,63 @@ def parent_data():
         durations.append((tr.t_inf_end - tr.t_inf_start)[done])
         counts.append(n_off[done])
         early.append(tr.t_infect[done] <= tr.end_time - 60.0)
-    return (np.concatenate(durations), np.concatenate(counts),
-            np.concatenate(early))
+    d, n, early = np.concatenate(durations), np.concatenate(counts), np.concatenate(early)
+    de, ne = d[early], n[early]
+    tests = {}
+
+    z = (ne.mean() - 1.7) / (ne.std(ddof=1) / math.sqrt(len(ne)))
+    tests["mean_offspring"] = (2 * stats.norm.sf(abs(z)), abs(z) < 3)
+
+    # Poisson counts over exponential durations pool into a geometric law.
+    m, kmax = 1.7, 18
+    probs = (1.0 / (1.0 + m)) * (m / (1.0 + m)) ** np.arange(kmax)
+    probs = np.append(probs, 1.0 - probs.sum())
+    observed = np.bincount(np.minimum(ne, kmax), minlength=kmax + 1)
+    p = stats.chisquare(observed, probs * len(ne)).pvalue
+    tests["geometric_mixture_chi_square"] = (p, p > 0.01)
+
+    # Randomized PIT: exactly uniform iff counts are Poisson(0.34*d) given
+    # each parent's own duration, whatever the duration mix.
+    lam = 0.34 * d
+    v = stream(7070, 0).random(len(n))
+    u = stats.poisson.cdf(n - 1, lam) + v * stats.poisson.pmf(n, lam)
+    observed = np.bincount(np.minimum((u * 20).astype(int), 19), minlength=20)
+    p = stats.chisquare(observed).pvalue
+    tests["poisson_given_duration_chi_square"] = (p, p > 0.01)
+
+    edges = np.quantile(de, np.linspace(0, 1, 11))
+    z = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = (de >= lo) & (de < hi) if hi < edges[-1] else (de >= lo)
+        if sel.sum() < 500:
+            continue
+        se = max(ne[sel].std(ddof=1) / math.sqrt(sel.sum()), 1e-3)
+        z.append(abs(ne[sel].mean() - 0.34 * de[sel].mean()) / se)
+    p = -math.expm1(len(z) * math.log1p(-2 * stats.norm.sf(max(z))))
+    tests["conditional_rate_by_duration"] = (p, max(z) < 4)
+    return len(n), len(ne), tests
+
+
+@pytest.fixture(scope="module")
+def offspring():
+    return offspring_law(OFFSPRING_LAW_SEED)
 
 
 class TestOffspringLaw:
-    def test_mean_offspring(self, parent_data):
-        _, n, early = parent_data
-        n = n[early]
-        assert len(n) >= 100_000
-        se = n.std(ddof=1) / math.sqrt(len(n))
-        assert abs(n.mean() - 1.7) < 3 * se
+    # Each asserts one test of offspring_law; the message gives all the p-values.
+    def test_mean_offspring(self, offspring):
+        _, n_early, tests = offspring
+        assert n_early >= 100_000 and tests["mean_offspring"][1], tests
 
-    def test_geometric_mixture_chi_square(self, parent_data):
-        # Poisson counts over exponential durations pool into a geometric law.
-        _, n, early = parent_data
-        n = n[early]
-        m = 1.7
-        kmax = 18
-        probs = (1.0 / (1.0 + m)) * (m / (1.0 + m)) ** np.arange(kmax)
-        probs = np.append(probs, 1.0 - probs.sum())
-        observed = np.bincount(np.minimum(n, kmax), minlength=kmax + 1)
-        chi2 = stats.chisquare(observed, probs * len(n))
-        assert chi2.pvalue > 0.01
+    def test_geometric_mixture_chi_square(self, offspring):
+        assert offspring[2]["geometric_mixture_chi_square"][1], offspring[2]
 
-    def test_poisson_given_duration_chi_square(self, parent_data):
-        # Randomized PIT: exactly uniform iff counts are Poisson(0.34*d)
-        # given each parent's own duration, whatever the duration mix.
-        d, n, _ = parent_data
-        assert len(n) >= 100_000
-        lam = 0.34 * d
-        v = stream(7070, 0).random(len(n))
-        u = stats.poisson.cdf(n - 1, lam) + v * stats.poisson.pmf(n, lam)
-        observed = np.bincount(np.minimum((u * 20).astype(int), 19), minlength=20)
-        chi2 = stats.chisquare(observed)
-        assert chi2.pvalue > 0.01
+    def test_poisson_given_duration_chi_square(self, offspring):
+        n_parents, _, tests = offspring
+        assert n_parents >= 100_000 and tests["poisson_given_duration_chi_square"][1], tests
 
-    def test_conditional_rate_by_duration(self, parent_data):
-        d, n, early = parent_data
-        d, n = d[early], n[early]
-        edges = np.quantile(d, np.linspace(0, 1, 11))
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sel = (d >= lo) & (d < hi) if hi < edges[-1] else (d >= lo)
-            if sel.sum() < 500:
-                continue
-            expected = 0.34 * d[sel].mean()
-            se = n[sel].std(ddof=1) / math.sqrt(sel.sum())
-            assert abs(n[sel].mean() - expected) < 4 * max(se, 1e-3)
+    def test_conditional_rate_by_duration(self, offspring):
+        assert offspring[2]["conditional_rate_by_duration"][1], offspring[2]
 
 
 # Two-sample checks of the simulator against the event-queue oracle: each is
