@@ -99,12 +99,6 @@ def notification_series(trace: OutbreakTrace) -> tuple[ge.CaseSeries, float, int
     return ge.CaseSeries(daily), t0, k_complete
 
 
-def cumulative_notified_at(trace: OutbreakTrace, t: float) -> int:
-    if t > trace.end_time:
-        raise ValueError("time lies beyond the simulated window")
-    return trace.notified_count(t)
-
-
 @lru_cache(maxsize=8)
 def true_weights(scenario: Scenario) -> DiscreteDelay:
     """Day-lag weights from the scenario's implied generation-time distribution.
@@ -166,7 +160,7 @@ def analyze_trace(
         R0_true = ge.est_e_renewal_R0(series, true_weights(trace.scenario))
 
         stage = "prediction"
-        actual = cumulative_notified_at(trace, t0 + k_complete + options.horizon)
+        actual = trace.notified_count(t0 + k_complete + options.horizon)
         fitted = {**r_estimates, "e": R0_backward}
         predictions = {}
         for method in ("a", "b", "c", "d", "e"):

@@ -234,22 +234,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _move_into_place(staging: Path, outdir: Path) -> None:
+def _move_into_place(staging: Path, outdir: Path, command: str) -> None:
     """Move every file written into ``staging`` to the same name in ``outdir``.
 
     A ``traces`` directory replaces the trace CSVs an earlier run left in
-    ``outdir/traces``, not only those of the same name.
+    ``outdir/traces``, not only those of the same name.  Every removal and
+    move is planned first: a directory in place of any of their files is a
+    ``ValueError`` before ``outdir`` is touched.
     """
-    for path in staging.iterdir():
-        if path.is_dir():
-            target = outdir / path.name
-            target.mkdir(exist_ok=True)
-            for stale in target.glob("trace_*.csv"):
-                stale.unlink()
-            for trace in path.iterdir():
-                trace.replace(target / trace.name)
-        else:
-            path.replace(outdir / path.name)
+    moves = [(path, outdir / path.relative_to(staging)) for path in staging.rglob("*")
+             if path.is_file()]
+    stale = list((outdir / "traces").glob("trace_*.csv")) if (staging / "traces").exists() else []
+    for path, verb in [(p, "removes") for p in stale] + [(dst, "writes") for _, dst in moves]:
+        if path.is_dir() and not path.is_symlink():
+            raise ValueError(f"{path} is in the way: the {command} command {verb} a file there")
+    for path in stale:
+        path.unlink()
+    for path, dst in moves:
+        dst.parent.mkdir(exist_ok=True)
+        path.replace(dst)
 
 
 def main(argv=None) -> int:
@@ -304,7 +307,7 @@ def main(argv=None) -> int:
         commands[args.command](config, staging)
         if own_ini:
             (staging / "config.ini").write_text(config.canonical_text)
-        _move_into_place(staging, outdir)
+        _move_into_place(staging, outdir, args.command)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,7 +23,7 @@ import traceback
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional
@@ -134,6 +134,7 @@ class Scenario:
         return gamma_from_moments(mean, math.sqrt(var))
 
 
+@dataclass(frozen=True, eq=False)
 class OutbreakTrace:
     """Columnar record of one accepted outbreak run.
 
@@ -141,53 +142,48 @@ class OutbreakTrace:
     non-decreasing (else ``ValueError``) and every infector's id is below its
     infectee's; the counts over a trace rely on both.  ``threshold_time`` is
     the moment the notification threshold was reached; the run covers every
-    infection up to ``end_time = threshold_time + followup``.
+    infection up to ``end_time = threshold_time + followup``.  Times are
+    float64 days.
 
     An analysis sees the outbreak as an observer at ``threshold_time`` does:
     ``notified`` holds the persons notified by then (about 4,500 of ~33,000
     on the default scenario), sorted once, and ``notified_times`` their
     times.  Only the forecast target reads past the threshold, through
-    ``notified_count(t)``.
+    ``notified_count(t)``.  The record and its columns are read-only;
+    ``dataclasses.replace`` gives a new trace, sorted and counted afresh.
     """
 
-    def __init__(self, scenario, threshold_time, end_time, t_infect, infector,
-                 t_inf_start, t_inf_end, t_symptom, died, t_outcome):
-        if np.any(t_infect[1:] < t_infect[:-1]):
+    scenario: Scenario
+    threshold_time: float
+    end_time: float
+    t_infect: np.ndarray
+    infector: np.ndarray
+    t_inf_start: np.ndarray
+    t_inf_end: np.ndarray
+    t_symptom: np.ndarray
+    died: np.ndarray
+    t_outcome: np.ndarray
+    # notified_count, by time
+    _counts: dict[float, int] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if np.any(self.t_infect[1:] < self.t_infect[:-1]):
             raise ValueError("persons must be ordered by infection time")
-        self.scenario = scenario
-        self.threshold_time = float(threshold_time)
-        self.end_time = float(end_time)
-        self.t_infect = t_infect
-        self.infector = infector
-        self.t_inf_start = t_inf_start
-        self.t_inf_end = t_inf_end
-        self.t_symptom = t_symptom
-        self.died = died
-        self.t_outcome = t_outcome
-        for arr in (t_infect, infector, t_inf_start, t_inf_end, t_symptom,
-                    died, t_outcome):
+        object.__setattr__(self, "threshold_time", float(self.threshold_time))
+        object.__setattr__(self, "end_time", float(self.end_time))
+        for arr in (self.t_infect, self.infector, self.t_inf_start, self.t_inf_end,
+                    self.t_symptom, self.died, self.t_outcome):
             arr.flags.writeable = False
-        self._counts = {}   # notified_count, by time
 
     def __len__(self) -> int:
         return len(self.t_infect)
 
     @cached_property
     def notified(self) -> np.ndarray:
-        """Ids of the persons notified by ``threshold_time``, in notification order.
-
-        Ties are broken by id, as a stable sort of the ascending ids breaks
-        them.  Sorted with numpy's default (faster, unstable) argsort:
-        without tied times the order is unique, so it equals the stable one.
-        Only when two adjacent sorted times are equal is the stable sort run.
-        """
+        """Ids of the persons notified by ``threshold_time``, sorted by
+        :func:`_time_order` into notification order: tied times by id."""
         ids = np.flatnonzero(self.t_symptom <= self.threshold_time)
-        times = self.t_symptom[ids]
-        order = np.argsort(times)
-        ts = times[order]
-        if np.any(ts[1:] == ts[:-1]):
-            order = np.argsort(times, kind="stable")
-        ids = ids[order]
+        ids = ids[_time_order(self.t_symptom[ids])[0]]
         ids.flags.writeable = False
         return ids
 
@@ -201,9 +197,12 @@ class OutbreakTrace:
     def notified_count(self, t: float) -> int:
         """Persons notified by time ``t``: ``count_nonzero(t_symptom <= t)``.
 
+        ``ValueError`` past ``end_time``, where the run was not simulated.
         Counted over the column once and remembered, so a trace re-analysed
         under other options does not count the same time again.
         """
+        if t > self.end_time:
+            raise ValueError("time lies beyond the simulated window")
         if t not in self._counts:
             self._counts[t] = int(np.count_nonzero(self.t_symptom <= t))
         return self._counts[t]
@@ -239,15 +238,15 @@ CSV_BLOCK_ROWS = 8192
 
 
 def _time_order(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, t[order])`` with ``order = np.argsort(t)``, bit for bit.
+    """``(order, t[order])`` with ``order = np.argsort(t, kind="stable")``, bit for bit.
 
     Sorting values is ~2.5x faster than sorting indices, so each time's bit
     pattern, which orders as the time does for t >= 0, has its low bits
     replaced by the index, and the packed keys are sorted.  If the times so
     ordered are strictly increasing, the order is the unique sorting one;
-    else (tied, negative or nearly equal times) ``np.argsort`` is run.
-    Infection times are continuous draws and never tie, so the default
-    (faster) argsort gives the same order a stable sort would.
+    else (tied, negative or nearly equal times) the stable argsort is run,
+    so tied times keep the order of their indices.  This orders both the
+    persons of a run and its notifications.
     """
     bits = (len(t) - 1).bit_length()
     key = t.view(np.uint64) >> bits
@@ -259,7 +258,7 @@ def _time_order(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ts = t[order]
     if np.all(ts[1:] > ts[:-1]):
         return order, ts
-    order = np.argsort(t)
+    order = np.argsort(t, kind="stable")
     return order, t[order]
 
 
@@ -274,7 +273,8 @@ def simulate_outbreak(scenario: Scenario, replicate_index: int) -> Optional[Outb
     infected after H, hence notified after H, so the threshold time is
     exactly the threshold-th smallest symptom time drawn.  The run is then
     expanded up to ``end_time = threshold_time + followup``, the pending
-    infections are dropped, and persons are renumbered by infection time,
+    infections are dropped, and persons are renumbered by infection time
+    (tied times, which continuous draws all but never give, in draw order),
     dropping any infected after ``end_time``.  Each column is kept as one
     piece per batch, and is joined, freed and gathered into that order
     before the next: the peak, in this assembly, is ~75 traced bytes per

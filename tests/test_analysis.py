@@ -11,7 +11,6 @@ from epibias.analysis import (
     AnalysisError,
     AnalysisOptions,
     analyze_trace,
-    cumulative_notified_at,
     exposure_study,
     notification_series,
     summarize,
@@ -21,7 +20,7 @@ from epibias import analysis as analysis_mod, cfr, exposures, growth_estimators,
 from epibias.exposures import ExposureModel, MomentFit, MomentFitError
 from epibias.distributions import gamma_from_moments
 from epibias.rng import stream
-from epibias.outbreak_sim import POOL_BLOCK, Scenario, simulate_outbreak
+from epibias.outbreak_sim import POOL_BLOCK, OutbreakTrace, Scenario, simulate_outbreak
 from epibias.tracing import sample_backward_pairs
 from golden import load_golden, platform_key
 from _oracles import delay_mean
@@ -42,9 +41,9 @@ class TestNotificationSeries:
 
     def test_cumulative_accessor(self, ebola_trace):
         t = ebola_trace.threshold_time
-        assert cumulative_notified_at(ebola_trace, t) == 4500
+        assert ebola_trace.notified_count(t) == 4500
         with pytest.raises(ValueError):
-            cumulative_notified_at(ebola_trace, ebola_trace.end_time + 1.0)
+            ebola_trace.notified_count(ebola_trace.end_time + 1.0)
 
 
 class TestTrueWeights:
@@ -123,7 +122,7 @@ class TestAnalyzeTrace:
         ("forward sample", tracing, "sample_forward_pairs"),
         ("growth fits", analysis_mod, "notification_series"),
         ("renewal", growth_estimators, "est_e_renewal_R0"),
-        ("prediction", analysis_mod, "cumulative_notified_at"),
+        ("prediction", OutbreakTrace, "notified_count"),
         ("cfr", cfr, "corrected_naive_cfr"),
     ])
     def test_every_stage_names_itself(self, ebola_trace, monkeypatch, stage, module, callee):

@@ -584,6 +584,24 @@ class TestCliCommands:
         assert f"config error: {tmp_path / name} is in the way" in capsys.readouterr().err
         assert _snapshot(tmp_path) == before
 
+    @pytest.mark.parametrize("command, flags, name", [
+        ("bias-table", [], "bias_table.json"),
+        ("simulate", ["--write-traces"], "traces/trace_0000.csv"),
+    ], ids=["report", "trace"])
+    def test_directory_in_place_of_a_file_is_a_config_error(
+        self, tmp_path, small_config, capsys, command, flags, name
+    ):
+        # Found only once the command has run; nothing is moved or removed.
+        (tmp_path / name).mkdir(parents=True)
+        (tmp_path / "traces").mkdir(exist_ok=True)
+        (tmp_path / "traces" / "trace_0001.csv").write_text("an earlier run's trace\n")
+        before = _snapshot(tmp_path)
+        argv = [command, "--config", str(small_config), "--out", str(tmp_path), *flags]
+        assert main(argv) == 2
+        assert f"config error: {tmp_path / name} is in the way" in capsys.readouterr().err
+        assert _snapshot(tmp_path) == before and (tmp_path / name).is_dir()
+        assert not (tmp_path / STAGING).exists()
+
     def test_simulate_reads_no_estimate_value(self, tmp_path, small_config):
         # The default horizon of 42 is past a follow-up of 0, which only the
         # estimators score their predictions on.

@@ -235,7 +235,8 @@ class TestSimulate:
     ], ids=["distinct", "one", "tied", "negative", "last-bit-apart"])
     def test_time_order_is_argsort(self, t):
         order, ts = outbreak_sim._time_order(t)
-        assert np.array_equal(order, np.argsort(t)) and np.array_equal(ts, t[order])
+        stable = np.argsort(t, kind="stable")
+        assert np.array_equal(order, stable) and np.array_equal(ts, t[order])
 
     def test_person_view_and_csv(self, small_trace, tmp_path):
         path = tmp_path / "trace.csv"
@@ -468,8 +469,7 @@ class TestFullSizeTrace:
     def test_summary_rejects_trace_short_of_threshold(self, small_trace):
         tr = small_trace
         scn = dataclasses.replace(tr.scenario, notify_threshold=tr.scenario.notify_threshold + 1)
-        short = OutbreakTrace(scn, tr.threshold_time, tr.end_time, tr.t_infect, tr.infector,
-                              tr.t_inf_start, tr.t_inf_end, tr.t_symptom, tr.died, tr.t_outcome)
+        short = dataclasses.replace(tr, scenario=scn)
         with pytest.raises(ValueError, match="did not reach its notification threshold"):
             summarize_trace(short, 0)
 

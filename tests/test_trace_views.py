@@ -27,6 +27,7 @@ from _oracles import (
     mask_summarize_trace,
 )
 from epibias.analysis import AnalysisError, AnalysisOptions, analyze_trace, notification_series
+from epibias.distributions import GammaParams
 from epibias.outbreak_sim import OutbreakTrace, Scenario, simulate_outbreak, summarize_trace
 from epibias.tracing import sample_backward_pairs, sample_forward_pairs
 
@@ -103,6 +104,21 @@ class TestInvariants:
         assert np.all(tr.infector < ids)
         assert np.count_nonzero(tr.infector < 0) == 1
 
+    def test_the_record_is_frozen(self, small_trace):
+        for f in dataclasses.fields(small_trace):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(small_trace, f.name, getattr(small_trace, f.name))
+
+    def test_replace_gives_fresh_views(self, ebola_trace):
+        tr = ebola_trace
+        assert len(tr.notified) == 4500 and tr.notified_count(tr.end_time) > 4500
+        earlier = dataclasses.replace(tr, threshold_time=tr.threshold_time - 5)
+        assert earlier._counts == {} and "notified" not in vars(earlier)
+        stable = np.argsort(tr.t_symptom, kind="stable")
+        assert len(earlier.notified) == 3715
+        assert np.array_equal(earlier.notified,
+                              stable[tr.t_symptom[stable] <= earlier.threshold_time])
+
     @given(planted_traces())
     def test_notified_times_are_the_sorted_symptom_times(self, tr):
         ts = tr.notified_times
@@ -112,8 +128,7 @@ class TestInvariants:
 
 def _fresh(tr):
     """The same trace with nothing sorted or counted yet."""
-    return OutbreakTrace(tr.scenario, tr.threshold_time, tr.end_time, tr.t_infect, tr.infector,
-                         tr.t_inf_start, tr.t_inf_end, tr.t_symptom, tr.died, tr.t_outcome)
+    return dataclasses.replace(tr)
 
 
 TRACES = pytest.mark.parametrize("traces", [planted_traces(), planted_traces(400, whole_days=True)],
@@ -137,6 +152,7 @@ class TestNotificationView:
         # Tied symptom times, the threshold, the end of the run and times
         # before the first notification, in a drawn order, so a time past
         # the threshold is often counted again from what was remembered.
+        # Past the end of the run nothing was simulated to count.
         tr = data.draw(traces)
         first = float(tr.t_symptom.min())
         times = st.one_of(st.sampled_from([tr.threshold_time, tr.end_time, math.inf, -math.inf]),
@@ -144,7 +160,11 @@ class TestNotificationView:
                           st.floats(0.0, 100.0).map(lambda d: first - d),
                           st.floats(-1.0, 500.0))
         for t in data.draw(st.lists(times, min_size=1, max_size=30)):
-            assert tr.notified_count(t) == np.count_nonzero(tr.t_symptom <= t), t
+            if t > tr.end_time:
+                with pytest.raises(ValueError, match="beyond the simulated window"):
+                    tr.notified_count(t)
+            else:
+                assert tr.notified_count(t) == np.count_nonzero(tr.t_symptom <= t), t
 
     @pytest.mark.parametrize("first", [None, lambda tr: tr.notified_count(tr.end_time)],
                              ids=["fresh", "count-past-view"])
@@ -159,6 +179,14 @@ class TestNotificationView:
             analyze_trace(tr, 5, AnalysisOptions(n_pairs=600, stride=9))
 
 
+    def test_forecast_past_the_run_fails_the_prediction_stage(self, ebola_trace):
+        # A 60-day horizon scores the forecast past the 42-day follow-up.
+        with pytest.raises(AnalysisError) as err:
+            analyze_trace(ebola_trace, 5, AnalysisOptions(horizon=60))
+        assert str(err.value) == ("analysis stage 'prediction' failed at replicate 5: "
+                                  "time lies beyond the simulated window")
+
+
 def _moved_past_threshold(tr, delay):
     """The same trace with every symptom and outcome time after the threshold
     time ``delay`` days later, and the same ``end_time``.
@@ -169,8 +197,7 @@ def _moved_past_threshold(tr, delay):
     T = tr.threshold_time
     t_symptom = np.where(tr.t_symptom > T, tr.t_symptom + delay, tr.t_symptom)
     t_outcome = np.where(tr.t_outcome > T, tr.t_outcome + delay, tr.t_outcome)
-    return OutbreakTrace(tr.scenario, T, tr.end_time, tr.t_infect, tr.infector,
-                         tr.t_inf_start, tr.t_inf_end, t_symptom, tr.died, t_outcome)
+    return dataclasses.replace(tr, t_symptom=t_symptom, t_outcome=t_outcome)
 
 
 def _outcome(fn):
@@ -200,9 +227,7 @@ class TestObservationBoundary:
            window=st.integers(2, 10), horizon=st.integers(0, 10))
     def test_planted(self, tr, delay, n, stride, window, horizon):
         # A notification threshold of 1 lets more draws past the snapshot.
-        tr = OutbreakTrace(Scenario(notify_threshold=1), tr.threshold_time, tr.end_time,
-                           tr.t_infect, tr.infector, tr.t_inf_start, tr.t_inf_end, tr.t_symptom,
-                           tr.died, tr.t_outcome)
+        tr = dataclasses.replace(tr, scenario=Scenario(notify_threshold=1))
         moved = _moved_past_threshold(tr, delay)
         options = AnalysisOptions(n_pairs=n, stride=stride, window=window, horizon=horizon)
         for fn in (lambda t: summarize_trace(t, 3), _series,
@@ -224,6 +249,29 @@ class TestObservationBoundary:
         assert np.count_nonzero(tr.t_symptom[infector[infector >= 0]] > tr.threshold_time) == 5
         assert len(sample_backward_pairs(tr, 500, 9)) == 500 - 5 - np.count_nonzero(infector < 0)
         _assert_unmoved(tr, AnalysisOptions())
+
+
+    @pytest.mark.parametrize("trace", ["ebola_trace", "late_infector_trace"])
+    def test_scenario_laws(self, request, trace):
+        # The analysis reads the notifications and the implied generation
+        # time; laws it does not read move no field.  The CFR correction
+        # reads the notification-to-death delay from the scenario, so the
+        # laws that shape it move its two fields, and only those.
+        tr = request.getfixturevalue(trace)
+        scenario = tr.scenario
+        cfr_fields = dict.fromkeys(["cfr_corrected", "cfr_clipped"])
+        expected = analyze_trace(tr, 5)
+        for changes, moved in [
+            ({"p_death": 0.3}, {}),
+            ({"contact_rate": 0.5}, {}),
+            ({"to_recovery": GammaParams(2.0, 0.1)}, {}),
+            ({"to_death": scenario.to_recovery, "to_recovery": scenario.to_death}, cfr_fields),
+            ({"incubation_factor_range": (0.5, 1.5)}, cfr_fields),
+        ]:
+            perturbed = dataclasses.replace(tr, scenario=dataclasses.replace(scenario, **changes))
+            got = analyze_trace(perturbed, 5)
+            assert (repr(dataclasses.replace(got, **moved))
+                    == repr(dataclasses.replace(expected, **moved))), changes
 
 
 @pytest.fixture(scope="module")
@@ -259,8 +307,8 @@ class TestAgainstMaskOracles:
         for i in data.draw(st.lists(st.integers(0, len(ts) - 1), max_size=8)):
             if i != first:
                 ts[i] = data.draw(planted)
-        tr = OutbreakTrace(tr.scenario, threshold, max(tr.end_time, threshold), tr.t_infect,
-                           tr.infector, tr.t_inf_start, tr.t_inf_end, ts, tr.died, tr.t_outcome)
+        tr = dataclasses.replace(tr, threshold_time=threshold,
+                                 end_time=max(tr.end_time, threshold), t_symptom=ts)
 
         def oracle():
             start = float(tr.t_symptom.min())   # below t0 where a threshold below it is planted

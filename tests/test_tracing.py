@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -109,8 +110,7 @@ class TestBackwardSampling:
         # Notified third (order 1, 2, 0, 3, ...), it holds position 3 of stride 3.
         t_symptom = tr.t_symptom.copy()
         t_symptom[0] = 6.2
-        late = OutbreakTrace(Scenario(), 10.0, 30.0, tr.t_infect, tr.infector, tr.t_inf_start,
-                             tr.t_inf_end, t_symptom, tr.died, tr.t_outcome)
+        late = dataclasses.replace(tr, t_symptom=t_symptom)
         assert late.notified[:4].tolist() == [1, 2, 0, 3]
         assert sample_backward_pairs(late, n=2, stride=3).infectee.tolist() == [5]
 
