@@ -36,6 +36,10 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 # The directory under --out that a command writes into before its files move into place.
 STAGING = "epibias.partial"
+# The reports each command writes, each as NAME.json and NAME.csv.
+REPORTS = {"bias-table": ["bias_table"], "cfr": ["cfr_report"], "estimate": ["estimates"],
+           "exposures": ["exposure_estimates"], "simulate": ["ensemble_summary"],
+           "reproduce-paper": ["bias_table", "cfr_report", "exposure_estimates", "estimates"]}
 
 
 def _write_report(config: RunConfig, outdir: Path, name: str, payload: dict,
@@ -71,7 +75,7 @@ def cmd_bias_table(config: RunConfig, outdir: Path) -> None:
     scn = config.scenario
     _require_R0(scn, "bias table")
     try:
-        reports = growth_math.bias_table(scn, config.me_gen, config.me_biased_gen)
+        reports = growth_math.bias_table(scn)
     except ValueError as err:  # an outbreak declining so fast that a re-solved R0 diverges
         r = growth_math.solve_r(scn.R0(), scn.implied_generation())
         raise ConfigError(f"[scenario] contact_rate = {scn.contact_rate:g}: growth rate "
@@ -198,9 +202,7 @@ def cmd_reproduce(config: RunConfig, outdir: Path) -> None:
     cmd_cfr(config, outdir)
     cmd_exposures(config, outdir)
     cmd_estimate(config, outdir)
-    _write_report(config, outdir, "bundle", {
-        "contents": ["bias_table", "cfr_report", "exposure_estimates", "estimates"],
-    })
+    _write_report(config, outdir, "bundle", {"contents": REPORTS["reproduce-paper"]})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,23 +236,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _move_into_place(staging: Path, outdir: Path, command: str) -> None:
+def _in_the_way(outdir: Path, command: str, write_traces: bool, own_ini: bool) -> str | None:
+    """Why ``command`` cannot put its files into ``outdir``, or None if it can:
+    a file or link in place of the staging directory it remakes, a file in
+    place of ``traces/`` under --write-traces, or a directory in place of a
+    file it writes (its reports, reproduce-paper's ``bundle.json``, and
+    ``config.ini`` when ``own_ini``) or removes (an earlier run's trace CSVs,
+    under --write-traces)."""
+    staging, traces = outdir / STAGING, outdir / "traces"
+    for path in [staging, traces] if write_traces else [staging]:
+        if os.path.lexists(path) and (not path.is_dir() or path == staging and path.is_symlink()):
+            return f"{path} is in the way: the {command} command writes a directory there"
+    names = [f"{name}.{ext}" for name in REPORTS[command] for ext in ("json", "csv")]
+    names += ["bundle.json"] if command == "reproduce-paper" else []
+    names += ["config.ini"] if own_ini else []
+    stale = list(traces.glob("trace_*.csv")) if write_traces else []
+    for path in stale + [outdir / name for name in names]:
+        if path.is_dir() and not path.is_symlink():
+            verb = "removes" if path in stale else "writes"
+            return f"{path} is in the way: the {command} command {verb} a file there"
+
+
+def _move_into_place(staging: Path, outdir: Path) -> None:
     """Move every file written into ``staging`` to the same name in ``outdir``.
 
     A ``traces`` directory replaces the trace CSVs an earlier run left in
-    ``outdir/traces``, not only those of the same name.  Every removal and
-    move is planned first: a directory in place of any of their files is a
-    ``ValueError`` before ``outdir`` is touched.
+    ``outdir/traces``, not only those of the same name.
     """
-    moves = [(path, outdir / path.relative_to(staging)) for path in staging.rglob("*")
-             if path.is_file()]
-    stale = list((outdir / "traces").glob("trace_*.csv")) if (staging / "traces").exists() else []
-    for path, verb in [(p, "removes") for p in stale] + [(dst, "writes") for _, dst in moves]:
-        if path.is_dir() and not path.is_symlink():
-            raise ValueError(f"{path} is in the way: the {command} command {verb} a file there")
-    for path in stale:
-        path.unlink()
-    for path, dst in moves:
+    if (staging / "traces").exists():
+        for path in (outdir / "traces").glob("trace_*.csv"):
+            path.unlink()
+    for path in [path for path in staging.rglob("*") if path.is_file()]:
+        dst = outdir / path.relative_to(staging)
         dst.parent.mkdir(exist_ok=True)
         path.replace(dst)
 
@@ -279,18 +296,13 @@ def main(argv=None) -> int:
         print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # A command removes and remakes the staging directory, and simulate
-    # --write-traces fills traces/: anything else in their place fails the
-    # run before anything is simulated.
+    # The file --config names already describes the run: never rewrite it.
+    config_ini = outdir / "config.ini"
+    own_ini = args.config is None or config_ini.resolve() != Path(args.config).resolve()
+    # Checked before the command runs: nothing is simulated for files it cannot write.
     write_traces = getattr(args, "write_traces", False)
-    staging, traces = outdir / STAGING, outdir / "traces"
-    in_the_way = [path for path, blocked in [
-        (staging, staging.is_symlink() or os.path.lexists(staging) and not staging.is_dir()),
-        (traces, write_traces and os.path.lexists(traces) and not traces.is_dir()),
-    ] if blocked]
-    if in_the_way:
-        print(f"config error: {in_the_way[0]} is in the way: the {args.command} command "
-              f"writes a directory there", file=sys.stderr)
+    if blocked := _in_the_way(outdir, args.command, write_traces, own_ini):
+        print(f"config error: {blocked}", file=sys.stderr)
         return EXIT_CONFIG
 
     commands = {
@@ -298,16 +310,14 @@ def main(argv=None) -> int:
         "cfr": cmd_cfr, "reproduce-paper": cmd_reproduce,
         "simulate": partial(cmd_simulate, write_traces=write_traces),
     }
-    # The file --config names already describes the run: never rewrite it.
-    config_ini = outdir / "config.ini"
-    own_ini = args.config is None or config_ini.resolve() != Path(args.config).resolve()
+    staging = outdir / STAGING
     shutil.rmtree(staging, ignore_errors=True)   # left by a run that was killed
     staging.mkdir()
     try:
         commands[args.command](config, staging)
         if own_ini:
             (staging / "config.ini").write_text(config.canonical_text)
-        _move_into_place(staging, outdir, args.command)
+        _move_into_place(staging, outdir)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,12 +48,6 @@ to_recovery_rate = 0.3333333333333333
 notify_threshold = 4500
 followup = 42
 
-[bias_table]
-me_gen_mean = 15.3
-me_gen_sd = 9.3
-me_biased_mean = 12.0
-me_biased_sd = 9.3
-
 [estimate]
 window = 42
 horizon = 42
@@ -78,8 +72,6 @@ class RunConfig:
     replicates: int
     threads: int
     scenario: Scenario
-    me_gen: GammaParams
-    me_biased_gen: GammaParams
     options: AnalysisOptions
     exposure_model: ExposureModel
     exposure_n_persons: int
@@ -224,10 +216,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         master_seed=seed,
     )
 
-    bt = parser["bias_table"]
-    me_gen = _gamma(bt, "me_gen_mean", "me_gen_sd", gamma_from_moments)
-    me_biased_gen = _gamma(bt, "me_biased_mean", "me_biased_sd", gamma_from_moments)
-
     est = parser["estimate"]
     options = _make(
         AnalysisOptions, est, {"n_pairs": ("sample_pairs",)},
@@ -265,8 +253,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         replicates=replicates,
         threads=threads,
         scenario=scenario,
-        me_gen=me_gen,
-        me_biased_gen=me_biased_gen,
         options=options,
         exposure_model=exposure_model,
         exposure_n_persons=n_persons,

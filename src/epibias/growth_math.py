@@ -17,8 +17,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .distributions import GammaParams
+from .distributions import GammaParams, gamma_from_moments
 from .outbreak_sim import Scenario
+
+# The paper's multiple-exposure example: the true generation time (a serial
+# interval, mean and sd in days) and the one fitted from single-exposure cases.
+ME_GEN = gamma_from_moments(15.3, 9.3)
+ME_BIASED_GEN = gamma_from_moments(12.0, 9.3)
 
 
 class BiasSource(enum.Enum):
@@ -102,9 +107,8 @@ def multiple_exposure_bias(R0: float, gen: GammaParams, biased_gen: GammaParams)
     """Bias from fitting with the single-exposure-only generation distribution.
 
     ``biased_gen`` is the generation distribution fitted from
-    single-exposure cases only (``[bias_table] me_biased_mean`` and
-    ``me_biased_sd``); the report simply re-solves the growth-rate
-    equation with it.
+    single-exposure cases only (the bias table's is ``ME_BIASED_GEN``);
+    the report simply re-solves the growth-rate equation with it.
     """
     return _resolved(BiasSource.MULTIPLE_EXPOSURE, R0, gen, biased_gen)
 
@@ -129,13 +133,12 @@ def _report(source, R0, r, r_biased, R0_biased) -> BiasReport:
     )
 
 
-def bias_table(scenario: Scenario, me_gen: GammaParams,
-               me_biased_gen: GammaParams) -> list[BiasReport]:
+def bias_table(scenario: Scenario) -> list[BiasReport]:
     """The four-row bias table: three sources plus their combined effect.
 
     The backward and serial rows take the outbreak's R0, generation time
-    and serial factor c; the multiple-exposure row compares ``me_gen`` with
-    ``me_biased_gen``, the one fitted from single-exposure cases only.
+    and serial factor c; the multiple-exposure row is the paper's example,
+    ``ME_GEN`` against ``ME_BIASED_GEN``, at the outbreak's R0.
 
     The combined row multiplies the three (1 + relative bias) factors,
     treating the sources as independent, and applies the product to the
@@ -146,7 +149,7 @@ def bias_table(scenario: Scenario, me_gen: GammaParams,
     rows = [
         backward_bias(R0, gen),
         serial_interval_bias(R0, gen, scenario.serial_cv_factor()),
-        multiple_exposure_bias(R0, me_gen, me_biased_gen),
+        multiple_exposure_bias(R0, ME_GEN, ME_BIASED_GEN),
     ]
     r_factor = math.prod(1.0 + row.r_rel_bias for row in rows)
     R0_factor = math.prod(1.0 + row.R0_rel_bias for row in rows)

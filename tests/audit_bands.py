@@ -55,7 +55,7 @@ from scipy import stats
 from epibias.analysis import EXPOSURE_FAMILIES, analyze_trace
 from epibias.config import load_config
 from epibias.growth_math import solve_r
-from epibias.outbreak_sim import ensemble_map, simulate_outbreak
+from epibias.outbreak_sim import ensemble_map
 from test_acceptance import (
     N_EXPOSURE_REPLICATES, N_TRACES, bands, exp_phase_slopes, exposure_columns,
     exposure_fits, infection_curve, resolved_expectation, trace_columns,
@@ -116,17 +116,13 @@ def print_bands(rows, joint, n_resamples: int, of: str, noun: str) -> None:
 def audit_pool(config, n_traces: int):
     """Per-trace columns and infection curves of ``n_traces`` accepted runs
     past the suite's replicates."""
-    scenario, options = config.scenario, config.options
-    _, suite_attempts = ensemble_map(scenario, N_TRACES, lambda trace, rep: rep)
-    analyses, curves = [], []
-    rep = suite_attempts
-    while len(analyses) < n_traces:
-        trace = simulate_outbreak(scenario, rep)
-        if trace is not None:
-            analyses.append(analyze_trace(trace, rep, options))
-            curves.append(infection_curve(trace))
-        rep += 1
-    return trace_columns(analyses), curves, (suite_attempts, rep)
+    runs, attempts = ensemble_map(
+        config.scenario, N_TRACES + n_traces,
+        lambda trace, rep: (rep, analyze_trace(trace, rep, config.options),
+                            infection_curve(trace)))
+    suite_last, _, _ = runs[N_TRACES - 1]
+    _, analyses, curves = zip(*runs[N_TRACES:])
+    return trace_columns(analyses), list(curves), (suite_last + 1, attempts)
 
 
 def ensemble_bands(table, pool, curves, n_resamples, seed=1):

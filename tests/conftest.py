@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from epibias.outbreak_sim import Scenario, simulate_outbreak
+from epibias.outbreak_sim import Scenario, ensemble_map
 
 MASTER_SEED = 20140801
 
@@ -24,24 +24,25 @@ def small_scenario():
 
 @pytest.fixture(scope="session")
 def small_trace(small_scenario):
-    rep = 0
-    while True:
-        trace = simulate_outbreak(small_scenario, rep)
-        if trace is not None:
-            return trace
-        rep += 1
+    """First accepted run of the small scenario."""
+    [trace], _ = ensemble_map(small_scenario, 1, lambda trace, rep: trace)
+    return trace
 
 
 @pytest.fixture(scope="session")
-def ebola_rep(ebola_scenario):
+def ebola_first_run(ebola_scenario):
+    """(replicate index, trace) of the first accepted full-size run."""
+    [first], _ = ensemble_map(ebola_scenario, 1, lambda trace, rep: (rep, trace))
+    return first
+
+
+@pytest.fixture(scope="session")
+def ebola_rep(ebola_first_run):
     """Replicate index of the first accepted full-size run."""
-    rep = 0
-    while simulate_outbreak(ebola_scenario, rep) is None:
-        rep += 1
-    return rep
+    return ebola_first_run[0]
 
 
 @pytest.fixture(scope="session")
-def ebola_trace(ebola_scenario, ebola_rep):
+def ebola_trace(ebola_first_run):
     """First accepted full-size run (~33,000 persons), shared by every module."""
-    return simulate_outbreak(ebola_scenario, ebola_rep)
+    return ebola_first_run[1]

@@ -38,7 +38,7 @@ import scipy
 
 from epibias.analysis import AnalysisOptions, analyze_trace
 from epibias.cli import main
-from epibias.outbreak_sim import Scenario, simulate_outbreak
+from epibias.outbreak_sim import Scenario, ensemble_map
 from test_cli import SMALL_RUN_CONFIG
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -77,14 +77,7 @@ def run_digests(workdir: Path, threads: int) -> dict[str, str]:
 def default_traces() -> list:
     """(replicate, trace) of the first accepted default-scenario traces."""
     scenario = Scenario(master_seed=DEFAULT_SEED)
-    out = []
-    rep = 0
-    while len(out) < N_DEFAULT_TRACES:
-        tr = simulate_outbreak(scenario, rep)
-        if tr is not None:
-            out.append((rep, tr))
-        rep += 1
-    return out
+    return ensemble_map(scenario, N_DEFAULT_TRACES, lambda trace, rep: (rep, trace))[0]
 
 
 def trace_digests() -> dict[str, str]:

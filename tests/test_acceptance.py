@@ -341,8 +341,7 @@ def check(criterion: str, subchecks: list[tuple[bool, str]]) -> None:
 
 def test_criterion_1_bias_table_closed_forms(config):
     t0 = time.perf_counter()
-    rows = {r.source: r for r in bias_table(config.scenario, config.me_gen,
-                                            config.me_biased_gen)}
+    rows = {r.source: r for r in bias_table(config.scenario)}
     elapsed = time.perf_counter() - t0
     bw, si = rows[BiasSource.BACKWARD], rows[BiasSource.SERIAL_INTERVAL]
     me, co = rows[BiasSource.MULTIPLE_EXPOSURE], rows[BiasSource.COMBINED]

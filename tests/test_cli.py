@@ -13,7 +13,7 @@ import pytest
 import epibias
 from epibias import outbreak_sim
 from epibias.analysis import REPORTED, TRACE_SUMMARY_FIELDS, AnalysisOptions
-from epibias.cli import STAGING, main
+from epibias.cli import REPORTS, STAGING, main
 from epibias.config import ConfigError, DEFAULT_CONFIG, load_config
 from epibias.outbreak_sim import Scenario
 
@@ -41,6 +41,9 @@ def _default_keys() -> dict[str, list[str]]:
     parser.optionxform = str
     parser.read_string(DEFAULT_CONFIG)
     return {section: list(parser[section]) for section in parser.sections()}
+
+
+SETTABLE_KEYS = [(section, key) for section, keys in _default_keys().items() for key in keys]
 
 
 def _snapshot(directory: Path) -> dict[str, bytes]:
@@ -73,12 +76,12 @@ class TestConfig:
         assert cfg.scenario == Scenario(master_seed=cfg.seed)
         assert cfg.options == AnalysisOptions()
 
-    def test_bias_table_section_holds_only_the_multiple_exposure_inputs(self):
-        # The backward and serial rows are built from [scenario].
+    def test_default_config_has_no_bias_table_section(self):
+        # The backward and serial rows are built from [scenario], and the
+        # multiple-exposure row is the paper's fixed example.
         keys = _default_keys()
-        assert keys["bias_table"] == ["me_gen_mean", "me_gen_sd", "me_biased_mean",
-                                      "me_biased_sd"]
-        assert sum(map(len, keys.values())) == 31
+        assert list(keys) == ["run", "scenario", "estimate", "exposures"]
+        assert sum(map(len, keys.values())) == 27
 
     def test_override_precedence(self, small_config):
         cfg = load_config(path=str(small_config), seed=7, replicates=5)
@@ -86,7 +89,7 @@ class TestConfig:
         assert cfg.replicates == 5
         assert cfg.scenario.notify_threshold == 150
         # untouched sections keep their defaults
-        assert cfg.me_gen == load_config().me_gen
+        assert cfg.exposure_model == load_config().exposure_model
 
     def test_hash_tracks_content(self, small_config):
         assert (
@@ -129,15 +132,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[run\] seed must be >= 0"):
             load_config(seed=-1)
 
-    @pytest.mark.parametrize("section, key", [
-        (section, key) for section, keys in _default_keys().items() for key in keys
-    ])
+    @pytest.mark.parametrize("section, key", SETTABLE_KEYS)
     def test_unparsable_value_names_its_key(self, tmp_path, section, key):
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{key} = abc\n")
         with pytest.raises(ConfigError) as err:
             load_config(path=str(path))
         assert str(err.value).startswith(f"[{section}] {key} = abc"), err.value
+
+    @pytest.mark.parametrize("section, key", SETTABLE_KEYS)
+    def test_nan_value_names_its_key(self, tmp_path, section, key):
+        # Every settable key is read and checked: NaN is refused by name,
+        # alone or with the key it makes a law with.
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = nan\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path=str(path))
+        names = str(err.value).split(" = ", 1)[0]
+        assert names.startswith(f"[{section}] "), err.value
+        assert key in names.removeprefix(f"[{section}] ").split(", "), err.value
 
     def test_invalid_scenario_value(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -176,11 +189,11 @@ class TestConfig:
         # keys are compared after configparser's lower-casing: Seed is seed
         ("[run]\nSeed = 5\nSeed1 = 2\n", "unknown key [run] seed1"),
         ("[run]\nformat = csv\n", "unknown key [run] format"),
-        # the bias table's R0, generation law and serial factor are the scenario's
-        ("[bias_table]\nR0 = 1.7\n", "unknown key [bias_table] r0"),
-        ("[bias_table]\nserial_cv_factor = 1.026\n", "unknown key [bias_table] serial_cv_factor"),
+        # the bias table's R0, generation law and serial factor are the
+        # scenario's, and its multiple-exposure row is the paper's example
+        ("[bias_table]\nme_gen_mean = 15.3\n", "unknown section [bias_table]"),
     ], ids=["misspelled-key", "misspelled-section", "empty-section", "default-section",
-            "upper-case-key", "run-format", "bias-table-R0", "bias-table-serial-cv-factor"])
+            "upper-case-key", "run-format", "bias-table-section"])
     def test_unknown_setting_is_a_config_error(self, tmp_path, capsys, text, name):
         path, out = tmp_path / "bad.ini", tmp_path / "out"
         path.write_text(text)
@@ -537,8 +550,6 @@ class TestCliCommands:
          ["config error", "[scenario] latent_shape, latent_rate = nan, 0.2"]),
         ("simulate", "[scenario]\n", "[scenario]\nto_death_rate = inf\n", 2,
          ["config error", "[scenario] to_death_shape, to_death_rate = 0.444", ", inf: rate"]),
-        ("bias-table", "[run]\n", "[bias_table]\nme_gen_sd = nan\n[run]\n", 2,
-         ["config error", "[bias_table] me_gen_mean, me_gen_sd = 15.3, nan"]),
         ("exposures", "n_persons = 100", "n_persons = 100\nincubation_sd = inf", 2,
          ["config error", "[exposures] incubation_mean, incubation_sd = 11.4, inf"]),
     ], ids=["analysis-error", "forward-sample-error", "config-value-error", "window-too-short",
@@ -554,8 +565,7 @@ class TestCliCommands:
             "incubation-factor-infinite", "contact-rate-nan", "exposures-contact-rate-nan",
             "exposures-contact-rate-zero", "incubation-factor-min-above-max",
             "notify-threshold-zero",
-            "latent-shape-nan", "to-death-rate-infinite", "me-gen-sd-nan",
-            "incubation-sd-infinite"])
+            "latent-shape-nan", "to-death-rate-infinite", "incubation-sd-infinite"])
     def test_error_exit_codes(self, tmp_path, capsys, command, old, new, code, words):
         cfg, out = tmp_path / "run.ini", tmp_path / "out"
         cfg.write_text(SMALL_RUN_CONFIG.replace(old, new))
@@ -586,12 +596,19 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command, flags, name", [
         ("bias-table", [], "bias_table.json"),
+        ("estimate", [], "estimates.csv"),
+        ("reproduce-paper", [], "bundle.json"),
+        ("cfr", [], "config.ini"),
         ("simulate", ["--write-traces"], "traces/trace_0000.csv"),
-    ], ids=["report", "trace"])
+    ], ids=["report", "estimate-csv", "bundle", "config-ini", "trace"])
     def test_directory_in_place_of_a_file_is_a_config_error(
-        self, tmp_path, small_config, capsys, command, flags, name
+        self, tmp_path, small_config, capsys, monkeypatch, command, flags, name
     ):
-        # Found only once the command has run; nothing is moved or removed.
+        def fail(scenario, rep):
+            raise AssertionError("simulated before the output directory was checked")
+
+        # Found before the command runs: nothing is simulated, moved or removed.
+        monkeypatch.setattr(outbreak_sim, "simulate_outbreak", fail)
         (tmp_path / name).mkdir(parents=True)
         (tmp_path / "traces").mkdir(exist_ok=True)
         (tmp_path / "traces" / "trace_0001.csv").write_text("an earlier run's trace\n")
@@ -625,6 +642,8 @@ class TestCliCommands:
         if command == "reproduce-paper":
             expected.append("bundle.json")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(expected)
+        # the table the check before the run reads names the same reports
+        assert sorted(REPORTS[command]) == sorted(names)
 
     def test_simulate_takes_any_infectious_period(self, tmp_path, small_config):
         # Only the estimators need a closed-form generation time.

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning
 
 from _oracles import gamma_pdf_fn, solve_r_numeric
-from epibias.distributions import GammaParams, gamma_from_moments
+from epibias.distributions import GammaParams, gamma_from_moments, laplace
 from epibias.growth_math import (
+    ME_BIASED_GEN,
+    ME_GEN,
     BiasSource,
     backward_bias,
     backward_dist,
@@ -23,8 +25,6 @@ from epibias.growth_math import (
 from epibias.outbreak_sim import Scenario
 
 GEN = GammaParams(3.0, 0.2)
-ME_GEN = gamma_from_moments(15.3, 9.3)
-ME_BIASED = gamma_from_moments(12.0, 9.3)
 
 
 class TestSolveR:
@@ -35,7 +35,7 @@ class TestSolveR:
         assert solve_r(1.0, GammaParams(2.7, 0.31)) == 0.0
 
     def test_single_exposure_setting(self):
-        assert abs(solve_r(1.7, ME_BIASED) - 0.0522) < 2e-4
+        assert abs(solve_r(1.7, ME_BIASED_GEN) - 0.0522) < 2e-4
 
     def test_rejects_nonpositive_R0(self):
         with pytest.raises(ValueError):
@@ -158,6 +158,15 @@ class TestBackward:
         assert math.isclose(rep.R0_biased, (1.0 - (r / (rate + r)) ** 2) ** shape * R0,
                             rel_tol=1e-12)
 
+    @given(shape=st.floats(0.3, 10.0), rate=st.floats(0.01, 2.0),
+           r_over_rate=st.floats(-0.9, 3.0))
+    def test_tilt_is_inverted_by_the_growth_rate(self, shape, rate, r_over_rate):
+        # E_b[exp(r G)] = R0 under the backward law: weighting traced
+        # generation times by exp(r G) recovers the growth-rate equation.
+        g = GammaParams(shape, rate)
+        r = r_over_rate * rate
+        assert math.isclose(laplace(backward_dist(g, r), -r), solve_R0(r, g), rel_tol=1e-12)
+
 
 class TestSerialInflation:
     def test_no_inflation_no_bias(self):
@@ -205,7 +214,7 @@ class TestSerialInflation:
 
 class TestMultipleExposure:
     def test_study_values(self):
-        rep = multiple_exposure_bias(1.7, ME_GEN, ME_BIASED)
+        rep = multiple_exposure_bias(1.7, ME_GEN, ME_BIASED_GEN)
         assert abs(rep.r_biased - 0.0522) < 2e-4
         assert abs(100 * rep.r_rel_bias - 36.0) < 0.5
         assert abs(rep.R0_biased - 1.50) < 5e-3
@@ -225,7 +234,7 @@ class TestMultipleExposure:
 
 class TestBiasTable:
     def test_study_rows(self):
-        rows = {r.source: r for r in bias_table(Scenario(), ME_GEN, ME_BIASED)}
+        rows = {r.source: r for r in bias_table(Scenario())}
         assert abs(100 * rows[BiasSource.BACKWARD].R0_rel_bias - (-8)) < 0.5
         assert abs(100 * rows[BiasSource.BACKWARD].r_rel_bias - 19) < 0.5
         assert abs(100 * rows[BiasSource.SERIAL_INTERVAL].R0_rel_bias - (-0.2)) < 0.1
@@ -234,21 +243,22 @@ class TestBiasTable:
         assert abs(100 * rows[BiasSource.MULTIPLE_EXPOSURE].r_rel_bias - 36) < 0.5
 
     def test_combined_is_product(self):
-        rows = bias_table(Scenario(), ME_GEN, ME_BIASED)
+        rows = bias_table(Scenario())
         r_prod = (1 + rows[0].r_rel_bias) * (1 + rows[1].r_rel_bias) * (1 + rows[2].r_rel_bias)
         assert math.isclose(1 + rows[3].r_rel_bias, r_prod, rel_tol=1e-12)
         assert abs(100 * rows[3].r_rel_bias - 63) < 1.0
         assert abs(100 * rows[3].R0_rel_bias - (-19)) < 1.0
 
     def test_neutral_scenario_vanishes(self):
-        # R0 = 0.2 * 5 = 1, and an incubation factor of 1 makes c = 1
+        # R0 = 0.2 * 5 = 1, and an incubation factor of 1 makes c = 1; at
+        # r = 0 the multiple-exposure example's two laws agree too
         neutral = Scenario(contact_rate=0.2, incubation_factor_range=(1.0, 1.0))
-        for row in bias_table(neutral, ME_GEN, ME_GEN):
+        for row in bias_table(neutral):
             assert abs(row.r_rel_bias) < 1e-12
             assert abs(row.R0_rel_bias) < 1e-12
 
     def test_bias_directions(self):
-        rows = bias_table(Scenario(), ME_GEN, ME_BIASED)
+        rows = bias_table(Scenario())
         for row in rows:
             assert row.R0_rel_bias <= 0
             assert row.r_rel_bias >= 0

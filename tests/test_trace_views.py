@@ -28,7 +28,7 @@ from _oracles import (
 )
 from epibias.analysis import AnalysisError, AnalysisOptions, analyze_trace, notification_series
 from epibias.distributions import GammaParams
-from epibias.outbreak_sim import OutbreakTrace, Scenario, simulate_outbreak, summarize_trace
+from epibias.outbreak_sim import OutbreakTrace, Scenario, ensemble_map, summarize_trace
 from epibias.tracing import sample_backward_pairs, sample_forward_pairs
 
 
@@ -278,9 +278,7 @@ class TestObservationBoundary:
 def late_infector_trace(ebola_scenario):
     """The first accepted default-size trace with incubation factors from 0.5 to 2."""
     scenario = dataclasses.replace(ebola_scenario, incubation_factor_range=(0.5, 2.0))
-    rep = 0
-    while (trace := simulate_outbreak(scenario, rep)) is None:
-        rep += 1
+    [trace], _ = ensemble_map(scenario, 1, lambda trace, rep: trace)
     return trace
 
 
