@@ -197,7 +197,7 @@ def cmd_cfr(config: RunConfig, outdir: Path) -> None:
 
 
 def cmd_reproduce(config: RunConfig, outdir: Path) -> None:
-    config.check_estimate()  # before the first report is written
+    config.check_estimate()  # before anything runs
     cmd_bias_table(config, outdir)
     cmd_cfr(config, outdir)
     cmd_exposures(config, outdir)

@@ -13,6 +13,7 @@ import configparser
 import hashlib
 import io
 import math
+import os
 from dataclasses import dataclass
 
 from . import __version__
@@ -248,10 +249,12 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(f"[exposures] replicates must be <= {EXPOSURE_FAMILY_STREAMS}, the "
                           f"streams of one incubation family, got {exposure_replicates}")
 
+    # More workers than usable CPUs only queue; the reports do not depend on the count.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return RunConfig(
         seed=seed,
         replicates=replicates,
-        threads=threads,
+        threads=min(threads, cpus or 1),
         scenario=scenario,
         options=options,
         exposure_model=exposure_model,

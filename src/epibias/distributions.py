@@ -53,7 +53,7 @@ class DiscreteDelay:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         if np.any(probs < 0):

@@ -30,7 +30,7 @@ class CaseSeries:
     daily: np.ndarray
 
     def __post_init__(self):
-        daily = np.asarray(self.daily, dtype=float)
+        daily = np.array(self.daily, dtype=float)
         if daily.ndim != 1 or len(daily) == 0:
             raise ValueError("daily counts must be a non-empty 1-d sequence")
         if np.any(~np.isfinite(daily)) or np.any(daily < 0):
@@ -90,7 +90,7 @@ def est_a_log_cumulative(series: CaseSeries, window: int = 42) -> float:
 def est_b_log_daily(series: CaseSeries, window: int = 42) -> float:
     """Slope of log daily notifications over the window; zero-count days dropped."""
     sl = _window_slice(series, window)
-    daily = series.daily[sl].astype(float)
+    daily = series.daily[sl]
     days = np.arange(sl.start + 1, sl.stop + 1, dtype=float)
     keep = daily > 0
     if keep.sum() < 2:
@@ -105,7 +105,7 @@ def est_c_mean_ratio(series: CaseSeries, window: int = 42, log_ratio: bool = Tru
     which is exact on geometric series; ``log_ratio=False`` instead averages
     the plain ratios and returns mean(ratio) - 1.
     """
-    cum = series.cumulative[_window_slice(series, window + 1)].astype(float)
+    cum = series.cumulative[_window_slice(series, window + 1)]
     if np.any(cum <= 0):
         raise ValueError("cumulative counts in the window must be positive")
     ratios = cum[1:] / cum[:-1]
@@ -120,8 +120,7 @@ def est_d_branching(series: CaseSeries, window: int = 42) -> float:
     The daily multiplication factor exp(r) is estimated by
     (n(2)+...+n(K)) / (n(1)+...+n(K-1)) with day 1 the window's first day.
     """
-    sl = _window_slice(series, window)
-    daily = series.daily[sl].astype(float)
+    daily = series.daily[_window_slice(series, window)]
     num = daily[1:].sum()
     den = daily[:-1].sum()
     if num <= 0 or den <= 0:

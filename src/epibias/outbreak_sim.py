@@ -23,7 +23,7 @@ import traceback
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Iterable, Iterator, Optional
@@ -75,6 +75,9 @@ class Scenario:
                              f"got ({lo}, {hi})")
         if self.notify_threshold < 1:
             raise ValueError("notify_threshold must be >= 1")
+        if self.notify_threshold > PERSON_CAP:
+            raise ValueError(f"notify_threshold must be <= {PERSON_CAP}, the most persons a run "
+                             "may simulate")
         if not 0.0 <= self.followup < math.inf:
             raise ValueError("followup must be finite and non-negative")
 
@@ -150,7 +153,7 @@ class OutbreakTrace:
     on the default scenario), sorted once, and ``notified_times`` their
     times.  Only the forecast target reads past the threshold, through
     ``notified_count(t)``.  The record and its columns are read-only;
-    ``dataclasses.replace`` gives a new trace, sorted and counted afresh.
+    ``dataclasses.replace`` gives a new trace, sorted afresh.
     """
 
     scenario: Scenario
@@ -163,8 +166,6 @@ class OutbreakTrace:
     t_symptom: np.ndarray
     died: np.ndarray
     t_outcome: np.ndarray
-    # notified_count, by time
-    _counts: dict[float, int] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if np.any(self.t_infect[1:] < self.t_infect[:-1]):
@@ -198,14 +199,10 @@ class OutbreakTrace:
         """Persons notified by time ``t``: ``count_nonzero(t_symptom <= t)``.
 
         ``ValueError`` past ``end_time``, where the run was not simulated.
-        Counted over the column once and remembered, so a trace re-analysed
-        under other options does not count the same time again.
         """
         if t > self.end_time:
             raise ValueError("time lies beyond the simulated window")
-        if t not in self._counts:
-            self._counts[t] = int(np.count_nonzero(self.t_symptom <= t))
-        return self._counts[t]
+        return int(np.count_nonzero(self.t_symptom <= t))
 
     def to_csv(self, path) -> None:
         """One row per person; times in days with 6 decimals.

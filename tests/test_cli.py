@@ -53,6 +53,13 @@ def _snapshot(directory: Path) -> dict[str, bytes]:
 
 
 @pytest.fixture()
+def two_cpus(monkeypatch):
+    """The process may use two CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture()
 def small_config(tmp_path):
     path = tmp_path / "small.ini"
     path.write_text(SMALL_RUN_CONFIG)
@@ -97,13 +104,21 @@ class TestConfig:
             != load_config(path=str(small_config)).config_hash
         )
 
-    def test_hash_ignores_worker_count(self, small_config):
+    def test_hash_ignores_worker_count(self, small_config, two_cpus):
         one = load_config(path=str(small_config), threads=1)
         two = load_config(path=str(small_config), threads=2)
         assert one.threads == 1 and two.threads == 2
         assert one.config_hash == two.config_hash
         assert two.config_hash != load_config(threads=2).config_hash
         assert two.config_hash != load_config(path=str(small_config), seed=7, threads=2).config_hash
+
+    def test_worker_count_is_capped_at_the_usable_cpus(self, tmp_path, two_cpus):
+        # A pool starts every worker it is given at once; more than the CPUs only queue.
+        path = tmp_path / "many.ini"
+        path.write_text("[run]\nthreads = 10000\n")
+        flag, file = load_config(threads=10_000), load_config(path=str(path))
+        assert flag.threads == file.threads == 2
+        assert flag.config_hash == file.config_hash == load_config(threads=1).config_hash
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -618,6 +633,20 @@ class TestCliCommands:
         assert f"config error: {tmp_path / name} is in the way" in capsys.readouterr().err
         assert _snapshot(tmp_path) == before and (tmp_path / name).is_dir()
         assert not (tmp_path / STAGING).exists()
+
+    def test_threshold_past_the_person_cap_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def fail(scenario, rep):
+            raise AssertionError("simulated a run that cannot reach its threshold")
+
+        # No run may pass PERSON_CAP persons, so none could notify more.
+        monkeypatch.setattr(outbreak_sim, "simulate_outbreak", fail)
+        cfg, out = tmp_path / "run.ini", tmp_path / "out"
+        cfg.write_text(SMALL_RUN_CONFIG.replace("notify_threshold = 150",
+                                                "notify_threshold = 10000001"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: [scenario] notify_threshold = 10000001: notify_threshold must be "
+                "<= 10000000") in capsys.readouterr().err
+        assert list(out.glob("*")) == []
 
     def test_simulate_reads_no_estimate_value(self, tmp_path, small_config):
         # The default horizon of 42 is past a follow-up of 0, which only the

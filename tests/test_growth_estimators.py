@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import discretize, renewal_expected
 from epibias.distributions import (
+    DiscreteDelay,
     GammaParams,
     discretization_horizon,
     discretize_centered,
@@ -97,6 +98,13 @@ class TestDegenerateSeries:
             CaseSeries(np.array([1, -2, 3]))
         with pytest.raises(ValueError):
             CaseSeries(np.array([]))
+
+    @pytest.mark.parametrize("record, column", [(CaseSeries, "daily"), (DiscreteDelay, "probs")])
+    def test_record_copies_the_callers_array(self, record, column):
+        theirs = np.array([0.25, 0.75])
+        held = getattr(record(theirs), column)
+        assert theirs.flags.writeable and not held.flags.writeable
+        assert held.dtype == np.float64 and not np.shares_memory(theirs, held)
 
 
 @pytest.fixture(scope="module")

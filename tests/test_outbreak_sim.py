@@ -134,8 +134,8 @@ class TestSimulate:
         assert np.all(tr.t_outcome >= tr.t_inf_end)
 
     def test_person_cap(self, monkeypatch):
+        scn = Scenario(master_seed=20140801)   # built before the cap falls below its threshold
         monkeypatch.setattr(outbreak_sim, "PERSON_CAP", 50)
-        scn = Scenario(master_seed=20140801)
         with pytest.raises(SimulationLimitError):
             for rep in range(20):
                 simulate_outbreak(scn, rep)
@@ -157,9 +157,9 @@ class TestSimulate:
                 return self._rng.uniform(low, high, size)
 
         monkeypatch.setattr(outbreak_sim, "stream", lambda seed, rep: Recording(stream(seed, rep)))
+        scn = Scenario(contact_rate=1.0, notify_threshold=1_000_000, master_seed=3)
         cap = 5000
         monkeypatch.setattr(outbreak_sim, "PERSON_CAP", cap)
-        scn = Scenario(contact_rate=1.0, notify_threshold=1_000_000, master_seed=3)
         with pytest.raises(SimulationLimitError, match="replicate"):
             for rep in range(20):   # R0 = 5: almost every run grows without bound
                 simulate_outbreak(scn, rep)
@@ -306,21 +306,14 @@ def offspring_law(master_seed: int) -> tuple[int, int, dict]:
     and the conditional-rate test's the Sidak-adjusted one of the largest
     |z| over the (disjoint) duration deciles.
     """
-    scn = Scenario(master_seed=master_seed)
-    durations, counts, early = [], [], []
-    rep = accepted = 0
-    while accepted < 32:
-        tr = simulate_outbreak(scn, rep)
-        rep += 1
-        if tr is None:
-            continue
-        accepted += 1
+    def parents(tr, rep):
         done = np.flatnonzero(tr.t_inf_end <= tr.end_time)
         n_off = np.bincount(tr.infector[tr.infector >= 0], minlength=len(tr))
-        durations.append((tr.t_inf_end - tr.t_inf_start)[done])
-        counts.append(n_off[done])
-        early.append(tr.t_infect[done] <= tr.end_time - 60.0)
-    d, n, early = np.concatenate(durations), np.concatenate(counts), np.concatenate(early)
+        return ((tr.t_inf_end - tr.t_inf_start)[done], n_off[done],
+                tr.t_infect[done] <= tr.end_time - 60.0)
+
+    per_trace, _ = ensemble_map(Scenario(master_seed=master_seed), 32, parents)
+    d, n, early = (np.concatenate(col) for col in zip(*per_trace))
     de, ne = d[early], n[early]
     tests = {}
 

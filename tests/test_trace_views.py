@@ -109,11 +109,18 @@ class TestInvariants:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(small_trace, f.name, getattr(small_trace, f.name))
 
+    def test_the_record_holds_its_ten_fields_and_views(self, ebola_trace):
+        tr = _fresh(ebola_trace)
+        tr.notified_times, tr.notified_count(tr.threshold_time), tr.notified_count(tr.end_time)
+        fields = dataclasses.fields(tr)
+        assert len(fields) == 10 and all(f.init for f in fields)
+        assert set(vars(tr)) == {f.name for f in fields} | {"notified", "notified_times"}
+
     def test_replace_gives_fresh_views(self, ebola_trace):
         tr = ebola_trace
         assert len(tr.notified) == 4500 and tr.notified_count(tr.end_time) > 4500
         earlier = dataclasses.replace(tr, threshold_time=tr.threshold_time - 5)
-        assert earlier._counts == {} and "notified" not in vars(earlier)
+        assert "notified" not in vars(earlier)
         stable = np.argsort(tr.t_symptom, kind="stable")
         assert len(earlier.notified) == 3715
         assert np.array_equal(earlier.notified,
@@ -127,7 +134,7 @@ class TestInvariants:
 
 
 def _fresh(tr):
-    """The same trace with nothing sorted or counted yet."""
+    """The same trace with nothing sorted yet."""
     return dataclasses.replace(tr)
 
 
@@ -151,7 +158,7 @@ class TestNotificationView:
     def test_notified_count_at_drawn_times(self, traces, data):
         # Tied symptom times, the threshold, the end of the run and times
         # before the first notification, in a drawn order, so a time past
-        # the threshold is often counted again from what was remembered.
+        # the threshold is often counted again.
         # Past the end of the run nothing was simulated to count.
         tr = data.draw(traces)
         first = float(tr.t_symptom.min())
